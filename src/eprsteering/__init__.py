@@ -8,192 +8,22 @@ bootstrap significance, and an analytic correlated-Gaussian model that serves
 as both a synthetic data source and a closed-form oracle.
 """
 
-from .errors import (
-    DataError,
-    DegenerateBootstrapError,
-    DimensionMismatchError,
-    NegativeCountError,
-    NegativeProbabilityError,
-    NonDivisibleFactorError,
-    NonpositiveExtentError,
-    NonpositiveWindowError,
-    NotNormalizedError,
-    NumericalError,
-    ParseError,
-    ShapeMismatchError,
-    SteeringError,
-    TruncationError,
-    UsageError,
-    ZeroTotalError,
-)
-from .grids import (
-    AxisGrid,
-    CountTensor,
-    GridSpec,
-    Histogram,
-    JointDistribution,
-    Observable,
-    marginal,
-    normalize_counts,
-    validate_distribution,
-)
-from .entropy import EntropyValue, conditional_entropy, entropy, mutual_information
-from .witness import (
-    PI_E,
-    Direction,
-    WitnessResult,
-    conditional_witness,
-    evaluate,
-    min_resolution,
-    per_dim_bound,
-    symmetric_witness,
-)
-from .coarse import (
-    CurvePoint,
-    MapCell,
-    ResolutionSweep,
-    asymmetry_map,
-    block_sum,
-    downsample,
-    resolution_curve,
-)
-from .bootstrap import (
-    BootstrapReport,
-    poisson_resample,
-    replicate_rng,
-    sample_counts,
-    witness_significance,
-)
-from .spdc import (
-    DoubleGaussianParams,
-    SyntheticState,
-    conditional_variance,
-    connection_check,
-    continuous_conditional_entropy,
-    continuous_margin,
-    default_params,
-    discretize,
-    discretize_state,
-    expected_counts,
-    make_synthetic_state,
-    momentum_covariance,
-    momentum_density,
-    position_covariance,
-    position_density,
-    sample_histograms,
-    viewing_grid,
-    windowed_conditional_rhs,
-)
-from .io import (
-    RunConfig,
-    SyntheticConfig,
-    config_hash,
-    dump_json,
-    load_histogram,
-    read_counts_csv,
-    read_grid_json,
-    save_histogram,
-    sidecar_path,
-    units_name,
-    witness_report,
-    write_counts_csv,
-    write_curve_csv,
-    write_grid_json,
-    write_map_csv,
-)
+from importlib import import_module as _import_module
+
+from .errors import *  # noqa: F403
+from .grids import *  # noqa: F403
+from .entropy import *  # noqa: F403
+from .witness import *  # noqa: F403
+from .coarse import *  # noqa: F403
+from .bootstrap import *  # noqa: F403
+from .spdc import *  # noqa: F403
+from .io import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "SteeringError",
-    "UsageError",
-    "DataError",
-    "NumericalError",
-    "ZeroTotalError",
-    "ShapeMismatchError",
-    "ParseError",
-    "NegativeCountError",
-    "NonDivisibleFactorError",
-    "DimensionMismatchError",
-    "NotNormalizedError",
-    "NegativeProbabilityError",
-    "NonpositiveWindowError",
-    "NonpositiveExtentError",
-    "TruncationError",
-    "DegenerateBootstrapError",
-    # grids
-    "Observable",
-    "AxisGrid",
-    "GridSpec",
-    "CountTensor",
-    "JointDistribution",
-    "Histogram",
-    "validate_distribution",
-    "normalize_counts",
-    "marginal",
-    # entropy
-    "EntropyValue",
-    "entropy",
-    "conditional_entropy",
-    "mutual_information",
-    # witnesses
-    "PI_E",
-    "Direction",
-    "WitnessResult",
-    "per_dim_bound",
-    "min_resolution",
-    "conditional_witness",
-    "symmetric_witness",
-    "evaluate",
-    # coarse-graining
-    "block_sum",
-    "downsample",
-    "CurvePoint",
-    "resolution_curve",
-    "MapCell",
-    "ResolutionSweep",
-    "asymmetry_map",
-    # bootstrap
-    "BootstrapReport",
-    "replicate_rng",
-    "poisson_resample",
-    "sample_counts",
-    "witness_significance",
-    # model
-    "DoubleGaussianParams",
-    "default_params",
-    "position_density",
-    "momentum_density",
-    "position_covariance",
-    "momentum_covariance",
-    "conditional_variance",
-    "continuous_conditional_entropy",
-    "continuous_margin",
-    "discretize",
-    "discretize_state",
-    "viewing_grid",
-    "SyntheticState",
-    "make_synthetic_state",
-    "expected_counts",
-    "sample_histograms",
-    "connection_check",
-    "windowed_conditional_rhs",
-    # io
-    "RunConfig",
-    "SyntheticConfig",
-    "config_hash",
-    "witness_report",
-    "write_counts_csv",
-    "read_counts_csv",
-    "write_grid_json",
-    "read_grid_json",
-    "save_histogram",
-    "load_histogram",
-    "sidecar_path",
-    "units_name",
-    "dump_json",
-    "write_map_csv",
-    "write_curve_csv",
+#: Every submodule's ``__all__``, re-exported in import order.
+__all__ = ["__version__"] + [
+    name
+    for module in ("errors", "grids", "entropy", "witness", "coarse", "bootstrap", "spdc", "io")
+    for name in _import_module(f".{module}", __name__).__all__
 ]

@@ -5,6 +5,17 @@ with the observed count as its mean, re-normalizes, and re-evaluates the
 witness margin.  Streams come from a counter-based generator keyed by
 ``(seed..., replicate, attempt)``, so any replicate can be reproduced in
 isolation and results never depend on evaluation order.
+
+Draw order: one ``rng.poisson`` call per replicate over the observed counts
+of the position blocks, then the momentum blocks, concatenated in the order
+given.  This is the same stream as one call per block in that order.
+
+Replicates are scored in chunks by the witness module's batched margin
+kernel, which also scores point estimates, so a replicate scored alone
+reproduces its margin bit for bit.  The per-replicate floor left is the
+stream and the draw.  On a 2-vCPU x86-64 host (Python 3.11, numpy 2.4) the
+generator takes ~30 us to build.  The draw takes ~16 us per call plus ~40 ns
+per cell, ~50 us for two 24x24 histograms.
 """
 
 from __future__ import annotations
@@ -15,8 +26,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DegenerateBootstrapError, UsageError
+from .entropy import _check_base
 from .grids import CountTensor, Histogram
-from .witness import Direction, evaluate
+from .witness import Direction, _margin_kernel, _MarginKernel
 
 __all__ = [
     "BootstrapReport",
@@ -32,6 +44,9 @@ SeedLike = Union[int, Sequence[int]]
 MIN_REPLICATES = 100
 
 _MAX_REDRAWS = 1000
+
+#: Bytes of replicate counts scored per kernel call; a chunk holds at least one replicate.
+_CHUNK_BYTES = 4 << 20
 
 
 def _seed_key(seed: SeedLike) -> tuple[int, ...]:
@@ -98,6 +113,55 @@ class BootstrapReport:
     rejected_replicates: int
 
 
+def _replicate_margins(
+    pos_blocks: Sequence[Histogram],
+    mom_blocks: Sequence[Histogram],
+    kernel: _MarginKernel,
+    key: tuple[int, ...],
+    n_boot: int,
+) -> tuple[np.ndarray, int]:
+    """Margin of every replicate, and the number of draws rejected as empty.
+
+    Draws go into a chunk buffer of at most ``_CHUNK_BYTES``; each chunk is
+    normalized and scored by one kernel call.
+    """
+    blocks = (*pos_blocks, *mom_blocks)
+    sizes = [b.counts.counts.size for b in blocks]
+    offsets = np.cumsum([0, *sizes[:-1]])
+    lam = np.concatenate([b.counts.counts.ravel() for b in blocks]).astype(np.float64)
+    rows = max(1, min(n_boot, _CHUNK_BYTES // lam.nbytes))
+    buf = np.empty((rows, lam.size))
+
+    def empty(draws: np.ndarray) -> np.ndarray:
+        return (np.add.reduceat(draws, offsets, axis=-1) == 0).any(axis=-1)
+
+    margins = np.empty(n_boot)
+    rejected = 0
+    for start in range(0, n_boot, rows):
+        chunk = buf[: min(rows, n_boot - start)]
+        for r in range(len(chunk)):
+            chunk[r] = replicate_rng(key, start + r).poisson(lam)
+        for r in np.flatnonzero(empty(chunk)):
+            for attempt in range(1, _MAX_REDRAWS):
+                rejected += 1
+                draw = replicate_rng(key, start + r, attempt).poisson(lam)
+                if not empty(draw):
+                    chunk[r] = draw
+                    break
+            else:
+                raise DegenerateBootstrapError(
+                    f"replicate {start + r} stayed empty after {_MAX_REDRAWS} redraws"
+                )
+        totals = np.add.reduceat(chunk, offsets, axis=1)
+        probs = []
+        for k, (lo, size, b) in enumerate(zip(offsets, sizes, blocks)):
+            block = chunk[:, lo : lo + size]
+            block /= totals[:, [k]]
+            probs.append(block.reshape(-1, *b.grid.shape))
+        margins[start : start + len(chunk)] = kernel(probs)[1]
+    return margins, rejected
+
+
 def witness_significance(
     position: Histogram | Sequence[Histogram],
     momentum: Histogram | Sequence[Histogram],
@@ -120,30 +184,11 @@ def witness_significance(
     n_boot = int(n_boot)
     pos_blocks = _hist_blocks(position, "position")
     mom_blocks = _hist_blocks(momentum, "momentum")
-
-    margins = np.empty(n_boot)
-    rejected = 0
-    for i in range(n_boot):
-        for attempt in range(_MAX_REDRAWS):
-            rng = replicate_rng(key, i, attempt)
-            pos_rep = [poisson_resample(b.counts, rng) for b in pos_blocks]
-            mom_rep = [poisson_resample(b.counts, rng) for b in mom_blocks]
-            if all(c.total > 0 for c in pos_rep + mom_rep):
-                break
-            rejected += 1
-        else:
-            raise DegenerateBootstrapError(
-                f"replicate {i} stayed empty after {_MAX_REDRAWS} redraws"
-            )
-        pos = [
-            Histogram(counts=c, grid=b.grid).normalize()
-            for c, b in zip(pos_rep, pos_blocks)
-        ]
-        mom = [
-            Histogram(counts=c, grid=b.grid).normalize()
-            for c, b in zip(mom_rep, mom_blocks)
-        ]
-        margins[i] = evaluate(pos, mom, direction=direction, base=base).margin
+    base = _check_base(base)
+    kernel = _margin_kernel(
+        [b.grid for b in pos_blocks], [b.grid for b in mom_blocks], direction, base
+    )
+    margins, rejected = _replicate_margins(pos_blocks, mom_blocks, kernel, key, n_boot)
 
     mean = float(margins.mean())
     std = float(margins.std(ddof=1))

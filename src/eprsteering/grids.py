@@ -29,7 +29,6 @@ from .errors import (
 
 __all__ = [
     "Observable",
-    "Party",
     "AxisGrid",
     "GridSpec",
     "CountTensor",

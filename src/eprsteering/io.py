@@ -45,7 +45,6 @@ from .spdc import (
 from .witness import Direction, WitnessResult
 
 __all__ = [
-    "GRID_FORMAT",
     "write_counts_csv",
     "read_counts_csv",
     "write_grid_json",

@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from .bootstrap import sample_counts
@@ -60,14 +59,6 @@ __all__ = [
     "sample_histograms",
     "connection_check",
     "windowed_conditional_rhs",
-    "DEFAULT_SIGMA_PLUS",
-    "DEFAULT_SIGMA_MINUS",
-    "DEFAULT_EXTENT_X",
-    "DEFAULT_EXTENT_K",
-    "DEFAULT_RESOLUTION",
-    "DEFAULT_TOTAL_EVENTS",
-    "DEFAULT_CLIP_TOL",
-    "STRICT_TAIL_TOL",
 ]
 
 # Defaults calibrated so that, on the default viewing area and grid, the
@@ -456,6 +447,10 @@ def connection_check(
     both the identity and the discretizer.  The density must be (numerically)
     confined to the grid extent; pass its discontinuities in ``points``.
     """
+    # Imported here: scipy.integrate roughly doubles the package's import
+    # time, and only this oracle needs it.
+    from scipy.integrate import quad
+
     x, w = _cell_nodes(axis.edges(), order)
     vals = np.asarray(pdf(x), dtype=np.float64)
     cell_p = (vals * w).sum(axis=1)

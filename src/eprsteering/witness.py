@@ -21,14 +21,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
 
-from .entropy import _check_base, conditional_entropy, mutual_information
+import numpy as np
+
+from .entropy import _check_base, _plugin_nats
 from .errors import (
     DimensionMismatchError,
     NonpositiveExtentError,
     NonpositiveWindowError,
     UsageError,
 )
-from .grids import JointDistribution, Observable, Party
+from .grids import GridSpec, JointDistribution, Observable, Party
 
 __all__ = [
     "PI_E",
@@ -120,37 +122,115 @@ def _blocks(obj: ObservableInput, observable: Observable) -> tuple[JointDistribu
             raise UsageError(
                 f"{observable.value} input must be JointDistribution(s), got {type(b).__name__}"
             )
-        if b.grid.observable is not observable:
-            raise UsageError(
-                f"expected a {observable.value} distribution, got one on a "
-                f"{b.grid.observable.value} grid"
-            )
     return blocks
 
 
-def _paired_blocks(
-    position: ObservableInput, momentum: ObservableInput
-) -> tuple[tuple[JointDistribution, ...], tuple[JointDistribution, ...], str, int]:
-    pos = _blocks(position, Observable.POSITION)
-    mom = _blocks(momentum, Observable.MOMENTUM)
-    n_pos = sum(b.n_dims for b in pos)
-    n_mom = sum(b.n_dims for b in mom)
+@dataclass(frozen=True)
+class _MarginKernel:
+    """A validated witness set-up that scores batches of count-normalized rows.
+
+    Calling it with one ``(batch, *cells)`` probability array per block,
+    position blocks first, returns the left-hand side and the margin of each
+    row.  Point evaluation is a batch of one; the bootstrap scores its
+    replicates in chunks through the same call.
+    """
+
+    direction: Direction
+    base: float
+    mode: str
+    n_dims: int
+    block_dims: tuple[int, ...]
+    bound: float
+    bound_terms: tuple[float, ...]
+
+    def __call__(self, probs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        log_base = math.log(self.base)
+        terms = []
+        for p, n in zip(probs, self.block_dims):
+            h, h_a, h_b = _plugin_nats(p, n)
+            if self.direction is Direction.SYMMETRIC:
+                nats = h_a + h_b - h
+            else:
+                nats = h - (h_a if self.direction is Direction.B_GIVEN_A else h_b)
+            terms.append(nats / log_base)
+        lhs = sum(terms)
+        if self.direction is Direction.SYMMETRIC:
+            return lhs, lhs - self.bound
+        return lhs, self.bound - lhs
+
+
+def _margin_kernel(
+    position: Sequence[GridSpec],
+    momentum: Sequence[GridSpec],
+    direction: Direction,
+    base: float,
+) -> _MarginKernel:
+    """Check the grids of paired position/momentum blocks and build their witness bound.
+
+    ``base`` must already be checked.
+    """
+    for grids, observable in ((position, Observable.POSITION), (momentum, Observable.MOMENTUM)):
+        for g in grids:
+            if g.observable is not observable:
+                raise UsageError(
+                    f"expected a {observable.value} distribution, got one on a "
+                    f"{g.observable.value} grid"
+                )
+    n_pos = sum(g.n_dims for g in position)
+    n_mom = sum(g.n_dims for g in momentum)
     if n_pos != n_mom:
         raise DimensionMismatchError(
             f"position covers {n_pos} dimension(s) but momentum covers {n_mom}"
         )
     if n_pos > 2:
         raise UsageError(f"at most 2 transverse dimensions supported, got {n_pos}")
-    mode = "independent-axes" if max(len(pos), len(mom)) > 1 else "full-joint"
-    return pos, mom, mode, n_pos
+
+    if direction is Direction.SYMMETRIC:
+        log_base = math.log(base)
+        terms = []
+        for party in ("A", "B"):
+            extents_x = [e for g in position for e in g.extents(party)]
+            extents_k = [e for g in momentum for e in g.extents(party)]
+            nats = sum(
+                math.log(lx) + math.log(lk) - math.log(PI_E)
+                for lx, lk in zip(extents_x, extents_k)
+            )
+            terms.append(nats / log_base)
+        bound = max(terms)
+    else:
+        steered: Party = "B" if direction is Direction.B_GIVEN_A else "A"
+        widths_x = [w for g in position for w in g.widths(steered)]
+        widths_k = [w for g in momentum for w in g.widths(steered)]
+        terms = [per_dim_bound(wx, wk, base) for wx, wk in zip(widths_x, widths_k)]
+        bound = sum(terms)
+    return _MarginKernel(
+        direction=direction,
+        base=base,
+        mode="independent-axes" if max(len(position), len(momentum)) > 1 else "full-joint",
+        n_dims=n_pos,
+        block_dims=tuple(g.n_dims for g in (*position, *momentum)),
+        bound=bound,
+        bound_terms=tuple(terms),
+    )
 
 
-def _flat_widths(blocks: tuple[JointDistribution, ...], party: Party) -> list[float]:
-    return [w for b in blocks for w in b.grid.widths(party)]
-
-
-def _flat_extents(blocks: tuple[JointDistribution, ...], party: Party) -> list[float]:
-    return [e for b in blocks for e in b.grid.extents(party)]
+def _point(
+    position: ObservableInput, momentum: ObservableInput, direction: Direction, base: float
+) -> WitnessResult:
+    pos = _blocks(position, Observable.POSITION)
+    mom = _blocks(momentum, Observable.MOMENTUM)
+    kernel = _margin_kernel([b.grid for b in pos], [b.grid for b in mom], direction, base)
+    lhs, margin = kernel([b.probs[None] for b in pos + mom])
+    return WitnessResult(
+        direction=direction,
+        base=base,
+        lhs=float(lhs[0]),
+        bound=kernel.bound,
+        margin=float(margin[0]),
+        mode=kernel.mode,
+        n_dims=kernel.n_dims,
+        bound_terms=kernel.bound_terms,
+    )
 
 
 def conditional_witness(
@@ -169,27 +249,7 @@ def conditional_witness(
     direction = Direction(direction)
     if direction is Direction.SYMMETRIC:
         raise UsageError("use symmetric_witness for the symmetric direction")
-    pos, mom, mode, n_dims = _paired_blocks(position, momentum)
-    conditioning: Party = "A" if direction is Direction.B_GIVEN_A else "B"
-    steered: Party = "B" if conditioning == "A" else "A"
-
-    lhs = sum(conditional_entropy(b, given=conditioning, base=base).value for b in pos)
-    lhs += sum(conditional_entropy(b, given=conditioning, base=base).value for b in mom)
-
-    widths_x = _flat_widths(pos, steered)
-    widths_k = _flat_widths(mom, steered)
-    terms = tuple(per_dim_bound(wx, wk, base) for wx, wk in zip(widths_x, widths_k))
-    bound = sum(terms)
-    return WitnessResult(
-        direction=direction,
-        base=base,
-        lhs=lhs,
-        bound=bound,
-        margin=bound - lhs,
-        mode=mode,
-        n_dims=n_dims,
-        bound_terms=terms,
-    )
+    return _point(position, momentum, direction, base)
 
 
 def symmetric_witness(
@@ -198,33 +258,7 @@ def symmetric_witness(
     base: float = 2.0,
 ) -> WitnessResult:
     """Mutual-information witness; firing certifies steering in both directions."""
-    base = _check_base(base)
-    pos, mom, mode, n_dims = _paired_blocks(position, momentum)
-
-    lhs = sum(mutual_information(b, base=base).value for b in pos)
-    lhs += sum(mutual_information(b, base=base).value for b in mom)
-
-    log_base = math.log(base)
-    candidates = []
-    for party in ("A", "B"):
-        extents_x = _flat_extents(pos, party)
-        extents_k = _flat_extents(mom, party)
-        nats = sum(
-            math.log(lx) + math.log(lk) - math.log(PI_E)
-            for lx, lk in zip(extents_x, extents_k)
-        )
-        candidates.append(nats / log_base)
-    bound = max(candidates)
-    return WitnessResult(
-        direction=Direction.SYMMETRIC,
-        base=base,
-        lhs=lhs,
-        bound=bound,
-        margin=lhs - bound,
-        mode=mode,
-        n_dims=n_dims,
-        bound_terms=tuple(candidates),
-    )
+    return _point(position, momentum, Direction.SYMMETRIC, _check_base(base))
 
 
 def evaluate(

@@ -8,11 +8,13 @@ from eprsteering import (
     BootstrapReport,
     CountTensor,
     DegenerateBootstrapError,
+    Direction,
     GridSpec,
     Histogram,
     Observable,
     UsageError,
     downsample,
+    evaluate,
     make_synthetic_state,
     poisson_resample,
     replicate_rng,
@@ -20,7 +22,9 @@ from eprsteering import (
     sample_histograms,
     witness_significance,
 )
+from eprsteering import bootstrap
 from eprsteering.bootstrap import MIN_REPLICATES
+from eprsteering.witness import _margin_kernel
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +42,58 @@ def tiny_pair(counts: np.ndarray):
         Observable.MOMENTUM, (AxisGrid.centered(n, 1.0),), (AxisGrid.centered(n, 1.0),)
     )
     return Histogram(counts, pos_grid), Histogram(counts, mom_grid)
+
+
+def per_replicate_margins(pos_blocks, mom_blocks, direction, seed, n_boot):
+    """Reference: each replicate drawn block by block and scored alone through evaluate."""
+    margins = np.empty(n_boot)
+    rejected = 0
+    for i in range(n_boot):
+        attempt = 0
+        while True:
+            rng = replicate_rng(seed, i, attempt)
+            pos_rep = [poisson_resample(b.counts, rng) for b in pos_blocks]
+            mom_rep = [poisson_resample(b.counts, rng) for b in mom_blocks]
+            if all(c.total > 0 for c in pos_rep + mom_rep):
+                break
+            rejected += 1
+            attempt += 1
+        pos = [Histogram(c, b.grid).normalize() for c, b in zip(pos_rep, pos_blocks)]
+        mom = [Histogram(c, b.grid).normalize() for c, b in zip(mom_rep, mom_blocks)]
+        margins[i] = evaluate(pos, mom, direction=direction).margin
+    return margins, rejected
+
+
+def kernel_margins(pos_blocks, mom_blocks, direction, seed, n_boot):
+    kernel = _margin_kernel(
+        [b.grid for b in pos_blocks], [b.grid for b in mom_blocks], Direction(direction), 2.0
+    )
+    return bootstrap._replicate_margins(pos_blocks, mom_blocks, kernel, (seed,), n_boot)
+
+
+def grid_2d(observable, shape):
+    axes = tuple(AxisGrid.centered(n, 1.0) for n in shape)
+    return GridSpec(observable, axes[:2], axes[2:])
+
+
+def full_joint_2d():
+    rng = np.random.default_rng(3)
+    shape = (3, 2, 3, 2)
+    return (
+        [Histogram(rng.poisson(4.0, shape), grid_2d(Observable.POSITION, shape))],
+        [Histogram(rng.poisson(4.0, shape), grid_2d(Observable.MOMENTUM, shape))],
+    )
+
+
+def independent_axes():
+    rng = np.random.default_rng(5)
+    blocks = [tiny_pair(rng.poisson(3.0, (4, 4))) for _ in range(2)]
+    return [b[0] for b in blocks], [b[1] for b in blocks]
+
+
+def default_1d(sampled):
+    pos, mom = sampled
+    return [downsample(pos, 3, 3)], [downsample(mom, 3, 3)]
 
 
 # ------------------------------------------------------------------ streams
@@ -184,3 +240,40 @@ def test_report_matches_replicate_reconstruction(sampled_default):
     assert report.margin_mean == margins.mean()
     assert report.margin_std == margins.std(ddof=1)
     assert report.significance == margins.mean() / margins.std(ddof=1)
+
+
+# ------------------------------------------------------------------ kernel
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("inputs", ["1d", "2d", "independent"])
+def test_chunked_kernel_matches_per_replicate_evaluate(
+    inputs, direction, sampled_default, monkeypatch
+):
+    # chunks of 7 rows split 100 replicates unevenly; the margins must not
+    # depend on which rows were scored together
+    pos, mom = {
+        "1d": lambda: default_1d(sampled_default),
+        "2d": full_joint_2d,
+        "independent": independent_axes,
+    }[inputs]()
+    cells = sum(b.counts.counts.size for b in pos + mom)
+    monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 7 * 8 * cells)
+    chunked, rejected = kernel_margins(pos, mom, direction, 13, 100)
+    want, want_rejected = per_replicate_margins(pos, mom, direction, 13, 100)
+    assert rejected == want_rejected
+    np.testing.assert_array_equal(chunked, want)
+    monkeypatch.undo()
+    whole, _ = kernel_margins(pos, mom, direction, 13, 100)
+    np.testing.assert_array_equal(whole, want)
+
+
+def test_sparse_rejections_match_per_replicate_loop():
+    counts = np.array([[1, 0], [0, 1]], dtype=np.int64)
+    pos, mom = tiny_pair(counts)
+    report = witness_significance(pos, mom, n_boot=100, seed=0)
+    margins, rejected = per_replicate_margins([pos], [mom], Direction.B_GIVEN_A, 0, 100)
+    assert rejected > 0
+    assert report.rejected_replicates == rejected
+    assert report.margin_mean == margins.mean()
+    assert report.margin_std == margins.std(ddof=1)
