@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DegenerateBootstrapError, UsageError
 from .entropy import _check_base
-from .grids import CountTensor, Histogram
-from .witness import Direction, _margin_kernel, _MarginKernel
+from .grids import CountTensor, Histogram, _check_int
+from .witness import Direction, _blocks, _margin_kernel, _MarginKernel
 
 __all__ = [
     "BootstrapReport",
@@ -38,7 +38,7 @@ __all__ = [
     "witness_significance",
 ]
 
-SeedLike = Union[int, Sequence[int]]
+SeedLike = Union[int, Sequence[int], np.ndarray]
 
 #: Fewer replicates than this gives a uselessly noisy significance estimate.
 MIN_REPLICATES = 100
@@ -49,16 +49,20 @@ _MAX_REDRAWS = 1000
 _CHUNK_BYTES = 4 << 20
 
 
+def _check_seed(seed) -> int:
+    """The seed rule: a non-negative integer; bools, floats and strings are refused."""
+    return _check_int(seed, "seed", 0)
+
+
 def _seed_key(seed: SeedLike) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
-        key = (int(seed),)
-    else:
-        try:
-            key = tuple(int(s) for s in seed)  # type: ignore[union-attr]
-        except (TypeError, ValueError):
-            raise UsageError(f"seed must be an int or a sequence of ints, got {seed!r}") from None
-    if not key or any(s < 0 for s in key):
-        raise UsageError(f"seed entries must be non-negative integers, got {seed!r}")
+    """Stream key prefix from one seed or a non-empty list, tuple or array of seeds."""
+    if isinstance(seed, np.ndarray):
+        seed = seed.tolist()
+    if not isinstance(seed, (list, tuple)):
+        seed = (seed,)
+    key = tuple([_check_seed(s) for s in seed])
+    if not key:
+        raise UsageError("seed sequence must not be empty")
     return key
 
 
@@ -80,18 +84,6 @@ def sample_counts(means: np.ndarray, rng: np.random.Generator) -> CountTensor:
     if (lam < 0).any() or not np.isfinite(lam).all():
         raise UsageError("expected counts must be finite and non-negative")
     return CountTensor(rng.poisson(lam=lam))
-
-
-def _hist_blocks(obj, name: str) -> tuple[Histogram, ...]:
-    if isinstance(obj, Histogram):
-        return (obj,)
-    try:
-        blocks = tuple(obj)
-    except TypeError:
-        blocks = ()
-    if not blocks or not all(isinstance(b, Histogram) for b in blocks):
-        raise UsageError(f"{name} must be a Histogram or a sequence of Histograms")
-    return blocks
 
 
 @dataclass(frozen=True)
@@ -179,11 +171,9 @@ def witness_significance(
     """
     direction = Direction(direction)
     key = _seed_key(seed)
-    if not isinstance(n_boot, (int, np.integer)) or n_boot < MIN_REPLICATES:
-        raise UsageError(f"n_boot must be an integer >= {MIN_REPLICATES}, got {n_boot!r}")
-    n_boot = int(n_boot)
-    pos_blocks = _hist_blocks(position, "position")
-    mom_blocks = _hist_blocks(momentum, "momentum")
+    n_boot = _check_int(n_boot, "n_boot", MIN_REPLICATES)
+    pos_blocks = _blocks(position, Histogram, "position")
+    mom_blocks = _blocks(momentum, Histogram, "momentum")
     base = _check_base(base)
     kernel = _margin_kernel(
         [b.grid for b in pos_blocks], [b.grid for b in mom_blocks], direction, base

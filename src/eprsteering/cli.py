@@ -66,6 +66,16 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _whole_number(text: str) -> int:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
+    return int(value)
+
+
 def _add_common(p: argparse.ArgumentParser, *, direction: bool = True) -> None:
     if direction:
         p.add_argument(
@@ -88,7 +98,7 @@ def _add_model(p: argparse.ArgumentParser, purpose: str) -> None:
     model.add_argument("--extent-x", type=float, default=None, help="position viewing extent")
     model.add_argument("--extent-k", type=float, default=None, help="momentum viewing extent")
     model.add_argument("--n-windows", type=int, default=None, help="windows per axis")
-    model.add_argument("--total", type=float, default=None, help="events per observable")
+    model.add_argument("--total", type=_whole_number, default=None, help="events per observable")
     model.add_argument("--clip-tol", type=float, default=None, help="allowed clipped tail mass")
 
 
@@ -121,7 +131,7 @@ def _synthetic_config(args: argparse.Namespace) -> SyntheticConfig:
         "extent_x": args.extent_x,
         "extent_k": args.extent_k,
         "n_windows": args.n_windows,
-        "total": int(args.total) if args.total is not None else None,
+        "total": args.total,
         "clip_tol": args.clip_tol,
     }
     return SyntheticConfig(**{k: v for k, v in overrides.items() if v is not None})

@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bootstrap import BootstrapReport, witness_significance
+from .bootstrap import BootstrapReport, _check_seed, witness_significance
 from .errors import NonDivisibleFactorError, UsageError
-from .grids import AxisGrid, GridSpec, Histogram, JointDistribution
+from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, _check_int
 from .witness import Direction, WitnessResult, evaluate
 
 __all__ = [
@@ -29,17 +29,12 @@ __all__ = [
 ]
 
 
-def _check_factor(factor: int, size: int, axis: int) -> int:
-    if not isinstance(factor, (int, np.integer)) or isinstance(factor, bool):
-        raise UsageError(f"downsampling factor must be an integer, got {factor!r}")
-    factor = int(factor)
-    if factor < 1:
-        raise UsageError(f"downsampling factor must be >= 1, got {factor}")
-    if size % factor != 0:
-        raise NonDivisibleFactorError(
-            f"factor {factor} does not divide the {size} windows of axis {axis}"
-        )
-    return factor
+def _divisor(value: int, size: int, what: str) -> int:
+    """``value`` as a positive integer that divides ``size``."""
+    value = _check_int(value, what)
+    if size % value != 0:
+        raise NonDivisibleFactorError(f"{what} must divide {size}, got {value}")
+    return value
 
 
 def block_sum(arr: np.ndarray, factors: Sequence[int]) -> np.ndarray:
@@ -49,7 +44,7 @@ def block_sum(arr: np.ndarray, factors: Sequence[int]) -> np.ndarray:
         raise UsageError(f"need {arr.ndim} factors for a rank-{arr.ndim} tensor, got {len(factors)}")
     interleaved: list[int] = []
     for axis, (size, factor) in enumerate(zip(arr.shape, factors)):
-        factor = _check_factor(factor, size, axis)
+        factor = _divisor(factor, size, f"downsampling factor of axis {axis}")
         interleaved += [size // factor, factor]
     return arr.reshape(interleaved).sum(axis=tuple(range(1, 2 * arr.ndim, 2)))
 
@@ -145,9 +140,8 @@ def resolution_curve(
         resolutions = _divisors(n0)
     points = []
     for r in resolutions:
-        if not isinstance(r, (int, np.integer)) or r < 1 or n0 % int(r) != 0:
-            raise NonDivisibleFactorError(f"resolution {r!r} does not divide the base grid of {n0}")
-        f = n0 // int(r)
+        r = _divisor(r, n0, "resolution")
+        f = n0 // r
         pos_r = downsample(position, f, f)
         mom_r = downsample(momentum, f, f)
         res = evaluate(pos_r, mom_r, direction=direction, base=base)
@@ -157,7 +151,7 @@ def resolution_curve(
             inv /= wx * wk
         points.append(
             CurvePoint(
-                resolution=int(r),
+                resolution=r,
                 inv_window_product=inv,
                 lhs=res.lhs,
                 bound=res.bound,
@@ -226,19 +220,15 @@ def asymmetry_map(
     for name, h in (("position", position), ("momentum", momentum)):
         if not isinstance(h, Histogram):
             raise UsageError(f"{name} must be a Histogram (counts are needed for the bootstrap)")
+    seed = _check_seed(seed)
     n0 = _base_resolution(position.grid, momentum.grid)
-    res_a = tuple(int(r) for r in resolutions_a)
-    res_b = tuple(int(r) for r in resolutions_b)
+    res_a = tuple(_divisor(r, n0, "resolution") for r in resolutions_a)
+    res_b = tuple(_divisor(r, n0, "resolution") for r in resolutions_b)
     if not res_a or not res_b:
         raise UsageError("resolution lists must be non-empty")
     cells = []
     for ra in res_a:
         for rb in res_b:
-            for r in (ra, rb):
-                if r < 1 or n0 % r != 0:
-                    raise NonDivisibleFactorError(
-                        f"resolution {r} does not divide the base grid of {n0}"
-                    )
             fa, fb = n0 // ra, n0 // rb
             pos_rr = downsample(position, fa, fb)
             mom_rr = downsample(momentum, fa, fb)

@@ -12,13 +12,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    NegativeProbabilityError,
-    NotNormalizedError,
-    NumericalError,
-    UsageError,
-)
-from .grids import JointDistribution, Party
+from .errors import UsageError
+from .grids import JointDistribution, Party, _checked_probs
 
 __all__ = [
     "EntropyValue",
@@ -30,9 +25,6 @@ __all__ = [
 #: Cells at or below this probability are treated as exact zeros and
 #: contribute nothing, which keeps 0*log(0) out of the sums.
 ZERO_FLOOR = 1e-300
-
-#: Raw arrays (not wrapped in JointDistribution) must sum to one this tightly.
-_SUM_TOL = 1e-9
 
 DistLike = Union[JointDistribution, np.ndarray]
 
@@ -62,22 +54,6 @@ class EntropyValue:
 
     def __float__(self) -> float:
         return self.value
-
-
-def _validated_probs(dist: DistLike) -> np.ndarray:
-    if isinstance(dist, JointDistribution):
-        return dist.probs
-    arr = np.asarray(dist, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise NumericalError("probability tensor has non-finite entries")
-    if (arr < 0).any():
-        raise NegativeProbabilityError(
-            f"probability tensor has negative entries (min {arr.min():.3e})"
-        )
-    total = float(arr.sum())
-    if abs(total - 1.0) > _SUM_TOL:
-        raise NotNormalizedError(f"probability tensor sums to {total!r} (tol {_SUM_TOL:g})")
-    return arr
 
 
 def _shannon_rows(p: np.ndarray) -> np.ndarray:
@@ -110,7 +86,7 @@ def _party_split(dist: DistLike) -> tuple[np.ndarray, int]:
     """Validated probabilities plus the number of leading party-A axes."""
     if isinstance(dist, JointDistribution):
         return dist.probs, dist.n_dims
-    arr = _validated_probs(dist)
+    arr = _checked_probs(dist)
     if arr.ndim != 2:
         raise UsageError(
             "party structure is ambiguous for raw arrays unless they are 2-D; "
@@ -122,7 +98,7 @@ def _party_split(dist: DistLike) -> tuple[np.ndarray, int]:
 def entropy(dist: DistLike, base: float = 2.0) -> EntropyValue:
     """Shannon entropy of the whole tensor viewed as one distribution."""
     base = _check_base(base)
-    p = _validated_probs(dist)
+    p = dist.probs if isinstance(dist, JointDistribution) else _checked_probs(dist)
     return EntropyValue(_shannon_rows(p[None])[0] / math.log(base), base)
 
 

@@ -18,11 +18,13 @@ from .errors import (
     DataError,
     DimensionMismatchError,
     NegativeCountError,
+    NonpositiveExtentError,
     NonpositiveWindowError,
     NotNormalizedError,
     NegativeProbabilityError,
     NumericalError,
     ShapeMismatchError,
+    SteeringError,
     UsageError,
     ZeroTotalError,
 )
@@ -45,6 +47,26 @@ Party = Literal["A", "B"]
 NORMALIZATION_TOL = 1e-12
 
 
+def _check_int(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int >= ``minimum``; bools, floats and strings are refused."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise UsageError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _positive(value, name: str, error: type[SteeringError] = UsageError) -> float:
+    """``value`` as a finite float > 0, or ``error`` naming it."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number) or number <= 0.0:
+        raise error(f"{name} must be finite and > 0, got {value!r}")
+    return number
+
+
 class Observable(str, Enum):
     """Which conjugate observable a grid discretizes."""
 
@@ -65,14 +87,8 @@ class AxisGrid:
     origin: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_windows, (int, np.integer)) or isinstance(self.n_windows, bool):
-            raise UsageError(f"n_windows must be an integer, got {self.n_windows!r}")
-        if self.n_windows < 1:
-            raise UsageError(f"n_windows must be >= 1, got {self.n_windows}")
-        object.__setattr__(self, "n_windows", int(self.n_windows))
-        width = float(self.window_width)
-        if not math.isfinite(width) or width <= 0.0:
-            raise NonpositiveWindowError(f"window_width must be finite and > 0, got {width!r}")
+        object.__setattr__(self, "n_windows", _check_int(self.n_windows, "n_windows"))
+        width = _positive(self.window_width, "window_width", NonpositiveWindowError)
         object.__setattr__(self, "window_width", width)
         origin = float(self.origin)
         if not math.isfinite(origin):
@@ -82,11 +98,8 @@ class AxisGrid:
     @classmethod
     def centered(cls, n_windows: int, extent: float) -> "AxisGrid":
         """Grid of ``n_windows`` equal windows covering ``[-extent/2, extent/2]``."""
-        from .errors import NonpositiveExtentError
-
-        extent = float(extent)
-        if not math.isfinite(extent) or extent <= 0.0:
-            raise NonpositiveExtentError(f"extent must be finite and > 0, got {extent!r}")
+        n_windows = _check_int(n_windows, "n_windows")
+        extent = _positive(extent, "extent", NonpositiveExtentError)
         return cls(n_windows=n_windows, window_width=extent / n_windows, origin=-extent / 2.0)
 
     @property
@@ -166,6 +179,8 @@ class CountTensor:
         if np.issubdtype(arr.dtype, np.signedinteger) and (arr < 0).any():
             bad = int(arr.min())
             raise NegativeCountError(f"counts must be non-negative, found {bad}")
+        if arr.sum(dtype=np.float64) >= 2.0**64:
+            raise DataError("total count exceeds the unsigned 64-bit range")
         object.__setattr__(self, "counts", _as_readonly(arr.astype(np.uint64)))
 
     @property
@@ -177,6 +192,42 @@ class CountTensor:
         return int(self.counts.sum())
 
 
+def _distribution_faults(
+    arr: np.ndarray, shape: tuple[int, ...] | None = None, tol: float = NORMALIZATION_TOL
+) -> list[SteeringError]:
+    """Every way a float64 array fails to be a probability tensor (of ``shape``), in check order.
+
+    A shape mismatch or a non-finite entry ends the checks.  This is the one
+    place a sum is compared with one.
+    """
+    if shape is not None and arr.shape != shape:
+        return [ShapeMismatchError(f"probability shape {arr.shape} does not match grid shape {shape}")]
+    if not np.isfinite(arr).all():
+        return [NumericalError("probability tensor has non-finite entries")]
+    faults: list[SteeringError] = []
+    if (arr < 0).any():
+        faults.append(
+            NegativeProbabilityError(f"probability tensor has negative entries (min {arr.min():.3e})")
+        )
+    total = float(arr.sum())
+    if abs(total - 1.0) > tol:
+        faults.append(
+            NotNormalizedError(
+                f"probability tensor sums to {total!r}, off by {total - 1.0:.3e} (tol {tol:g})"
+            )
+        )
+    return faults
+
+
+def _checked_probs(probs, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``probs`` as a float64 array, raising its first fault if it is not a distribution."""
+    arr = np.asarray(probs, dtype=np.float64)
+    faults = _distribution_faults(arr, shape)
+    if faults:
+        raise faults[0]
+    return arr
+
+
 def validate_distribution(
     probs: np.ndarray, grid: GridSpec | None = None, *, tol: float = NORMALIZATION_TOL
 ) -> list[str]:
@@ -185,20 +236,8 @@ def validate_distribution(
     An empty list means the tensor is a valid distribution (and matches
     ``grid`` when one is given).
     """
-    findings: list[str] = []
     arr = np.asarray(probs, dtype=np.float64)
-    if grid is not None and arr.shape != grid.shape:
-        findings.append(f"shape {arr.shape} does not match grid shape {grid.shape}")
-        return findings
-    if not np.isfinite(arr).all():
-        findings.append("non-finite entries present")
-        return findings
-    if (arr < 0).any():
-        findings.append(f"negative entries present (min {arr.min():.3e})")
-    total = float(arr.sum())
-    if abs(total - 1.0) > tol:
-        findings.append(f"sums to {total!r}, off by {total - 1.0:.3e} (tol {tol:g})")
-    return findings
+    return [str(f) for f in _distribution_faults(arr, None if grid is None else grid.shape, tol)]
 
 
 @dataclass(frozen=True)
@@ -209,23 +248,7 @@ class JointDistribution:
     grid: GridSpec
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.probs, dtype=np.float64)
-        if arr.shape != self.grid.shape:
-            raise ShapeMismatchError(
-                f"probability shape {arr.shape} does not match grid shape {self.grid.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise NumericalError("probability tensor has non-finite entries")
-        if (arr < 0).any():
-            raise NegativeProbabilityError(
-                f"probability tensor has negative entries (min {arr.min():.3e})"
-            )
-        total = float(arr.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NotNormalizedError(
-                f"probability tensor sums to {total!r} (tol {NORMALIZATION_TOL:g})"
-            )
-        object.__setattr__(self, "probs", _as_readonly(arr))
+        object.__setattr__(self, "probs", _as_readonly(_checked_probs(self.probs, self.grid.shape)))
 
     @property
     def n_dims(self) -> int:
@@ -257,25 +280,17 @@ class Histogram:
         return self.counts.total
 
     def normalize(self) -> JointDistribution:
-        return normalize_counts(self.counts, self.grid)
+        """Relative frequencies; raises :class:`ZeroTotalError` when no events were recorded."""
+        total = self.total
+        if total == 0:
+            raise ZeroTotalError("count tensor holds zero events")
+        probs = self.counts.counts.astype(np.float64) / float(total)
+        return JointDistribution(probs=probs, grid=self.grid)
 
 
 def normalize_counts(counts: CountTensor | np.ndarray, grid: GridSpec) -> JointDistribution:
-    """Relative frequencies from raw counts.
-
-    Raises :class:`ZeroTotalError` when no events were recorded.
-    """
-    if not isinstance(counts, CountTensor):
-        counts = CountTensor(np.asarray(counts))
-    if counts.shape != grid.shape:
-        raise ShapeMismatchError(
-            f"count shape {counts.shape} does not match grid shape {grid.shape}"
-        )
-    total = counts.total
-    if total == 0:
-        raise ZeroTotalError("count tensor holds zero events")
-    probs = counts.counts.astype(np.float64) / float(total)
-    return JointDistribution(probs=probs, grid=grid)
+    """Relative frequencies from raw counts, checked as a :class:`Histogram` on ``grid``."""
+    return Histogram(counts=counts, grid=grid).normalize()
 
 
 def marginal(dist: JointDistribution, party: Party) -> np.ndarray:

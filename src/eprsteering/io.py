@@ -24,15 +24,19 @@ from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .bootstrap import BootstrapReport
+from .bootstrap import BootstrapReport, _check_seed
 from .coarse import ResolutionSweep, CurvePoint
+from .entropy import _check_base
 from .errors import (
+    DataError,
     DimensionMismatchError,
     NegativeCountError,
     ParseError,
+    ShapeMismatchError,
+    SteeringError,
     UsageError,
 )
-from .grids import AxisGrid, CountTensor, GridSpec, Histogram, Observable
+from .grids import AxisGrid, CountTensor, GridSpec, Histogram, Observable, _check_int, _positive
 from .spdc import (
     DEFAULT_CLIP_TOL,
     DEFAULT_EXTENT_K,
@@ -72,6 +76,13 @@ EXTENT_CONSISTENCY_RTOL = 1e-9
 # ---------------------------------------------------------------- counts CSV
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})", str(path)) from None
+
+
 def write_counts_csv(hist: Histogram | CountTensor, path: str | Path) -> None:
     """Write a 2-D count matrix; rows are party-A windows, columns party-B."""
     counts = hist.counts.counts if isinstance(hist, Histogram) else hist.counts
@@ -92,7 +103,7 @@ def read_counts_csv(path: str | Path) -> CountTensor:
     path = Path(path)
     rows: list[list[int]] = []
     first_row_line = 0
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -119,10 +130,11 @@ def read_counts_csv(path: str | Path) -> CountTensor:
     if not rows:
         raise ParseError("no count rows found", str(path))
     try:
-        arr = np.array(rows, dtype=np.uint64)
+        return CountTensor(np.array(rows, dtype=np.uint64))
     except OverflowError:
         raise ParseError("count exceeds the unsigned 64-bit range", str(path)) from None
-    return CountTensor(arr)
+    except DataError as exc:
+        raise ParseError(str(exc), str(path)) from None
 
 
 # ---------------------------------------------------------------- grid JSON
@@ -136,24 +148,26 @@ def _axis_to_dict(ax: AxisGrid) -> dict[str, Any]:
     }
 
 
-def _axis_from_dict(d: Mapping[str, Any], path: str) -> AxisGrid:
-    try:
-        ax = AxisGrid(
-            n_windows=d["n_windows"],
-            window_width=d["window_width"],
-            origin=d.get("origin", 0.0),
+#: JSON types of the axis keys; ``n_windows`` and ``window_width`` are required.
+_AXIS_TYPES = {
+    "n_windows": int,
+    "window_width": (int, float),
+    "origin": (int, float),
+    "extent": (int, float),
+}
+
+
+def _axis_from_dict(d: Any) -> AxisGrid:
+    if not isinstance(d, dict):
+        raise DataError(f"axis entry must be a JSON object, got {d!r}")
+    for key, kind in _AXIS_TYPES.items():
+        if key in d and (isinstance(d[key], bool) or not isinstance(d[key], kind)):
+            raise DataError(f"axis {key} has the wrong JSON type: {d[key]!r}")
+    ax = AxisGrid(d["n_windows"], d["window_width"], d.get("origin", 0.0))
+    if "extent" in d and not math.isclose(d["extent"], ax.extent, rel_tol=EXTENT_CONSISTENCY_RTOL):
+        raise DataError(
+            f"declared extent {d['extent']!r} disagrees with n_windows * window_width = {ax.extent!r}"
         )
-    except KeyError as exc:
-        raise ParseError(f"axis entry missing key {exc}", path) from None
-    if "extent" in d:
-        declared = float(d["extent"])
-        derived = ax.extent
-        tol = EXTENT_CONSISTENCY_RTOL * max(abs(declared), abs(derived))
-        if abs(declared - derived) > tol:
-            raise UsageError(
-                f"{path}: declared extent {declared!r} disagrees with "
-                f"n_windows * window_width = {derived!r}"
-            )
     return ax
 
 
@@ -171,22 +185,29 @@ def write_grid_json(grid: GridSpec, path: str | Path) -> None:
 
 
 def read_grid_json(path: str | Path) -> GridSpec:
+    """Parse a grid sidecar; every fault in it is a :class:`ParseError` naming ``path``."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", str(path), exc.lineno) from None
-    if not isinstance(doc, dict):
-        raise ParseError("grid document must be a JSON object", str(path))
+    except RecursionError:
+        raise ParseError("JSON nested too deeply", str(path)) from None
     try:
-        observable = Observable(doc["observable"])
-        axes_a = tuple(_axis_from_dict(d, str(path)) for d in doc["axes_a"])
-        axes_b = tuple(_axis_from_dict(d, str(path)) for d in doc["axes_b"])
+        if not isinstance(doc, dict):
+            raise DataError("grid document must be a JSON object")
+        if doc["observable"] not in [o.value for o in Observable]:
+            raise DataError(f"unknown observable {doc['observable']!r}")
+        axes = {}
+        for key in ("axes_a", "axes_b"):
+            if not isinstance(doc[key], list):
+                raise DataError(f"{key} must be a JSON array, got {doc[key]!r}")
+            axes[key] = tuple(_axis_from_dict(d) for d in doc[key])
+        return GridSpec(observable=Observable(doc["observable"]), **axes)
     except KeyError as exc:
         raise ParseError(f"grid document missing key {exc}", str(path)) from None
-    except ValueError as exc:
+    except (SteeringError, OverflowError) as exc:
         raise ParseError(str(exc), str(path)) from None
-    return GridSpec(observable=observable, axes_a=axes_a, axes_b=axes_b)
 
 
 def sidecar_path(counts_path: str | Path) -> Path:
@@ -204,9 +225,13 @@ def save_histogram(
 def load_histogram(
     counts_path: str | Path, grid_path: str | Path | None = None
 ) -> Histogram:
+    grid_path = grid_path if grid_path is not None else sidecar_path(counts_path)
     counts = read_counts_csv(counts_path)
-    grid = read_grid_json(grid_path if grid_path is not None else sidecar_path(counts_path))
-    return Histogram(counts=counts, grid=grid)
+    grid = read_grid_json(grid_path)
+    try:
+        return Histogram(counts=counts, grid=grid)
+    except ShapeMismatchError as exc:
+        raise ShapeMismatchError(f"{counts_path} with {grid_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------- run config
@@ -226,16 +251,9 @@ class SyntheticConfig:
 
     def __post_init__(self) -> None:
         for name in ("sigma_plus", "sigma_minus", "extent_x", "extent_k", "clip_tol"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise UsageError(f"{name} must be finite and > 0, got {v!r}")
-            object.__setattr__(self, name, v)
-        if int(self.n_windows) < 1:
-            raise UsageError(f"n_windows must be >= 1, got {self.n_windows}")
-        object.__setattr__(self, "n_windows", int(self.n_windows))
-        if int(self.total) < 1:
-            raise UsageError(f"total must be >= 1, got {self.total}")
-        object.__setattr__(self, "total", int(self.total))
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
+        for name in ("n_windows", "total"):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -258,14 +276,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "direction", Direction(self.direction))
-        base = float(self.base)
-        if not math.isfinite(base) or base <= 1.0:
-            raise UsageError(f"log base must be finite and > 1, got {base!r}")
-        object.__setattr__(self, "base", base)
-        if int(self.seed) < 0:
-            raise UsageError(f"seed must be non-negative, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "n_boot", int(self.n_boot))
+        object.__setattr__(self, "base", _check_base(self.base))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "n_boot", _check_int(self.n_boot, "n_boot"))
         for name in ("position_counts", "position_grids", "momentum_counts", "momentum_grids"):
             object.__setattr__(self, name, tuple(str(p) for p in getattr(self, name)))
         has_files = bool(self.position_counts or self.momentum_counts)

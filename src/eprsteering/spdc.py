@@ -35,10 +35,10 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
-from .bootstrap import sample_counts
+from .bootstrap import _check_seed, sample_counts
 from .entropy import ZERO_FLOOR, _check_base, conditional_entropy
 from .errors import NumericalError, TruncationError, UsageError
-from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, Observable
+from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, Observable, _positive
 
 __all__ = [
     "DoubleGaussianParams",
@@ -101,12 +101,8 @@ class DoubleGaussianParams:
     @staticmethod
     def _coerce(name: str, value) -> tuple[float, ...]:
         if isinstance(value, (int, float, np.floating, np.integer)):
-            value = (float(value),)
-        vals = tuple(float(v) for v in value)
-        for v in vals:
-            if not math.isfinite(v) or v <= 0.0:
-                raise UsageError(f"{name} entries must be finite and > 0, got {v!r}")
-        return vals
+            value = (value,)
+        return tuple(_positive(v, f"{name} entries") for v in value)
 
     @property
     def n_dims(self) -> int:
@@ -385,10 +381,7 @@ def make_synthetic_state(
 
 def expected_counts(dist: JointDistribution, total: float) -> np.ndarray:
     """Per-cell expected event numbers for a given total."""
-    total = float(total)
-    if not math.isfinite(total) or total <= 0.0:
-        raise UsageError(f"total must be finite and > 0, got {total!r}")
-    return dist.probs * total
+    return dist.probs * _positive(total, "total")
 
 
 _POSITION_STREAM = 0
@@ -407,8 +400,7 @@ def sample_histograms(
     seed: int = 0,
 ) -> tuple[Histogram, Histogram]:
     """Poisson-sampled position and momentum histograms of a synthetic state."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _check_seed(seed)
     pos_counts = sample_counts(
         expected_counts(state.position, total), _sampling_rng(seed, _POSITION_STREAM)
     )

@@ -30,7 +30,7 @@ from .errors import (
     NonpositiveWindowError,
     UsageError,
 )
-from .grids import GridSpec, JointDistribution, Observable, Party
+from .grids import GridSpec, JointDistribution, Observable, Party, _positive
 
 __all__ = [
     "PI_E",
@@ -88,10 +88,8 @@ def per_dim_bound(width_x: float, width_k: float, base: float = 2.0) -> float:
     conditional witness cannot fire on this dimension no matter the data.
     """
     base = _check_base(base)
-    for name, width in (("width_x", width_x), ("width_k", width_k)):
-        width = float(width)
-        if not math.isfinite(width) or width <= 0.0:
-            raise NonpositiveWindowError(f"{name} must be finite and > 0, got {width!r}")
+    width_x = _positive(width_x, "width_x", NonpositiveWindowError)
+    width_k = _positive(width_k, "width_k", NonpositiveWindowError)
     return (math.log(PI_E) - math.log(width_x) - math.log(width_k)) / math.log(base)
 
 
@@ -102,26 +100,24 @@ def min_resolution(extent_x: float, extent_k: float) -> int:
     log(N^2 * pi*e / (L_x * L_k)); it must be strictly positive, so exact ties
     resolve upward.
     """
-    for name, extent in (("extent_x", extent_x), ("extent_k", extent_k)):
-        extent = float(extent)
-        if not math.isfinite(extent) or extent <= 0.0:
-            raise NonpositiveExtentError(f"{name} must be finite and > 0, got {extent!r}")
-    ratio = (float(extent_x) * float(extent_k)) / PI_E
+    extent_x = _positive(extent_x, "extent_x", NonpositiveExtentError)
+    extent_k = _positive(extent_k, "extent_k", NonpositiveExtentError)
+    ratio = extent_x * extent_k / PI_E
     return int(math.floor(math.sqrt(ratio))) + 1
 
 
-def _blocks(obj: ObservableInput, observable: Observable) -> tuple[JointDistribution, ...]:
-    if isinstance(obj, JointDistribution):
-        blocks: tuple[JointDistribution, ...] = (obj,)
-    else:
+def _blocks(obj, kind: type, name: str) -> tuple:
+    """``obj`` as a non-empty tuple of ``kind``: one instance, or a sequence of them."""
+    if isinstance(obj, kind):
+        return (obj,)
+    try:
         blocks = tuple(obj)
-    if not blocks:
-        raise UsageError(f"no {observable.value} distributions given")
-    for b in blocks:
-        if not isinstance(b, JointDistribution):
-            raise UsageError(
-                f"{observable.value} input must be JointDistribution(s), got {type(b).__name__}"
-            )
+    except TypeError:
+        blocks = ()
+    if not blocks or not all(isinstance(b, kind) for b in blocks):
+        raise UsageError(
+            f"{name} must be a {kind.__name__} or a sequence of them, got {type(obj).__name__}"
+        )
     return blocks
 
 
@@ -217,8 +213,8 @@ def _margin_kernel(
 def _point(
     position: ObservableInput, momentum: ObservableInput, direction: Direction, base: float
 ) -> WitnessResult:
-    pos = _blocks(position, Observable.POSITION)
-    mom = _blocks(momentum, Observable.MOMENTUM)
+    pos = _blocks(position, JointDistribution, "position")
+    mom = _blocks(momentum, JointDistribution, "momentum")
     kernel = _margin_kernel([b.grid for b in pos], [b.grid for b in mom], direction, base)
     lhs, margin = kernel([b.probs[None] for b in pos + mom])
     return WitnessResult(

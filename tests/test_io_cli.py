@@ -119,7 +119,7 @@ def test_grid_json_checks_redundant_extent(tmp_path):
     doc = json.loads(path.read_text())
     doc["axes_a"][0]["extent"] = 3.0  # inconsistent with 4 * 0.5
     path.write_text(json.dumps(doc))
-    with pytest.raises(UsageError, match="extent"):
+    with pytest.raises(ParseError, match="extent"):
         read_grid_json(path)
 
 

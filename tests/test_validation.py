@@ -1,0 +1,246 @@
+"""One rule per concept: seeds, the normalization tolerance, and file-borne faults.
+
+The file tests run ``eprsteer witness`` on counts and grid files with one
+fault each (edited by hand below, mutated at random by hypothesis) and expect
+exit code 2, a message that names the faulty file, and no escaping exception.
+"""
+
+import contextlib
+import io as stdio
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from eprsteering import (
+    AxisGrid,
+    GridSpec,
+    JointDistribution,
+    NotNormalizedError,
+    Observable,
+    RunConfig,
+    SyntheticConfig,
+    UsageError,
+    asymmetry_map,
+    conditional_entropy,
+    entropy,
+    make_synthetic_state,
+    sample_histograms,
+    save_histogram,
+    validate_distribution,
+    witness_significance,
+)
+from eprsteering.cli import main
+from eprsteering.grids import NORMALIZATION_TOL
+
+# ------------------------------------------------------------------ seeds
+
+
+@pytest.fixture(scope="module")
+def small_state():
+    state = make_synthetic_state(n_windows=4)
+    return state, sample_histograms(state, total=10_000, seed=0)
+
+
+SEED_ENTRY_POINTS = {
+    "witness_significance": lambda s, seed: witness_significance(*s[1], n_boot=100, seed=seed),
+    "sample_histograms": lambda s, seed: sample_histograms(s[0], total=1_000, seed=seed),
+    "RunConfig": lambda s, seed: RunConfig(synthetic=SyntheticConfig(), seed=seed),
+    "asymmetry_map": lambda s, seed: asymmetry_map(*s[1], [2], [2], n_boot=100, seed=seed),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "seed", [2.7, [2.7], [True, 3], np.array([1.9]), "5", True, -1, []], ids=repr
+)
+def test_bad_seeds_are_refused_not_truncated(small_state, entry, seed):
+    with pytest.raises(UsageError):
+        SEED_ENTRY_POINTS[entry](small_state, seed)
+
+
+# -------------------------------------------------------------- tolerance
+
+
+@pytest.mark.parametrize(
+    "offset, valid", [(0.5 * NORMALIZATION_TOL, True), (2 * NORMALIZATION_TOL, False)]
+)
+def test_one_normalization_tolerance_across_entry_points(offset, valid):
+    probs = np.full((2, 2), 0.25)
+    probs[0, 0] += offset
+    assert abs(probs.sum() - 1.0 - offset) < 0.1 * NORMALIZATION_TOL
+    ax = AxisGrid(2, 1.0)
+    grid = GridSpec(Observable.POSITION, (ax,), (ax,))
+    checks = {
+        "entropy": lambda: entropy(probs),
+        "conditional_entropy": lambda: conditional_entropy(probs),
+        "JointDistribution": lambda: JointDistribution(probs, grid),
+    }
+    verdicts = {"validate_distribution": validate_distribution(probs, grid) == []}
+    for name, check in checks.items():
+        try:
+            check()
+            verdicts[name] = True
+        except NotNormalizedError:
+            verdicts[name] = False
+    assert verdicts == dict.fromkeys(verdicts, valid)
+
+
+# ------------------------------------------------------------ file faults
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Text of a valid 4x4 position/momentum counts-and-grid set, keyed by file name."""
+    root = tmp_path_factory.mktemp("valid")
+    state = make_synthetic_state(n_windows=4)
+    pos, mom = sample_histograms(state, total=10_000, seed=0)
+    save_histogram(pos, root / "position.csv")
+    save_histogram(mom, root / "momentum.csv")
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+def run_witness(root: Path, files: dict[str, bytes], faulty: str) -> None:
+    """Write ``files`` to ``root``, run the witness, and check the fault in ``faulty`` is reported."""
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+    err = stdio.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdio.StringIO()):
+        code = main(
+            ["witness", "--position", str(root / "position.csv"),
+             "--momentum", str(root / "momentum.csv"), "--boot", "100"]
+        )
+    assert code == 2, err.getvalue()
+    assert str(root / faulty) in err.getvalue()
+
+
+def edited_grid(files, name, edit):
+    doc = json.loads(files[name])
+    edit(doc)
+    return {**files, name: json.dumps(doc).encode()}
+
+
+def _set_axis(key, value):
+    return lambda doc: doc["axes_a"][0].__setitem__(key, value)
+
+
+GRID_EDITS = {
+    "axes_a is a number": lambda doc: doc.__setitem__("axes_a", 5),
+    "window_width is null": _set_axis("window_width", None),
+    "axis entry is a string": lambda doc: doc["axes_b"].__setitem__(0, "x"),
+    "n_windows is fractional": _set_axis("n_windows", 2.5),
+    "extent disagrees": _set_axis("extent", 3.0),
+    "window_width is negative": _set_axis("window_width", -1),
+    "n_windows is huge": _set_axis("n_windows", 10**400),
+    "origin is huge": _set_axis("origin", 10**400),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(GRID_EDITS))
+def test_grid_file_faults_exit_two_naming_the_file(valid_files, tmp_path, edit):
+    name = "momentum.grid.json"
+    run_witness(tmp_path, edited_grid(valid_files, name, GRID_EDITS[edit]), name)
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("position.csv", b"\xff\xfe1,2\n"),
+        ("position.csv", b"1,2\n3,4\n"),
+        ("position.csv", b"18446744073709551615,1,0,0\n" + b"0,0,0,0\n" * 3),
+        ("momentum.grid.json", b"\xff{}"),
+        ("momentum.grid.json", b"[" * 100_000 + b"]" * 100_000),
+    ],
+    ids=["counts-not-utf8", "shape-mismatch", "total-overflows", "grid-not-utf8", "deep-nesting"],
+)
+def test_file_faults_exit_two_naming_the_file(valid_files, tmp_path, name, content):
+    run_witness(tmp_path, {**valid_files, name: content}, name)
+
+
+@pytest.mark.parametrize("total", ["inf", "nan", "2.5", "ten"])
+def test_event_total_must_be_a_whole_number(total):
+    with contextlib.redirect_stderr(stdio.StringIO()):
+        assert main(["witness", "--synthetic", "--total", total, "--boot", "100"]) == 1
+
+
+# Fuzzing: each mutation below is a fault by construction, so every example
+# must end in exit 2 with the file named.
+
+FUZZ = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+GRID_FILES = ["position.grid.json", "momentum.grid.json"]
+COUNT_FILES = ["position.csv", "momentum.csv"]
+
+#: Value locations the grid reader checks, with the JSON type each must have.
+GRID_PATHS = {("observable",): str, ("axes_a",): list, ("axes_b",): list}
+for _axes in ("axes_a", "axes_b"):
+    GRID_PATHS.update(
+        {(_axes, 0, "n_windows"): int, (_axes, 0, "window_width"): float, (_axes, 0, "origin"): float}
+    )
+#: Keys a grid document cannot do without (``origin`` defaults to 0).
+REQUIRED = [p for p in GRID_PATHS if p[-1] != "origin"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def wrong_type(kind, value) -> bool:
+    if isinstance(value, bool):
+        return True
+    if kind is float:
+        return not isinstance(value, (int, float))
+    return not isinstance(value, kind)
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@given(data=st.data())
+@FUZZ
+def test_fuzzed_grid_files_exit_two(valid_files, tmp_path, data):
+    name = data.draw(st.sampled_from(GRID_FILES))
+    doc = json.loads(valid_files[name])
+    mutation = data.draw(st.sampled_from(["swap type", "drop key", "nest"]))
+    if mutation == "drop key":
+        path = data.draw(st.sampled_from(REQUIRED))
+        del _parent(doc, path)[path[-1]]
+    else:
+        path = data.draw(st.sampled_from(sorted(GRID_PATHS, key=str)))
+        parent, key = _parent(doc, path), path[-1]
+        if mutation == "swap type":
+            parent[key] = data.draw(json_values.filter(lambda v: wrong_type(GRID_PATHS[path], v)))
+        else:
+            parent[key] = data.draw(st.sampled_from([[parent[key]], {"value": parent[key]}]))
+    run_witness(tmp_path, {**valid_files, name: json.dumps(doc).encode()}, name)
+
+
+@given(data=st.data())
+@FUZZ
+def test_fuzzed_counts_files_exit_two(valid_files, tmp_path, data):
+    name = data.draw(st.sampled_from(COUNT_FILES))
+    lines = valid_files[name].decode().splitlines()
+    rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    mutation = data.draw(st.sampled_from(["random bytes", "ragged row", "huge integer"]))
+    if mutation == "random bytes":
+        content = data.draw(st.binary(min_size=1, max_size=64))
+    else:
+        i = data.draw(st.sampled_from(rows))
+        cells = lines[i].split(",")
+        if mutation == "ragged row":
+            cells = cells[:-1] if data.draw(st.booleans()) else cells + ["1"]
+        else:
+            j = data.draw(st.integers(0, len(cells) - 1))
+            cells[j] = str(data.draw(st.integers(min_value=2**64, max_value=10**4000)))
+        lines[i] = ",".join(cells)
+        content = "\n".join(lines).encode()
+    run_witness(tmp_path, {**valid_files, name: content}, name)
