@@ -24,7 +24,7 @@ from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .bootstrap import BootstrapReport, _check_seed
+from .bootstrap import BootstrapReport, _check_poisson_means, _check_seed
 from .coarse import ResolutionSweep, CurvePoint
 from .entropy import _check_base
 from .errors import (
@@ -225,8 +225,16 @@ def save_histogram(
 def load_histogram(
     counts_path: str | Path, grid_path: str | Path | None = None
 ) -> Histogram:
+    """A counts file and its grid sidecar; counts with no events or a cell
+    the bootstrap cannot redraw raise :class:`ParseError` naming the file."""
     grid_path = grid_path if grid_path is not None else sidecar_path(counts_path)
     counts = read_counts_csv(counts_path)
+    if counts.total == 0:
+        raise ParseError("counts hold zero events", str(counts_path))
+    try:
+        _check_poisson_means(counts.counts)
+    except DataError as exc:
+        raise ParseError(str(exc), str(counts_path)) from None
     grid = read_grid_json(grid_path)
     try:
         return Histogram(counts=counts, grid=grid)

@@ -7,6 +7,7 @@ from eprsteering import (
     AxisGrid,
     BootstrapReport,
     CountTensor,
+    DataError,
     DegenerateBootstrapError,
     Direction,
     GridSpec,
@@ -23,7 +24,7 @@ from eprsteering import (
     witness_significance,
 )
 from eprsteering import bootstrap
-from eprsteering.bootstrap import MIN_REPLICATES
+from eprsteering.bootstrap import MIN_REPLICATES, POISSON_MEAN_MAX, _philox_keys
 from eprsteering.witness import _margin_kernel
 
 
@@ -117,6 +118,46 @@ def test_seed_validation():
         replicate_rng("seed", 0)
     with pytest.raises(UsageError):
         replicate_rng([], 0)
+
+
+@pytest.mark.parametrize(
+    "seed", [(0,), (5,), (2**40 + 3,), (2**64 - 1,), (3, 1), (0, 8, 24), (2**33, 7, 2**64 - 1, 0, 9)]
+)
+@pytest.mark.parametrize("attempt", [0, 1, 999])
+def test_philox_keys_match_seed_sequence(seed, attempt):
+    # the bootstrap's vectorized hash must give the key replicate_rng's
+    # SeedSequence gives, bit for bit; 2^32 - 1 and 2^32 differ in word count
+    index = np.array([0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1], dtype=np.uint64)
+    keys = _philox_keys(seed, index, attempt)
+    assert keys.dtype == np.uint64
+    for i, key in zip(index.tolist(), keys):
+        want = np.random.SeedSequence(seed + (i, attempt)).generate_state(2, np.uint64)
+        np.testing.assert_array_equal(key, want)
+        stream = replicate_rng(seed, i, attempt).bit_generator.state["state"]["key"]
+        np.testing.assert_array_equal(key, stream)
+
+
+def test_poisson_mean_limit_is_numpys():
+    rng = replicate_rng(0, 0)
+    rng.poisson(POISSON_MEAN_MAX)
+    with pytest.raises(ValueError):
+        rng.poisson(np.nextafter(POISSON_MEAN_MAX, np.inf))
+
+
+def test_counts_above_the_poisson_limit_are_refused_before_any_draw(monkeypatch):
+    counts = np.array([[9_300_000_000_000_000_000, 1], [1, 1]], dtype=np.uint64)
+    pos, mom = tiny_pair(counts)
+
+    def no_draw(*args):
+        raise AssertionError("drew before checking the means")
+
+    monkeypatch.setattr(bootstrap, "_philox_keys", no_draw)
+    with pytest.raises(DataError, match="largest Poisson mean"):
+        witness_significance(pos, mom, n_boot=100, seed=0)
+    with pytest.raises(DataError, match="largest Poisson mean"):
+        poisson_resample(pos.counts, replicate_rng(0, 0))
+    with pytest.raises(UsageError, match="largest Poisson mean"):
+        sample_counts(np.array([1.0, 1e19]), replicate_rng(0, 0))
 
 
 def test_poisson_resample_shape_and_mean():
@@ -223,6 +264,16 @@ def test_empty_histograms_exhaust_redraws():
         witness_significance(pos, mom, n_boot=100, seed=0)
 
 
+def test_sparse_histograms_can_exhaust_redraws(monkeypatch):
+    # zero-event histograms are refused up front, so the redraw limit is
+    # reached here by sparse counts with the limit cut to one redraw
+    counts = np.array([[1, 0], [0, 1]], dtype=np.int64)
+    pos, mom = tiny_pair(counts)
+    monkeypatch.setattr(bootstrap, "_MAX_REDRAWS", 2)
+    with pytest.raises(DegenerateBootstrapError, match="stayed empty after 2 redraws"):
+        witness_significance(pos, mom, n_boot=100, seed=0)
+
+
 def test_report_matches_replicate_reconstruction(sampled_default):
     # replicate i depends only on (seed, i, attempt), so an outside loop over
     # the same keyed streams must land on the same mean, std, and sigma
@@ -266,6 +317,19 @@ def test_chunked_kernel_matches_per_replicate_evaluate(
     monkeypatch.undo()
     whole, _ = kernel_margins(pos, mom, direction, 13, 100)
     np.testing.assert_array_equal(whole, want)
+
+
+def test_sparse_rejections_in_small_chunks_match_per_replicate_loop(monkeypatch):
+    # redraws inside a later chunk must key on the replicate's index in the
+    # whole run, not in its chunk
+    counts = np.array([[1, 0], [0, 1]], dtype=np.int64)
+    pos, mom = tiny_pair(counts)
+    monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 7 * 8 * 8)
+    chunked, rejected = kernel_margins([pos], [mom], Direction.SYMMETRIC, 3, 100)
+    want, want_rejected = per_replicate_margins([pos], [mom], Direction.SYMMETRIC, 3, 100)
+    assert want_rejected > 0
+    assert rejected == want_rejected
+    np.testing.assert_array_equal(chunked, want)
 
 
 def test_sparse_rejections_match_per_replicate_loop():

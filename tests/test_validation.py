@@ -151,10 +151,20 @@ def test_grid_file_faults_exit_two_naming_the_file(valid_files, tmp_path, edit):
         ("position.csv", b"\xff\xfe1,2\n"),
         ("position.csv", b"1,2\n3,4\n"),
         ("position.csv", b"18446744073709551615,1,0,0\n" + b"0,0,0,0\n" * 3),
+        ("momentum.csv", b"0,0,0,0\n" * 4),
+        ("momentum.csv", b"9300000000000000000,1,0,0\n" + b"0,0,0,0\n" * 3),
         ("momentum.grid.json", b"\xff{}"),
         ("momentum.grid.json", b"[" * 100_000 + b"]" * 100_000),
     ],
-    ids=["counts-not-utf8", "shape-mismatch", "total-overflows", "grid-not-utf8", "deep-nesting"],
+    ids=[
+        "counts-not-utf8",
+        "shape-mismatch",
+        "total-overflows",
+        "zero-events",
+        "cell-above-poisson-limit",
+        "grid-not-utf8",
+        "deep-nesting",
+    ],
 )
 def test_file_faults_exit_two_naming_the_file(valid_files, tmp_path, name, content):
     run_witness(tmp_path, {**valid_files, name: content}, name)
