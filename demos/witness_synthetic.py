@@ -44,10 +44,9 @@ def main():
 
     print("\nfull 24x24 resolution")
     for direction in (Direction.B_GIVEN_A, Direction.SYMMETRIC):
-        point = evaluate(pos.normalize(), mom.normalize(), direction=direction)
         boot = witness_significance(pos, mom, direction=direction, n_boot=1000, seed=0)
         print(f"{direction.value:>10}:")
-        describe(point, boot)
+        describe(boot.point, boot)
 
     extent_x = pos.grid.extents("B")[0]
     extent_k = mom.grid.extents("B")[0]

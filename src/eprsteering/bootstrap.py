@@ -37,7 +37,7 @@ import numpy as np
 from .errors import DataError, DegenerateBootstrapError, UsageError
 from .entropy import _check_base
 from .grids import CountTensor, Histogram, _check_int
-from .witness import Direction, _blocks, _margin_kernel, _MarginKernel
+from .witness import Direction, WitnessResult, _blocks, _margin_kernel, _MarginKernel
 
 __all__ = [
     "BootstrapReport",
@@ -191,8 +191,10 @@ def sample_counts(means: np.ndarray, rng: np.random.Generator) -> CountTensor:
 
 @dataclass(frozen=True)
 class BootstrapReport:
-    """Summary of the bootstrap margin distribution.
+    """Summary of the bootstrap margin distribution, with the point estimate it surrounds.
 
+    ``point`` is the witness on the observed counts (each histogram
+    normalized), scored by the same kernel as the replicates.
     ``significance`` is margin_mean / margin_std (sample std, ddof=1), in
     units of bootstrap standard deviations; its sign follows the margin, so
     values above +3 certify a violation at the conventional threshold.
@@ -206,6 +208,7 @@ class BootstrapReport:
     margin_std: float
     significance: float
     rejected_replicates: int
+    point: WitnessResult
 
 
 def _replicate_margins(
@@ -285,7 +288,7 @@ def witness_significance(
     seed: SeedLike = 0,
     base: float = 2.0,
 ) -> BootstrapReport:
-    """Bootstrap the witness margin from observed counts.
+    """Bootstrap the witness margin from observed counts, and score the counts themselves.
 
     Replicates where any histogram comes back empty cannot be normalized;
     they are redrawn from a fresh substream and counted in
@@ -307,6 +310,7 @@ def witness_significance(
     std = float(margins.std(ddof=1))
     if std == 0.0:
         raise DegenerateBootstrapError("all bootstrap margins are identical; no spread to report")
+    point = kernel.point([b.normalize().probs for b in (*pos_blocks, *mom_blocks)])
     return BootstrapReport(
         direction=direction,
         base=base,
@@ -316,4 +320,5 @@ def witness_significance(
         margin_std=std,
         significance=mean / std,
         rejected_replicates=rejected,
+        point=point,
     )

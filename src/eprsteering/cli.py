@@ -15,9 +15,9 @@ errors, 2 malformed data, 3 violated numerical contracts.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
@@ -43,7 +43,7 @@ from .spdc import (
     make_synthetic_state,
     sample_histograms,
 )
-from .witness import Direction, evaluate
+from .witness import Direction
 
 _DIRECTIONS = {"ba": Direction.B_GIVEN_A, "ab": Direction.A_GIVEN_B, "sym": Direction.SYMMETRIC}
 _BASES = {"2": 2.0, "e": math.e, "10": 10.0}
@@ -76,15 +76,14 @@ def _whole_number(text: str) -> int:
     return int(value)
 
 
-def _add_common(p: argparse.ArgumentParser, *, direction: bool = True) -> None:
-    if direction:
-        p.add_argument(
-            "--direction",
-            choices=sorted(_DIRECTIONS),
-            default="ba",
-            help="witness direction: ba = steering of B by A, ab = the reverse, "
-            "sym = symmetric mutual-information witness (default ba)",
-        )
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--direction",
+        choices=sorted(_DIRECTIONS),
+        default="ba",
+        help="witness direction: ba = steering of B by A, ab = the reverse, "
+        "sym = symmetric mutual-information witness (default ba)",
+    )
     p.add_argument("--base", choices=sorted(_BASES), default="2", help="log base (default 2)")
     p.add_argument("--boot", type=int, default=1000, help="bootstrap replicates (default 1000)")
     p.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
@@ -124,25 +123,18 @@ def _add_inputs(p: argparse.ArgumentParser) -> None:
     _add_model(p, "synthetic state (with --synthetic)")
 
 
-def _synthetic_config(args: argparse.Namespace) -> SyntheticConfig:
-    overrides = {
-        "sigma_plus": args.sigma_plus,
-        "sigma_minus": args.sigma_minus,
-        "extent_x": args.extent_x,
-        "extent_k": args.extent_k,
-        "n_windows": args.n_windows,
-        "total": args.total,
-        "clip_tol": args.clip_tol,
-    }
-    return SyntheticConfig(**{k: v for k, v in overrides.items() if v is not None})
+def _model_flags(args: argparse.Namespace) -> dict:
+    """The model flags given on the command line, keyed by ``SyntheticConfig`` field."""
+    given = {f.name: getattr(args, f.name) for f in fields(SyntheticConfig)}
+    return {name: value for name, value in given.items() if value is not None}
 
 
 def _run_config(args: argparse.Namespace, *, direction: Direction) -> RunConfig:
-    synthetic = _synthetic_config(args) if args.synthetic else None
-    if not args.synthetic:
-        for flag in ("sigma_plus", "sigma_minus", "extent_x", "extent_k", "n_windows", "total", "clip_tol"):
-            if getattr(args, flag) is not None:
-                raise UsageError(f"--{flag.replace('_', '-')} only makes sense with --synthetic")
+    flags = _model_flags(args)
+    if flags and not args.synthetic:
+        flag = next(iter(flags)).replace("_", "-")
+        raise UsageError(f"--{flag} only makes sense with --synthetic")
+    synthetic = SyntheticConfig(**flags) if args.synthetic else None
     return RunConfig(
         direction=direction,
         base=_BASES[args.base],
@@ -162,47 +154,41 @@ def _load_blocks(counts: Sequence[str], grids: Sequence[str]) -> list[Histogram]
     return [load_histogram(c, g) for c, g in zip(paths, grid_paths)]
 
 
-def _gather(config: RunConfig) -> tuple[list[Histogram], list[Histogram], dict]:
-    """Histogram blocks for both observables plus report extras."""
-    extras: dict = {}
+def _sample_synthetic(syn: SyntheticConfig, seed: int) -> tuple[Histogram, Histogram, dict[str, float]]:
+    """Sampled position and momentum histograms of the model state, and its clipped mass."""
+    state = make_synthetic_state(
+        DoubleGaussianParams(syn.sigma_plus, syn.sigma_minus),
+        n_windows=syn.n_windows,
+        extent_x=syn.extent_x,
+        extent_k=syn.extent_k,
+        clip_tol=syn.clip_tol,
+    )
+    pos, mom = sample_histograms(state, total=syn.total, seed=seed)
+    return pos, mom, {"position": state.clipped_position, "momentum": state.clipped_momentum}
+
+
+def _gather(config: RunConfig) -> tuple[list[Histogram], list[Histogram], dict[str, float] | None]:
+    """Histogram blocks for both observables, and the clipped mass of a synthetic state."""
     if config.synthetic is not None:
-        syn = config.synthetic
-        state = make_synthetic_state(
-            DoubleGaussianParams(syn.sigma_plus, syn.sigma_minus),
-            n_windows=syn.n_windows,
-            extent_x=syn.extent_x,
-            extent_k=syn.extent_k,
-            clip_tol=syn.clip_tol,
-        )
-        pos, mom = sample_histograms(state, total=syn.total, seed=config.seed)
-        extras["clipped"] = {
-            "position": state.clipped_position,
-            "momentum": state.clipped_momentum,
-        }
-        return [pos], [mom], extras
+        pos, mom, clipped = _sample_synthetic(config.synthetic, config.seed)
+        return [pos], [mom], clipped
     pos = _load_blocks(config.position_counts, config.position_grids)
     mom = _load_blocks(config.momentum_counts, config.momentum_grids)
-    return pos, mom, extras
+    return pos, mom, None
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     config = _run_config(args, direction=_DIRECTIONS[args.direction])
-    pos, mom, extras = _gather(config)
-    result = evaluate(
-        [h.normalize() for h in pos],
-        [h.normalize() for h in mom],
-        direction=config.direction,
-        base=config.base,
-    )
+    pos, mom, clipped = _gather(config)
     boot = witness_significance(
         pos, mom, direction=config.direction, n_boot=config.n_boot, seed=config.seed, base=config.base
     )
     doc = witness_report(
-        result,
+        boot.point,
         boot=boot,
         config=config,
         grids={"position": [h.grid for h in pos], "momentum": [h.grid for h in mom]},
-        clipped=extras.get("clipped"),
+        clipped=clipped,
     )
     dump_json(doc, args.output)
     return 0
@@ -246,18 +232,11 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    syn = _synthetic_config(args)
+    syn = SyntheticConfig(**_model_flags(args))
     config = RunConfig(
         direction=Direction.B_GIVEN_A, base=2.0, n_boot=100, seed=args.seed, synthetic=syn
     )
-    state = make_synthetic_state(
-        DoubleGaussianParams(syn.sigma_plus, syn.sigma_minus),
-        n_windows=syn.n_windows,
-        extent_x=syn.extent_x,
-        extent_k=syn.extent_k,
-        clip_tol=syn.clip_tol,
-    )
-    pos, mom = sample_histograms(state, total=syn.total, seed=args.seed)
+    pos, mom, clipped = _sample_synthetic(syn, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_histogram(pos, out / "position.csv")
@@ -267,10 +246,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "synthetic": config.to_dict()["synthetic"],
         "config_hash": config_hash(config),
-        "clipped_fraction": {
-            "position": state.clipped_position,
-            "momentum": state.clipped_momentum,
-        },
+        "clipped_fraction": clipped,
         "totals": {"position": pos.total, "momentum": mom.total},
         "files": {
             "position": "position.csv",
@@ -279,7 +255,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             "momentum_grid": sidecar_path("momentum.csv").name,
         },
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    dump_json(manifest, out / "manifest.json")
     return 0
 
 

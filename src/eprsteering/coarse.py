@@ -8,7 +8,7 @@ every reachable resolution of a square base grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -163,7 +163,10 @@ def resolution_curve(
 
 @dataclass(frozen=True)
 class MapCell:
-    """One (party A resolution, party B resolution) cell of an asymmetry map."""
+    """One (party A resolution, party B resolution) cell of an asymmetry map.
+
+    ``result`` is the point estimate the cell's ``report`` was built with.
+    """
 
     resolution_a: int
     resolution_b: int
@@ -211,10 +214,11 @@ def asymmetry_map(
 ) -> ResolutionSweep:
     """Witness margins over a grid of per-party resolutions.
 
-    Each cell downsamples the two parties independently, evaluates the
-    witness on the observed counts, and attaches Poisson-bootstrap
-    significance.  Cell randomness is keyed by ``(seed, res_a, res_b)``, so
-    results do not depend on sweep order.
+    Each cell downsamples the two parties independently and bootstraps the
+    witness there; the report carries the point estimate on the observed
+    counts beside the Poisson-bootstrap significance.  Cell randomness is
+    keyed by ``(seed, res_a, res_b)``, so results do not depend on sweep
+    order.
     """
     direction = Direction(direction)
     for name, h in (("position", position), ("momentum", momentum)):
@@ -232,7 +236,6 @@ def asymmetry_map(
             fa, fb = n0 // ra, n0 // rb
             pos_rr = downsample(position, fa, fb)
             mom_rr = downsample(momentum, fa, fb)
-            point = evaluate(pos_rr.normalize(), mom_rr.normalize(), direction=direction, base=base)
             report = witness_significance(
                 pos_rr,
                 mom_rr,
@@ -241,8 +244,7 @@ def asymmetry_map(
                 seed=[seed, ra, rb],
                 base=base,
             )
-            point = replace(point, significance_sigma=report.significance)
-            cells.append(MapCell(resolution_a=ra, resolution_b=rb, result=point, report=report))
+            cells.append(MapCell(resolution_a=ra, resolution_b=rb, result=report.point, report=report))
     return ResolutionSweep(
         direction=direction,
         base=base,

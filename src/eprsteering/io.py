@@ -181,7 +181,7 @@ def grid_to_dict(grid: GridSpec) -> dict[str, Any]:
 
 
 def write_grid_json(grid: GridSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(grid_to_dict(grid), sort_keys=True, indent=2) + "\n")
+    dump_json(grid_to_dict(grid), path)
 
 
 def read_grid_json(path: str | Path) -> GridSpec:
@@ -413,10 +413,19 @@ def _write_text(text: str, out: str | Path | TextIO) -> None:
 # ------------------------------------------------------------------- tables
 
 
-def _meta_lines(title: str, meta: Mapping[str, Any]) -> list[str]:
-    lines = [f"# eprsteering {title} v1"]
-    lines += [f"# {k}={v}" for k, v in meta.items()]
-    return lines
+def _write_table(
+    title: str,
+    meta: Mapping[str, Any],
+    header: str,
+    rows: Iterable[Sequence[Any]],
+    out: str | Path | TextIO,
+) -> None:
+    """``#`` metadata lines, the header, then one CSV row per entry: integers
+    as ``str``, floats as ``repr`` (which round-trips exactly)."""
+    lines = [f"# eprsteering {title} v1", *(f"# {k}={v}" for k, v in meta.items()), header]
+    for row in rows:
+        lines.append(",".join(str(v) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row))
+    _write_text("\n".join(lines) + "\n", out)
 
 
 def write_map_csv(
@@ -433,29 +442,16 @@ def write_map_csv(
     }
     if extra_meta:
         meta.update(extra_meta)
-    lines = _meta_lines("map", meta)
-    lines.append(
+    header = (
         "resolution_a,resolution_b,lhs,bound,margin,significance,"
         "margin_boot_mean,margin_boot_std,rejected_replicates"
     )
-    for cell in sweep.cells:
-        r, b = cell.result, cell.report
-        lines.append(
-            ",".join(
-                [
-                    str(cell.resolution_a),
-                    str(cell.resolution_b),
-                    repr(r.lhs),
-                    repr(r.bound),
-                    repr(r.margin),
-                    repr(b.significance),
-                    repr(b.margin_mean),
-                    repr(b.margin_std),
-                    str(b.rejected_replicates),
-                ]
-            )
-        )
-    _write_text("\n".join(lines) + "\n", out)
+    rows = [
+        (c.resolution_a, c.resolution_b, c.result.lhs, c.result.bound, c.result.margin,
+         c.report.significance, c.report.margin_mean, c.report.margin_std, c.report.rejected_replicates)
+        for c in sweep.cells
+    ]
+    _write_table("map", meta, header, rows, out)
 
 
 def write_curve_csv(
@@ -464,19 +460,5 @@ def write_curve_csv(
     extra_meta: Mapping[str, Any] | None = None,
 ) -> None:
     """Resolution curve as CSV, one row per symmetric resolution."""
-    meta = dict(extra_meta) if extra_meta else {}
-    lines = _meta_lines("curve", meta)
-    lines.append("resolution,inv_window_product,lhs,bound,margin")
-    for p in points:
-        lines.append(
-            ",".join(
-                [
-                    str(p.resolution),
-                    repr(p.inv_window_product),
-                    repr(p.lhs),
-                    repr(p.bound),
-                    repr(p.margin),
-                ]
-            )
-        )
-    _write_text("\n".join(lines) + "\n", out)
+    rows = [(p.resolution, p.inv_window_product, p.lhs, p.bound, p.margin) for p in points]
+    _write_table("curve", extra_meta or {}, "resolution,inv_window_product,lhs,bound,margin", rows, out)

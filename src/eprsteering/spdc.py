@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr
 
 from .bootstrap import _check_seed, sample_counts
 from .entropy import ZERO_FLOOR, _check_base, conditional_entropy
@@ -279,6 +278,9 @@ def _exact_gaussian_cells(
     panels = max(1, min(128, math.ceil(width / feature)))
 
     sub_edges = edges_a[0] + (width / panels) * np.arange(len(edges_a[:-1]) * panels + 1)
+    # Imported here: only the model state needs scipy, never a run from counts files.
+    from scipy.special import ndtr
+
     x, w = _cell_nodes(sub_edges, order)  # (cells*panels, order)
     phi = np.exp(-(x**2) / (2 * var_a)) / math.sqrt(2 * math.pi * var_a)
 

@@ -74,7 +74,6 @@ class WitnessResult:
     mode: str
     n_dims: int
     bound_terms: tuple[float, ...]
-    significance_sigma: float | None = None
 
     @property
     def violated(self) -> bool:
@@ -127,8 +126,9 @@ class _MarginKernel:
 
     Calling it with one ``(batch, *cells)`` probability array per block,
     position blocks first, returns the left-hand side and the margin of each
-    row.  Point evaluation is a batch of one; the bootstrap scores its
-    replicates in chunks through the same call.
+    row.  :meth:`point` scores a batch of one and is the only place a
+    :class:`WitnessResult` is built; the bootstrap scores its replicates in
+    chunks through the same call.
     """
 
     direction: Direction
@@ -153,6 +153,20 @@ class _MarginKernel:
         if self.direction is Direction.SYMMETRIC:
             return lhs, lhs - self.bound
         return lhs, self.bound - lhs
+
+    def point(self, probs: Sequence[np.ndarray]) -> WitnessResult:
+        """The witness on one probability array per block, scored as a batch of one."""
+        lhs, margin = self([p[None] for p in probs])
+        return WitnessResult(
+            direction=self.direction,
+            base=self.base,
+            lhs=float(lhs[0]),
+            bound=self.bound,
+            margin=float(margin[0]),
+            mode=self.mode,
+            n_dims=self.n_dims,
+            bound_terms=self.bound_terms,
+        )
 
 
 def _margin_kernel(
@@ -216,17 +230,7 @@ def _point(
     pos = _blocks(position, JointDistribution, "position")
     mom = _blocks(momentum, JointDistribution, "momentum")
     kernel = _margin_kernel([b.grid for b in pos], [b.grid for b in mom], direction, base)
-    lhs, margin = kernel([b.probs[None] for b in pos + mom])
-    return WitnessResult(
-        direction=direction,
-        base=base,
-        lhs=float(lhs[0]),
-        bound=kernel.bound,
-        margin=float(margin[0]),
-        mode=kernel.mode,
-        n_dims=kernel.n_dims,
-        bound_terms=kernel.bound_terms,
-    )
+    return kernel.point([b.probs for b in pos + mom])
 
 
 def conditional_witness(

@@ -317,6 +317,10 @@ def test_chunked_kernel_matches_per_replicate_evaluate(
     monkeypatch.undo()
     whole, _ = kernel_margins(pos, mom, direction, 13, 100)
     np.testing.assert_array_equal(whole, want)
+    report = witness_significance(pos, mom, direction=direction, n_boot=100, seed=13)
+    assert report.point == evaluate(
+        [b.normalize() for b in pos], [b.normalize() for b in mom], direction=direction
+    )
 
 
 def test_sparse_rejections_in_small_chunks_match_per_replicate_loop(monkeypatch):

@@ -239,7 +239,6 @@ def test_asymmetry_map_cells_match_direct_evaluation(sampled_12):
             pos_rr, mom_rr, n_boot=100, seed=[5, cell.resolution_a, cell.resolution_b]
         )
         assert cell.result.margin == point.margin
-        assert cell.result.significance_sigma == boot.significance
         assert cell.report.significance == boot.significance
         assert cell.report.rejected_replicates == boot.rejected_replicates
 

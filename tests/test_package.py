@@ -103,9 +103,10 @@ def test_public_names_are_pinned():
         assert hasattr(eprsteering, name), name
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only the continuum oracle in spdc.connection_check needs quadrature
-    code = "import sys, eprsteering.cli; print('scipy.integrate' in sys.modules)"
+def test_cli_import_leaves_scipy_unloaded():
+    # only the model state and the continuum oracle in spdc need scipy, and
+    # each imports it where it is called
+    code = "import sys, eprsteering.cli; print(any(m.startswith('scipy') for m in sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)},
