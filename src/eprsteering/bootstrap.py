@@ -24,7 +24,11 @@ which stays the definition of the stream.  On a 2-vCPU x86-64 host (Python
 3.11, numpy 2.4) the key reset takes ~1 us and the hash ~1-2 us per
 replicate (~100 us per call), where building a generator takes ~25-30 us.
 The draw takes ~16 us per call plus ~40 ns per cell, ~50 us for two 24x24
-histograms.
+histograms.  Part of that is numpy's: ``Generator.poisson`` re-checks its
+means on every call (two ``np.all`` per draw, 3.3 s of the 9.4 s spent
+drawing in acceptance test 6), although they were checked once before the
+first draw.  That is the floor under this stream contract; it is not worked
+around with a private numpy API.
 """
 
 from __future__ import annotations
@@ -85,10 +89,19 @@ def _seed_key(seed: SeedLike) -> tuple[int, ...]:
     return key
 
 
+def _keyed_rng(key: tuple[int, ...]) -> np.random.Generator:
+    """The Philox generator keyed by ``SeedSequence(key)``: every stream of the package.
+
+    Keys of two integers, ``(seed, observable)``, are the sampling streams of
+    ``spdc.sample_histograms``; replicate keys ``(seed..., replicate,
+    attempt)`` have three or more, so the two families never share a key.
+    """
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
 def replicate_rng(seed: SeedLike, index: int, attempt: int = 0) -> np.random.Generator:
     """Independent generator for one bootstrap replicate."""
-    key = _seed_key(seed) + (int(index), int(attempt))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+    return _keyed_rng(_seed_key(seed) + (int(index), int(attempt)))
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -194,14 +207,13 @@ class BootstrapReport:
     """Summary of the bootstrap margin distribution, with the point estimate it surrounds.
 
     ``point`` is the witness on the observed counts (each histogram
-    normalized), scored by the same kernel as the replicates.
+    normalized), scored by the same kernel as the replicates; the run's
+    direction and log base are ``point.direction`` and ``point.base``.
     ``significance`` is margin_mean / margin_std (sample std, ddof=1), in
     units of bootstrap standard deviations; its sign follows the margin, so
     values above +3 certify a violation at the conventional threshold.
     """
 
-    direction: Direction
-    base: float
     n_boot: int
     seed: tuple[int, ...]
     margin_mean: float
@@ -312,8 +324,6 @@ def witness_significance(
         raise DegenerateBootstrapError("all bootstrap margins are identical; no spread to report")
     point = kernel.point([b.normalize().probs for b in (*pos_blocks, *mom_blocks)])
     return BootstrapReport(
-        direction=direction,
-        base=base,
         n_boot=n_boot,
         seed=key,
         margin_mean=mean,

@@ -184,9 +184,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         pos, mom, direction=config.direction, n_boot=config.n_boot, seed=config.seed, base=config.base
     )
     doc = witness_report(
-        boot.point,
-        boot=boot,
-        config=config,
+        boot,
+        config,
         grids={"position": [h.grid for h in pos], "momentum": [h.grid for h in mom]},
         clipped=clipped,
     )

@@ -181,7 +181,9 @@ class CountTensor:
             raise NegativeCountError(f"counts must be non-negative, found {bad}")
         if arr.sum(dtype=np.float64) >= 2.0**64:
             raise DataError("total count exceeds the unsigned 64-bit range")
-        object.__setattr__(self, "counts", _as_readonly(arr.astype(np.uint64)))
+        counts = arr.astype(np.uint64)  # always a copy, so it can be made read-only in place
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .bootstrap import BootstrapReport, _check_poisson_means, _check_seed
+from .bootstrap import MIN_REPLICATES, BootstrapReport, _check_poisson_means, _check_seed
 from .coarse import ResolutionSweep, CurvePoint
 from .entropy import _check_base
 from .errors import (
@@ -46,7 +46,7 @@ from .spdc import (
     DEFAULT_SIGMA_PLUS,
     DEFAULT_TOTAL_EVENTS,
 )
-from .witness import Direction, WitnessResult
+from .witness import Direction
 
 __all__ = [
     "write_counts_csv",
@@ -286,7 +286,7 @@ class RunConfig:
         object.__setattr__(self, "direction", Direction(self.direction))
         object.__setattr__(self, "base", _check_base(self.base))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        object.__setattr__(self, "n_boot", _check_int(self.n_boot, "n_boot"))
+        object.__setattr__(self, "n_boot", _check_int(self.n_boot, "n_boot", MIN_REPLICATES))
         for name in ("position_counts", "position_grids", "momentum_counts", "momentum_grids"):
             object.__setattr__(self, name, tuple(str(p) for p in getattr(self, name)))
         has_files = bool(self.position_counts or self.momentum_counts)
@@ -353,13 +353,13 @@ def _tagged(value: float, units: str) -> dict[str, Any]:
 
 
 def witness_report(
-    result: WitnessResult,
-    boot: BootstrapReport | None = None,
-    config: RunConfig | None = None,
-    grids: Mapping[str, Sequence[GridSpec]] | None = None,
+    boot: BootstrapReport,
+    config: RunConfig,
+    grids: Mapping[str, Sequence[GridSpec]],
     clipped: Mapping[str, float] | None = None,
 ) -> dict[str, Any]:
-    """Assemble the canonical JSON document for one witness evaluation."""
+    """Assemble the canonical JSON document for one witness run: ``boot.point`` and its bootstrap."""
+    result = boot.point
     units = units_name(result.base)
     doc: dict[str, Any] = {
         "format": WITNESS_FORMAT,
@@ -372,27 +372,20 @@ def witness_report(
         "margin": _tagged(result.margin, units),
         "bound_terms": list(result.bound_terms),
         "violated": result.violated,
-    }
-    if boot is not None:
-        doc["significance"] = {
+        "significance": {
             "sigma": boot.significance,
             "n_boot": boot.n_boot,
             "seed": list(boot.seed),
             "margin_mean": _tagged(boot.margin_mean, units),
             "margin_std": _tagged(boot.margin_std, units),
             "rejected_replicates": boot.rejected_replicates,
-        }
-    else:
-        doc["significance"] = None
-    if grids is not None:
-        doc["grids"] = {
-            name: [grid_to_dict(g) for g in gs] for name, gs in grids.items()
-        }
+        },
+        "grids": {name: [grid_to_dict(g) for g in gs] for name, gs in grids.items()},
+        "config": config.to_dict(),
+        "config_hash": config_hash(config),
+    }
     if clipped is not None:
         doc["clipped_fraction"] = dict(clipped)
-    if config is not None:
-        doc["config"] = config.to_dict()
-        doc["config_hash"] = config_hash(config)
     return doc
 
 

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bootstrap import _check_seed, sample_counts
+from .bootstrap import _check_seed, _keyed_rng, sample_counts
 from .entropy import ZERO_FLOOR, _check_base, conditional_entropy
 from .errors import NumericalError, TruncationError, UsageError
 from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, Observable, _positive
@@ -386,29 +386,19 @@ def expected_counts(dist: JointDistribution, total: float) -> np.ndarray:
     return dist.probs * _positive(total, "total")
 
 
-_POSITION_STREAM = 0
-_MOMENTUM_STREAM = 1
-
-
-def _sampling_rng(seed: int, stream: int) -> np.random.Generator:
-    # Key length 2 keeps these streams disjoint from bootstrap replicate
-    # streams, which always use 3 or more integers.
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), stream))))
-
-
 def sample_histograms(
     state: SyntheticState,
     total: float = DEFAULT_TOTAL_EVENTS,
     seed: int = 0,
 ) -> tuple[Histogram, Histogram]:
-    """Poisson-sampled position and momentum histograms of a synthetic state."""
+    """Poisson-sampled position and momentum histograms of a synthetic state.
+
+    Position is drawn from the stream keyed ``(seed, 0)`` and momentum from
+    ``(seed, 1)``.
+    """
     seed = _check_seed(seed)
-    pos_counts = sample_counts(
-        expected_counts(state.position, total), _sampling_rng(seed, _POSITION_STREAM)
-    )
-    mom_counts = sample_counts(
-        expected_counts(state.momentum, total), _sampling_rng(seed, _MOMENTUM_STREAM)
-    )
+    pos_counts = sample_counts(expected_counts(state.position, total), _keyed_rng((seed, 0)))
+    mom_counts = sample_counts(expected_counts(state.momentum, total), _keyed_rng((seed, 1)))
     return (
         Histogram(counts=pos_counts, grid=state.position.grid),
         Histogram(counts=mom_counts, grid=state.momentum.grid),

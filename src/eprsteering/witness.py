@@ -224,15 +224,6 @@ def _margin_kernel(
     )
 
 
-def _point(
-    position: ObservableInput, momentum: ObservableInput, direction: Direction, base: float
-) -> WitnessResult:
-    pos = _blocks(position, JointDistribution, "position")
-    mom = _blocks(momentum, JointDistribution, "momentum")
-    kernel = _margin_kernel([b.grid for b in pos], [b.grid for b in mom], direction, base)
-    return kernel.point([b.probs for b in pos + mom])
-
-
 def conditional_witness(
     position: ObservableInput,
     momentum: ObservableInput,
@@ -245,11 +236,9 @@ def conditional_witness(
     per-dimension distributions treated as independent blocks (their
     conditional entropies add).
     """
-    base = _check_base(base)
-    direction = Direction(direction)
-    if direction is Direction.SYMMETRIC:
+    if Direction(direction) is Direction.SYMMETRIC:
         raise UsageError("use symmetric_witness for the symmetric direction")
-    return _point(position, momentum, direction, base)
+    return evaluate(position, momentum, direction, base)
 
 
 def symmetric_witness(
@@ -258,7 +247,7 @@ def symmetric_witness(
     base: float = 2.0,
 ) -> WitnessResult:
     """Mutual-information witness; firing certifies steering in both directions."""
-    return _point(position, momentum, Direction.SYMMETRIC, _check_base(base))
+    return evaluate(position, momentum, Direction.SYMMETRIC, base)
 
 
 def evaluate(
@@ -267,8 +256,10 @@ def evaluate(
     direction: Direction = Direction.B_GIVEN_A,
     base: float = 2.0,
 ) -> WitnessResult:
-    """Dispatch to the conditional or symmetric witness by direction."""
+    """The witness of ``direction``: conditional for B_given_A and A_given_B, else symmetric."""
     direction = Direction(direction)
-    if direction is Direction.SYMMETRIC:
-        return symmetric_witness(position, momentum, base=base)
-    return conditional_witness(position, momentum, direction=direction, base=base)
+    base = _check_base(base)
+    pos = _blocks(position, JointDistribution, "position")
+    mom = _blocks(momentum, JointDistribution, "momentum")
+    kernel = _margin_kernel([b.grid for b in pos], [b.grid for b in mom], direction, base)
+    return kernel.point([b.probs for b in pos + mom])

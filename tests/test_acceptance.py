@@ -59,8 +59,8 @@ def random_joint(rng, max_side=64):
     return arr / total
 
 
-def test_1_entropy_identities(record_property):
-    record_property("criterion", "entropy identities on 1000 random joints")
+def test_1_entropy_identities(record_criterion):
+    record_criterion("criterion", "entropy identities on 1000 random joints")
     rng = np.random.default_rng(1)
     start = time.perf_counter()
     worst = 0.0
@@ -84,13 +84,13 @@ def test_1_entropy_identities(record_property):
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12
     assert elapsed < 10.0
-    record_property(
+    record_criterion(
         "detail", f"worst identity residual {worst:.2e}, {elapsed:.1f}s for 1000 joints"
     )
 
 
-def test_2_continuum_connection(record_property):
-    record_property("criterion", "binned/differential entropy connection identity")
+def test_2_continuum_connection(record_criterion):
+    record_criterion("criterion", "binned/differential entropy connection identity")
 
     def gaussian(sigma):
         return lambda x: np.exp(-(x**2) / (2 * sigma**2)) / (
@@ -124,13 +124,13 @@ def test_2_continuum_connection(record_property):
             assert residual < 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    record_property(
+    record_criterion(
         "detail", f"worst residual {worst:.2e} over 15 density/window cases, {elapsed:.1f}s"
     )
 
 
-def test_3_binned_entropy_dominates_differential(record_property):
-    record_property(
+def test_3_binned_entropy_dominates_differential(record_criterion):
+    record_criterion(
         "criterion", "H(X_B|X_A) + log(dx) upper-bounds h(x_B|x_A), 50 states"
     )
     ratios = np.geomspace(1.0, 100.0, 50)
@@ -149,24 +149,24 @@ def test_3_binned_entropy_dominates_differential(record_property):
             slack = h_disc + math.log(extent / n) - h_cont
             worst_slack = min(worst_slack, slack)
             assert slack >= -1e-6
-    record_property("detail", f"min slack {worst_slack:.3e} nats over 200 grids")
+    record_criterion("detail", f"min slack {worst_slack:.3e} nats over 200 grids")
 
 
-def test_4_resolution_cutoff(record_property):
-    record_property("criterion", "minimum feasible resolution on default extents")
+def test_4_resolution_cutoff(record_criterion):
+    record_criterion("criterion", "minimum feasible resolution on default extents")
     n = min_resolution(EXTENT_X, EXTENT_K)
     assert n == 4
     assert per_dim_bound(EXTENT_X / 4, EXTENT_K / 4) > 0.0
     assert per_dim_bound(EXTENT_X / 3, EXTENT_K / 3) < 0.0
-    record_property(
+    record_criterion(
         "detail",
         f"min_resolution=4; bound at 4x4 {per_dim_bound(EXTENT_X / 4, EXTENT_K / 4):+.3f} bit, "
         f"at 3x3 {per_dim_bound(EXTENT_X / 3, EXTENT_K / 3):+.3f} bit",
     )
 
 
-def test_5_default_synthetic_pattern(record_property, default_run):
-    record_property(
+def test_5_default_synthetic_pattern(record_criterion, default_run):
+    record_criterion(
         "criterion", "default synthetic counts reproduce the qualitative pattern"
     )
     state, pos, mom = default_run
@@ -192,7 +192,7 @@ def test_5_default_synthetic_pattern(record_property, default_run):
 
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
-    record_property(
+    record_criterion(
         "detail",
         f"B|A at 24x24 {cond_fine.significance:+.0f} sigma, margin at 3x3 "
         f"{cond_coarse.margin:+.2f} bit; symmetric at 8x8 {sym_mid.margin:+.2f} bit, "
@@ -200,8 +200,8 @@ def test_5_default_synthetic_pattern(record_property, default_run):
     )
 
 
-def test_6_separable_states_never_fire(record_property):
-    record_property("criterion", "null test: 100 separable states, 3-sigma threshold")
+def test_6_separable_states_never_fire(record_criterion):
+    record_criterion("criterion", "null test: 100 separable states, 3-sigma threshold")
     rng = np.random.default_rng(20260815)
     max_sig = -math.inf
     for draw in range(100):
@@ -223,15 +223,15 @@ def test_6_separable_states_never_fire(record_property):
                 )
                 max_sig = max(max_sig, report.significance)
                 assert report.significance < 3.0
-    record_property(
+    record_criterion(
         "detail",
         f"max significance {max_sig:+.1f} sigma over 1400 witness evaluations; "
         "0 false positives",
     )
 
 
-def test_7_downsampling_never_creates_information(record_property):
-    record_property("criterion", "coarse-graining cannot increase mutual information")
+def test_7_downsampling_never_creates_information(record_criterion):
+    record_criterion("criterion", "coarse-graining cannot increase mutual information")
     rng = np.random.default_rng(7)
     worst = -math.inf
     for _ in range(500):
@@ -253,11 +253,11 @@ def test_7_downsampling_never_creates_information(record_property):
         )
         worst = max(worst, gain)
         assert gain <= 1e-12
-    record_property("detail", f"max information gain {worst:.2e} bit over 500 joints")
+    record_criterion("detail", f"max information gain {worst:.2e} bit over 500 joints")
 
 
-def test_8_map_runs_are_byte_identical(record_property, tmp_path):
-    record_property("criterion", "identical config and seed give byte-identical maps")
+def test_8_map_runs_are_byte_identical(record_criterion, tmp_path):
+    record_criterion("criterion", "identical config and seed give byte-identical maps")
     outputs = []
     for name in ("first.csv", "second.csv"):
         out = tmp_path / name
@@ -276,11 +276,11 @@ def test_8_map_runs_are_byte_identical(record_property, tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     rows = len([l for l in outputs[0].splitlines() if l and not l.startswith(b"#")])
-    record_property("detail", f"two runs, {len(outputs[0])} bytes, {rows - 1} cells each")
+    record_criterion("detail", f"two runs, {len(outputs[0])} bytes, {rows - 1} cells each")
 
 
-def test_9_violation_decisions_are_base_invariant(record_property, default_run):
-    record_property("criterion", "margin signs agree across log bases 2, e, 10")
+def test_9_violation_decisions_are_base_invariant(record_criterion, default_run):
+    record_criterion("criterion", "margin signs agree across log bases 2, e, 10")
     _, pos, mom = default_run
     checked = 0
     for r in DIVISORS_24:
@@ -294,4 +294,4 @@ def test_9_violation_decisions_are_base_invariant(record_property, default_run):
             }
             assert len(signs) == 1
             checked += 1
-    record_property("detail", f"{checked} direction/resolution decisions, all sign-stable")
+    record_criterion("detail", f"{checked} direction/resolution decisions, all sign-stable")

@@ -166,6 +166,12 @@ def test_run_config_file_count_mismatch():
         )
 
 
+def test_run_config_takes_the_bootstrap_replicate_minimum():
+    assert RunConfig(synthetic=SyntheticConfig(), n_boot=100).n_boot == 100
+    with pytest.raises(UsageError, match="n_boot must be >= 100"):
+        RunConfig(synthetic=SyntheticConfig(), n_boot=99)
+
+
 def test_config_hash_stable_and_sensitive():
     a = RunConfig(synthetic=SyntheticConfig(), seed=3)
     b = RunConfig(synthetic=SyntheticConfig(), seed=3)
@@ -197,7 +203,6 @@ def test_witness_report_document(tmp_path):
     config = RunConfig(synthetic=SyntheticConfig(n_windows=8, total=100_000), seed=2,
                        n_boot=100)
     doc = witness_report(
-        result,
         boot,
         config,
         grids={"position": [pos.grid], "momentum": [mom.grid]},
@@ -215,14 +220,6 @@ def test_witness_report_document(tmp_path):
     assert doc["clipped_fraction"]["position"] == state.clipped_position
     # document must be JSON-serializable as-is
     json.dumps(doc)
-
-
-def test_witness_report_without_bootstrap():
-    state = make_synthetic_state(n_windows=8)
-    result = evaluate(state.position, state.momentum)
-    config = RunConfig(synthetic=SyntheticConfig(n_windows=8))
-    doc = witness_report(result, None, config, grids={}, clipped={})
-    assert doc["significance"] is None
 
 
 def test_map_csv_layout():
@@ -404,6 +401,25 @@ def test_usage_errors_exit_one(synth_dir, capsys):
     )
     assert run_cli("witness", "--sigma-plus", "1e-4") == 1  # model flag without --synthetic
     capsys.readouterr()
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("reached before the --boot check")
+
+
+def test_too_few_replicates_exit_one_before_any_work(synth_dir, monkeypatch, capsys):
+    monkeypatch.setattr("eprsteering.cli.make_synthetic_state", _never)
+    monkeypatch.setattr("eprsteering.coarse.downsample", _never)
+    files = ["--position", str(synth_dir / "position.csv"), "--momentum", str(synth_dir / "momentum.csv")]
+    for argv in (
+        ["witness", "--synthetic"],
+        ["witness", *files],
+        ["map", *files],
+        ["map", "--synthetic"],
+        ["curve", *files],
+    ):
+        assert run_cli(*argv, "--boot", "50") == 1
+        assert "n_boot must be >= 100" in capsys.readouterr().err
 
 
 def test_data_errors_exit_two(tmp_path, capsys):

@@ -322,6 +322,15 @@ def test_sample_histograms_position_and_momentum_streams_differ():
     assert (pos.counts.counts != mom.counts.counts).any()
 
 
+@pytest.mark.parametrize("seed", [0, 11])
+def test_sample_histograms_streams_are_keyed_by_seed_and_observable(seed):
+    state = make_synthetic_state(n_windows=6)
+    pos, mom = sample_histograms(state, total=50_000, seed=seed)
+    for hist, dist, stream in ((pos, state.position, 0), (mom, state.momentum, 1)):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
+        np.testing.assert_array_equal(hist.counts.counts, rng.poisson(expected_counts(dist, 50_000)))
+
+
 def test_sample_histograms_rejects_bad_seed():
     state = make_synthetic_state(n_windows=8)
     with pytest.raises(UsageError):
