@@ -286,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser("map", help="asymmetric resolution sweep as CSV")
     _add_inputs(p_map)
     _add_common(p_map)
-    p_map.add_argument("--res-a", type=_int_list, default=[2, 3, 4, 6, 8, 12, 24], help="party-A window counts (comma-separated)")
-    p_map.add_argument("--res-b", type=_int_list, default=[2, 3, 4, 6, 8, 12, 24], help="party-B window counts")
+    p_map.add_argument("--res-a", type=_int_list, default=None, help="party-A window counts, comma-separated (default: every divisor of the base grid)")
+    p_map.add_argument("--res-b", type=_int_list, default=None, help="party-B window counts (default: every divisor of the base grid)")
     p_map.set_defaults(func=_cmd_map)
 
     p_curve = sub.add_parser("curve", help="symmetric resolution curve as CSV")

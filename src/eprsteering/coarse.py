@@ -97,8 +97,15 @@ def _base_resolution(*grids: GridSpec) -> int:
     return counts.pop()
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(2, n + 1) if n % d == 0]
+def _resolutions(requested: Sequence[int] | None, n0: int) -> tuple[int, ...]:
+    """A sweep's window counts on an ``n0``-window grid; ``None`` means every divisor >= 2."""
+    if requested is None:
+        resolutions = tuple(d for d in range(2, n0 + 1) if n0 % d == 0)
+    else:
+        resolutions = tuple(_divisor(r, n0, "resolution") for r in requested)
+    if not resolutions:
+        raise UsageError(f"a resolution sweep needs a resolution >= 2 that divides {n0}")
+    return resolutions
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,12 @@ class CurvePoint:
     margin: float
 
 
+def _probabilities(data: Histogram | JointDistribution, name: str) -> JointDistribution:
+    if not isinstance(data, (Histogram, JointDistribution)):
+        raise UsageError(f"{name} must be a Histogram or JointDistribution, got {type(data).__name__}")
+    return data.normalize() if isinstance(data, Histogram) else data
+
+
 def resolution_curve(
     position: Histogram | JointDistribution,
     momentum: Histogram | JointDistribution,
@@ -131,32 +144,21 @@ def resolution_curve(
     divisor >= 2 in increasing order.
     """
     direction = Direction(direction)
-    if isinstance(position, Histogram):
-        position = position.normalize()
-    if isinstance(momentum, Histogram):
-        momentum = momentum.normalize()
+    position = _probabilities(position, "position")
+    momentum = _probabilities(momentum, "momentum")
     n0 = _base_resolution(position.grid, momentum.grid)
-    if resolutions is None:
-        resolutions = _divisors(n0)
+    steered = "A" if direction is Direction.A_GIVEN_B else "B"
     points = []
-    for r in resolutions:
-        r = _divisor(r, n0, "resolution")
+    for r in _resolutions(resolutions, n0):
         f = n0 // r
         pos_r = downsample(position, f, f)
         mom_r = downsample(momentum, f, f)
         res = evaluate(pos_r, mom_r, direction=direction, base=base)
-        steered = "A" if direction is Direction.A_GIVEN_B else "B"
         inv = 1.0
         for wx, wk in zip(pos_r.grid.widths(steered), mom_r.grid.widths(steered)):
             inv /= wx * wk
         points.append(
-            CurvePoint(
-                resolution=r,
-                inv_window_product=inv,
-                lhs=res.lhs,
-                bound=res.bound,
-                margin=res.margin,
-            )
+            CurvePoint(resolution=r, inv_window_product=inv, lhs=res.lhs, bound=res.bound, margin=res.margin)
         )
     return tuple(points)
 
@@ -176,7 +178,11 @@ class MapCell:
 
 @dataclass(frozen=True)
 class ResolutionSweep:
-    """Asymmetric resolution sweep with per-cell bootstrap significance."""
+    """Asymmetric resolution sweep with per-cell bootstrap significance.
+
+    ``cells`` run row-major, ``resolutions_b`` within each ``resolutions_a``,
+    and ``margins`` and ``significances`` read them in that order.
+    """
 
     direction: Direction
     base: float
@@ -187,12 +193,8 @@ class ResolutionSweep:
     cells: tuple[MapCell, ...]
 
     def _matrix(self, getter) -> np.ndarray:
-        out = np.empty((len(self.resolutions_a), len(self.resolutions_b)))
-        for cell in self.cells:
-            i = self.resolutions_a.index(cell.resolution_a)
-            j = self.resolutions_b.index(cell.resolution_b)
-            out[i, j] = getter(cell)
-        return out
+        values = np.array([getter(cell) for cell in self.cells], dtype=float)
+        return values.reshape(len(self.resolutions_a), len(self.resolutions_b))
 
     def margins(self) -> np.ndarray:
         return self._matrix(lambda c: c.result.margin)
@@ -204,8 +206,8 @@ class ResolutionSweep:
 def asymmetry_map(
     position: Histogram,
     momentum: Histogram,
-    resolutions_a: Sequence[int],
-    resolutions_b: Sequence[int],
+    resolutions_a: Sequence[int] | None = None,
+    resolutions_b: Sequence[int] | None = None,
     *,
     direction: Direction = Direction.B_GIVEN_A,
     n_boot: int = 1000,
@@ -214,11 +216,12 @@ def asymmetry_map(
 ) -> ResolutionSweep:
     """Witness margins over a grid of per-party resolutions.
 
-    Each cell downsamples the two parties independently and bootstraps the
-    witness there; the report carries the point estimate on the observed
-    counts beside the Poisson-bootstrap significance.  Cell randomness is
-    keyed by ``(seed, res_a, res_b)``, so results do not depend on sweep
-    order.
+    Each party's resolutions default to every divisor >= 2 of the base grid,
+    as in :func:`resolution_curve`.  Each cell downsamples the two parties
+    independently and bootstraps the witness there; the report carries the
+    point estimate on the observed counts beside the Poisson-bootstrap
+    significance.  Cell randomness is keyed by ``(seed, res_a, res_b)``, so
+    results do not depend on sweep order.
     """
     direction = Direction(direction)
     for name, h in (("position", position), ("momentum", momentum)):
@@ -226,10 +229,8 @@ def asymmetry_map(
             raise UsageError(f"{name} must be a Histogram (counts are needed for the bootstrap)")
     seed = _check_seed(seed)
     n0 = _base_resolution(position.grid, momentum.grid)
-    res_a = tuple(_divisor(r, n0, "resolution") for r in resolutions_a)
-    res_b = tuple(_divisor(r, n0, "resolution") for r in resolutions_b)
-    if not res_a or not res_b:
-        raise UsageError("resolution lists must be non-empty")
+    res_a = _resolutions(resolutions_a, n0)
+    res_b = _resolutions(resolutions_b, n0)
     cells = []
     for ra in res_a:
         for rb in res_b:

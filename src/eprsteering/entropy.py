@@ -56,12 +56,16 @@ class EntropyValue:
         return self.value
 
 
+def _plogp(p: np.ndarray) -> np.ndarray:
+    """``p * log(p)`` elementwise in nats, zero at cells at or below ``ZERO_FLOOR``."""
+    terms = np.log(p, out=np.zeros_like(p), where=p > ZERO_FLOOR)
+    terms *= p
+    return terms
+
+
 def _shannon_rows(p: np.ndarray) -> np.ndarray:
     """Shannon entropy in nats of each row of a ``(batch, *cells)`` array."""
-    rows = p.reshape(len(p), -1)
-    terms = np.log(rows, out=np.zeros_like(rows), where=rows > ZERO_FLOOR)
-    terms *= rows
-    return -terms.sum(axis=1)
+    return -_plogp(p.reshape(len(p), -1)).sum(axis=1)
 
 
 def _plugin_nats(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

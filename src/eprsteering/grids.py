@@ -256,9 +256,6 @@ class JointDistribution:
     def n_dims(self) -> int:
         return self.grid.n_dims
 
-    def marginal(self, party: Party) -> np.ndarray:
-        return marginal(self, party)
-
 
 @dataclass(frozen=True)
 class Histogram:

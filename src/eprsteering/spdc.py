@@ -35,7 +35,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bootstrap import _check_seed, _keyed_rng, sample_counts
-from .entropy import ZERO_FLOOR, _check_base, conditional_entropy
+from .entropy import ZERO_FLOOR, _check_base, _plogp, conditional_entropy
 from .errors import NumericalError, TruncationError, UsageError
 from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, Observable, _positive
 
@@ -403,13 +403,6 @@ def sample_histograms(
         Histogram(counts=pos_counts, grid=state.position.grid),
         Histogram(counts=mom_counts, grid=state.momentum.grid),
     )
-
-
-def _plogp(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    mask = p > ZERO_FLOOR
-    out[mask] = p[mask] * np.log(p[mask])
-    return out
 
 
 def connection_check(

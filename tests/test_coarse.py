@@ -206,6 +206,12 @@ def test_resolution_curve_rejects_non_divisor_resolution():
         resolution_curve(state.position, state.momentum, resolutions=[3])
 
 
+def test_resolution_curve_requires_histograms_or_distributions():
+    state = make_synthetic_state(n_windows=8)
+    with pytest.raises(UsageError):
+        resolution_curve([state.position], [state.momentum])
+
+
 def test_resolution_curve_rejects_non_square_grid():
     probs = np.full((4, 6), 1 / 24)
     grid = GridSpec(Observable.POSITION, (AxisGrid(4, 1.0),), (AxisGrid(6, 1.0),))
@@ -243,6 +249,26 @@ def test_asymmetry_map_cells_match_direct_evaluation(sampled_12):
         assert cell.report.rejected_replicates == boot.rejected_replicates
 
 
+def test_asymmetry_map_matrices_hold_repeated_resolutions(sampled_12):
+    pos, mom = sampled_12
+    sweep = asymmetry_map(pos, mom, [2, 2], [4], n_boot=100)
+    np.testing.assert_array_equal(sweep.margins(), [[c.result.margin] for c in sweep.cells])
+    np.testing.assert_array_equal(
+        sweep.significances(), [[c.report.significance] for c in sweep.cells]
+    )
+
+
+def test_asymmetry_map_defaults_to_the_curve_resolutions():
+    state = make_synthetic_state(n_windows=8)
+    pos, mom = sample_histograms(state, total=50_000, seed=1)
+    sweep = asymmetry_map(pos, mom, n_boot=100)
+    curve = tuple(p.resolution for p in resolution_curve(pos, mom))
+    assert sweep.resolutions_a == sweep.resolutions_b == curve == (2, 4, 8)
+    assert [(c.resolution_a, c.resolution_b) for c in sweep.cells] == [
+        (ra, rb) for ra in curve for rb in curve
+    ]
+
+
 def test_asymmetry_map_is_deterministic(sampled_12):
     pos, mom = sampled_12
     first = asymmetry_map(pos, mom, [3, 12], [12], n_boot=100, seed=9)
@@ -273,6 +299,8 @@ def test_asymmetry_map_rejects_empty_resolutions(sampled_12):
     pos, mom = sampled_12
     with pytest.raises(UsageError):
         asymmetry_map(pos, mom, [], [3], n_boot=100)
+    with pytest.raises(UsageError):
+        resolution_curve(pos, mom, resolutions=[])
 
 
 def test_asymmetry_map_rejects_non_divisor(sampled_12):

@@ -362,6 +362,20 @@ def test_map_runs_are_byte_identical(synth_dir, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_map_defaults_to_every_divisor_of_the_base_grid(tmp_path):
+    out = tmp_path / "map.csv"
+    code = run_cli(
+        "map", "--synthetic", "--n-windows", "12", "--total", "100000", "--boot", "100",
+        "--output", str(out),
+    )
+    assert code == 0
+    rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")][1:]
+    divisors = [2, 3, 4, 6, 12]
+    assert [tuple(int(v) for v in row.split(",")[:2]) for row in rows] == [
+        (ra, rb) for ra in divisors for rb in divisors
+    ]
+
+
 def test_curve_command_writes_rows(synth_dir, tmp_path):
     out = tmp_path / "curve.csv"
     code = run_cli(
