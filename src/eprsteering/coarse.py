@@ -98,13 +98,15 @@ def _base_resolution(*grids: GridSpec) -> int:
 
 
 def _resolutions(requested: Sequence[int] | None, n0: int) -> tuple[int, ...]:
-    """A sweep's window counts on an ``n0``-window grid; ``None`` means every divisor >= 2."""
+    """A sweep's distinct window counts on an ``n0``-window grid; ``None`` means every divisor >= 2."""
     if requested is None:
         resolutions = tuple(d for d in range(2, n0 + 1) if n0 % d == 0)
     else:
         resolutions = tuple(_divisor(r, n0, "resolution") for r in requested)
     if not resolutions:
         raise UsageError(f"a resolution sweep needs a resolution >= 2 that divides {n0}")
+    if len(set(resolutions)) != len(resolutions):
+        raise UsageError(f"a resolution sweep lists each resolution once, got {list(resolutions)}")
     return resolutions
 
 

@@ -158,12 +158,6 @@ class GridSpec:
         return tuple(ax.extent for ax in self.axes(party))
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class CountTensor:
     """Immutable non-negative integer event counts."""
@@ -194,9 +188,7 @@ class CountTensor:
         return int(self.counts.sum())
 
 
-def _distribution_faults(
-    arr: np.ndarray, shape: tuple[int, ...] | None = None, tol: float = NORMALIZATION_TOL
-) -> list[SteeringError]:
+def _distribution_faults(arr: np.ndarray, shape: tuple[int, ...] | None = None) -> list[SteeringError]:
     """Every way a float64 array fails to be a probability tensor (of ``shape``), in check order.
 
     A shape mismatch or a non-finite entry ends the checks.  This is the one
@@ -212,12 +204,9 @@ def _distribution_faults(
             NegativeProbabilityError(f"probability tensor has negative entries (min {arr.min():.3e})")
         )
     total = float(arr.sum())
-    if abs(total - 1.0) > tol:
-        faults.append(
-            NotNormalizedError(
-                f"probability tensor sums to {total!r}, off by {total - 1.0:.3e} (tol {tol:g})"
-            )
-        )
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        off = f"off by {total - 1.0:.3e} (tol {NORMALIZATION_TOL:g})"
+        faults.append(NotNormalizedError(f"probability tensor sums to {total!r}, {off}"))
     return faults
 
 
@@ -230,16 +219,14 @@ def _checked_probs(probs, shape: tuple[int, ...] | None = None) -> np.ndarray:
     return arr
 
 
-def validate_distribution(
-    probs: np.ndarray, grid: GridSpec | None = None, *, tol: float = NORMALIZATION_TOL
-) -> list[str]:
+def validate_distribution(probs: np.ndarray, grid: GridSpec | None = None) -> list[str]:
     """Check a probability tensor, returning human-readable findings.
 
     An empty list means the tensor is a valid distribution (and matches
     ``grid`` when one is given).
     """
     arr = np.asarray(probs, dtype=np.float64)
-    return [str(f) for f in _distribution_faults(arr, None if grid is None else grid.shape, tol)]
+    return [str(f) for f in _distribution_faults(arr, None if grid is None else grid.shape)]
 
 
 @dataclass(frozen=True)
@@ -250,7 +237,9 @@ class JointDistribution:
     grid: GridSpec
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _as_readonly(_checked_probs(self.probs, self.grid.shape)))
+        probs = _checked_probs(np.array(self.probs, dtype=np.float64), self.grid.shape)
+        probs.setflags(write=False)  # a fresh copy, so read-only in place
+        object.__setattr__(self, "probs", probs)
 
     @property
     def n_dims(self) -> int:

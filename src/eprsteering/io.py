@@ -83,16 +83,14 @@ def _read_text(path: Path) -> str:
         raise ParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})", str(path)) from None
 
 
-def write_counts_csv(hist: Histogram | CountTensor, path: str | Path) -> None:
+def write_counts_csv(hist: Histogram, path: str | Path) -> None:
     """Write a 2-D count matrix; rows are party-A windows, columns party-B."""
-    counts = hist.counts.counts if isinstance(hist, Histogram) else hist.counts
+    counts = hist.counts.counts
     if counts.ndim != 2:
         raise UsageError(
             f"counts CSV holds one transverse axis (a 2-D matrix), got rank {counts.ndim}"
         )
-    lines = ["# eprsteering counts v1"]
-    if isinstance(hist, Histogram):
-        lines.append(f"# observable={hist.grid.observable.value}")
+    lines = ["# eprsteering counts v1", f"# observable={hist.grid.observable.value}"]
     lines.append(f"# shape={counts.shape[0]},{counts.shape[1]}")
     lines += [",".join(str(int(v)) for v in row) for row in counts]
     Path(path).write_text("\n".join(lines) + "\n")

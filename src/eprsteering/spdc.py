@@ -15,8 +15,8 @@ witnesses can be checked against analytic continuous-variable values.
 
 Discretization routes:
 
-* :func:`discretize` integrates an arbitrary smooth density with a fixed
-  Gauss-Legendre rule per cell.  Fine for gentle densities; it visibly
+* :func:`discretize` integrates an arbitrary smooth density with the fixed
+  16-point Gauss-Legendre rule per cell.  Fine for gentle densities; it visibly
   under-resolves the correlation ridge once the mode ratio grows past ~20 on
   coarse grids, and the mass gate will catch that.
 * :func:`discretize_state` uses the exact bivariate-normal cell decomposition
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -195,30 +194,58 @@ def continuous_margin(params: DoubleGaussianParams, base: float = 2.0) -> float:
     return nats / math.log(base)
 
 
-@lru_cache(maxsize=8)
-def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order < 2 or order > 256:
-        raise UsageError(f"quadrature order must be in [2, 256], got {order}")
-    nodes, weights = leggauss(order)
-    return nodes, weights
+#: The one quadrature rule, applied per window (per panel in the exact route).
+_GL_NODES, _GL_WEIGHTS = leggauss(16)
 
 
-def _cell_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _cell_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights for every interval of an edge array."""
-    nodes, weights = _gl(order)
     lo = edges[:-1]
     half = np.diff(edges) / 2.0
     mid = lo + half
-    x = mid[:, None] + half[:, None] * nodes[None, :]
-    w = half[:, None] * weights[None, :]
+    x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    w = half[:, None] * _GL_WEIGHTS[None, :]
     return x, w
+
+
+def _single_axis(grid: GridSpec, name: str) -> None:
+    if grid.n_dims != 1:
+        raise UsageError(f"{name} handles one transverse axis at a time")
+
+
+def _cell_values(
+    pdf: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``vals[l, g, m, h]``: ``pdf`` at node g of A-window l and node h of B-window m."""
+    xa, wa = _cell_nodes(grid.axes_a[0].edges())
+    xb, wb = _cell_nodes(grid.axes_b[0].edges())
+    vals = np.asarray(pdf(xa[:, :, None, None], xb[None, None, :, :]), dtype=np.float64)
+    return vals, wa, wb
+
+
+def _windowed(
+    cells: np.ndarray, grid: GridSpec, tail_tol: float
+) -> tuple[JointDistribution, float]:
+    """The renormalized cells and ``1 - mass``, gated two-sided on ``tail_tol``."""
+    mass = float(cells.sum())
+    deficit = 1.0 - mass
+    if deficit > tail_tol:
+        raise TruncationError(
+            f"viewing area captures only {mass:.9g} of the state (tol {tail_tol:g}); "
+            "widen the extents or raise tail_tol to clip deliberately"
+        )
+    if -deficit > tail_tol:
+        raise TruncationError(
+            f"cell masses sum to {mass:.9g}; quadrature cannot resolve the density "
+            f"(tol {tail_tol:g})"
+        )
+    return JointDistribution(probs=np.maximum(cells, 0.0) / mass, grid=grid), deficit
 
 
 def discretize(
     pdf: Callable[[np.ndarray, np.ndarray], np.ndarray],
     grid: GridSpec,
     *,
-    order: int = 16,
     tail_tol: float = STRICT_TAIL_TOL,
 ) -> tuple[JointDistribution, float]:
     """Window an arbitrary joint density with per-cell Gauss-Legendre quadrature.
@@ -230,24 +257,9 @@ def discretize(
     catches both grids that miss real probability and quadrature that cannot
     resolve the density.
     """
-    if grid.n_dims != 1:
-        raise UsageError("discretize handles one transverse axis at a time")
-    xa, wa = _cell_nodes(grid.axes_a[0].edges(), order)
-    xb, wb = _cell_nodes(grid.axes_b[0].edges(), order)
-    vals = pdf(xa[:, :, None, None], xb[None, None, :, :])
-    vals = np.asarray(vals, dtype=np.float64)
-    cells = np.einsum("agbh,ag,bh->ab", vals, wa, wb)
-    mass = float(cells.sum())
-    deficit = 1.0 - mass
-    if abs(deficit) > tail_tol:
-        hint = (
-            "grid extents miss too much probability"
-            if mass < 1.0
-            else "quadrature cannot resolve the density at this order"
-        )
-        raise TruncationError(f"cell masses sum to {mass:.9g}; {hint} (tol {tail_tol:g})")
-    dist = JointDistribution(probs=np.maximum(cells, 0.0) / mass, grid=grid)
-    return dist, deficit
+    _single_axis(grid, "discretize")
+    vals, wa, wb = _cell_values(pdf, grid)
+    return _windowed(np.einsum("agbh,ag,bh->ab", vals, wa, wb), grid, tail_tol)
 
 
 def _exact_gaussian_cells(
@@ -256,7 +268,6 @@ def _exact_gaussian_cells(
     cov: float,
     edges_a: np.ndarray,
     edges_b: np.ndarray,
-    order: int = 16,
 ) -> np.ndarray:
     """Cell probabilities of a centered bivariate normal.
 
@@ -281,12 +292,12 @@ def _exact_gaussian_cells(
     # Imported here: only the model state needs scipy, never a run from counts files.
     from scipy.special import ndtr
 
-    x, w = _cell_nodes(sub_edges, order)  # (cells*panels, order)
+    x, w = _cell_nodes(sub_edges)  # (cells*panels, nodes)
     phi = np.exp(-(x**2) / (2 * var_a)) / math.sqrt(2 * math.pi * var_a)
 
     t_hi = (edges_b[1:][:, None, None] - slope * x[None]) / sd_c
     t_lo = (edges_b[:-1][:, None, None] - slope * x[None]) / sd_c
-    window = ndtr(t_hi) - ndtr(t_lo)  # (nb, cells*panels, order)
+    window = ndtr(t_hi) - ndtr(t_lo)  # (nb, cells*panels, nodes)
 
     contrib = (window * (phi * w)[None]).sum(axis=2)  # (nb, cells*panels)
     nb = len(edges_b) - 1
@@ -299,7 +310,6 @@ def discretize_state(
     grid: GridSpec,
     *,
     axis: int = 0,
-    order: int = 16,
     tail_tol: float = STRICT_TAIL_TOL,
 ) -> tuple[JointDistribution, float]:
     """Window one axis of the model state through the exact Gaussian route.
@@ -307,24 +317,13 @@ def discretize_state(
     Same contract as :func:`discretize`; here the deficit really is tail mass
     outside the viewing area, since the cell integrals are exact to roundoff.
     """
-    if grid.n_dims != 1:
-        raise UsageError("discretize_state handles one transverse axis at a time")
+    _single_axis(grid, "discretize_state")
     if Observable(grid.observable) is Observable.POSITION:
         var_a, var_b, cov = position_covariance(params, axis)
     else:
         var_a, var_b, cov = momentum_covariance(params, axis)
-    cells = _exact_gaussian_cells(
-        var_a, var_b, cov, grid.axes_a[0].edges(), grid.axes_b[0].edges(), order
-    )
-    mass = float(cells.sum())
-    deficit = 1.0 - mass
-    if deficit > tail_tol:
-        raise TruncationError(
-            f"viewing area captures only {mass:.9g} of the state (tol {tail_tol:g}); "
-            "widen the extents or raise tail_tol to clip deliberately"
-        )
-    dist = JointDistribution(probs=np.maximum(cells, 0.0) / mass, grid=grid)
-    return dist, deficit
+    cells = _exact_gaussian_cells(var_a, var_b, cov, grid.axes_a[0].edges(), grid.axes_b[0].edges())
+    return _windowed(cells, grid, tail_tol)
 
 
 def viewing_grid(
@@ -409,7 +408,6 @@ def connection_check(
     pdf: Callable[[np.ndarray], np.ndarray],
     axis: AxisGrid,
     *,
-    order: int = 16,
     points: Sequence[float] | None = None,
 ) -> float:
     """Residual of the exact windowing identity for a 1-D density, in nats.
@@ -428,7 +426,7 @@ def connection_check(
     # time, and only this oracle needs it.
     from scipy.integrate import quad
 
-    x, w = _cell_nodes(axis.edges(), order)
+    x, w = _cell_nodes(axis.edges())
     vals = np.asarray(pdf(x), dtype=np.float64)
     cell_p = (vals * w).sum(axis=1)
     cell_plogp = (_plogp(vals) * w).sum(axis=1)
@@ -459,10 +457,7 @@ def connection_check(
 
 
 def windowed_conditional_rhs(
-    pdf: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    grid: GridSpec,
-    *,
-    order: int = 16,
+    pdf: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: GridSpec
 ) -> float:
     """Windowed upper bound on the conditional differential entropy h(b|a), nats.
 
@@ -471,27 +466,14 @@ def windowed_conditional_rhs(
     discards information, so this dominates the true h(b|a) up to quadrature
     error; the margin shrinks to zero for uncorrelated densities.
     """
-    if grid.n_dims != 1:
-        raise UsageError("windowed_conditional_rhs handles one transverse axis at a time")
-    xa, wa = _cell_nodes(grid.axes_a[0].edges(), order)
-    xb, wb = _cell_nodes(grid.axes_b[0].edges(), order)
-    na, nb = grid.axes_a[0].n_windows, grid.axes_b[0].n_windows
-
-    # vals[l, g, m, h] = pdf at node g of A-cell l and node h of B-cell m
-    vals = np.asarray(pdf(xa[:, :, None, None], xb[None, None, :, :]), dtype=np.float64)
+    _single_axis(grid, "windowed_conditional_rhs")
+    vals, wa, wb = _cell_values(pdf, grid)
     cell_p = np.einsum("agbh,ag,bh->ab", vals, wa, wb)
     cell_plogp = np.einsum("agbh,ag,bh->ab", _plogp(vals), wa, wb)
     # in-cell marginal over b at each a-node, then its entropy integral
-    marg_a = np.einsum("agbh,bh->agb", vals, wb)
-    marg_plogp = np.einsum("agb,ag->ab", _plogp(marg_a), wa)
-
-    mask = cell_p > ZERO_FLOOR
-    logp = np.zeros_like(cell_p)
-    logp[mask] = np.log(cell_p[mask])
-    # h_lm(joint) - h_lm(a marginal), each of the cell-normalized restriction
-    h_joint = np.where(mask, -cell_plogp + cell_p * logp, 0.0)
-    h_marg = np.where(mask, -marg_plogp + cell_p * logp, 0.0)
-    weighted = float((h_joint - h_marg)[mask].sum())
+    marg_plogp = np.einsum("agb,ag->ab", _plogp(np.einsum("agbh,bh->agb", vals, wb)), wa)
+    # P_lm * [h_lm(joint) - h_lm(a marginal)]; the cell_p * log(cell_p) terms cancel
+    weighted = float((marg_plogp - cell_plogp)[cell_p > ZERO_FLOOR].sum())
 
     dist = JointDistribution(probs=np.maximum(cell_p, 0.0) / cell_p.sum(), grid=grid)
     h_window = conditional_entropy(dist, given="A", base=math.e).value

@@ -249,13 +249,24 @@ def test_asymmetry_map_cells_match_direct_evaluation(sampled_12):
         assert cell.report.rejected_replicates == boot.rejected_replicates
 
 
-def test_asymmetry_map_matrices_hold_repeated_resolutions(sampled_12):
+def test_asymmetry_map_matrices_read_cells_in_row_major_order(sampled_12):
     pos, mom = sampled_12
-    sweep = asymmetry_map(pos, mom, [2, 2], [4], n_boot=100)
+    sweep = asymmetry_map(pos, mom, [4, 2], [4], n_boot=100)
+    assert [(c.resolution_a, c.resolution_b) for c in sweep.cells] == [(4, 4), (2, 4)]
     np.testing.assert_array_equal(sweep.margins(), [[c.result.margin] for c in sweep.cells])
     np.testing.assert_array_equal(
         sweep.significances(), [[c.report.significance] for c in sweep.cells]
     )
+
+
+def test_sweeps_reject_repeated_resolutions(sampled_12):
+    pos, mom = sampled_12
+    with pytest.raises(UsageError, match="once"):
+        asymmetry_map(pos, mom, [2, 2], [4], n_boot=100)
+    with pytest.raises(UsageError, match="once"):
+        asymmetry_map(pos, mom, [4], [3, 6, 3], n_boot=100)
+    with pytest.raises(UsageError, match="once"):
+        resolution_curve(pos, mom, resolutions=[2, 2])
 
 
 def test_asymmetry_map_defaults_to_the_curve_resolutions():

@@ -362,6 +362,21 @@ def test_map_runs_are_byte_identical(synth_dir, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_map_rejects_repeated_resolutions(synth_dir, tmp_path, capsys):
+    out = tmp_path / "map.csv"
+    code = run_cli(
+        "map",
+        "--position", str(synth_dir / "position.csv"),
+        "--momentum", str(synth_dir / "momentum.csv"),
+        "--res-a", "2,2",
+        "--boot", "100",
+        "--output", str(out),
+    )
+    assert code == 1
+    assert "once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_map_defaults_to_every_divisor_of_the_base_grid(tmp_path):
     out = tmp_path / "map.csv"
     code = run_cli(

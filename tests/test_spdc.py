@@ -242,13 +242,17 @@ def test_discretize_state_rejects_clipping_beyond_tolerance():
         discretize_state(p, viewing_grid(Observable.POSITION, extent=2e-4))
 
 
-def test_discretize_rejects_bad_quadrature_order():
+def test_discretize_routes_share_one_mass_gate():
+    # the default viewing area clips ~0.4% of the state: both routes refuse
+    # it at the strict tolerance with the same message
     p = default_params()
     grid = viewing_grid(Observable.POSITION)
-    with pytest.raises(UsageError):
-        discretize_state(p, grid, order=1, tail_tol=DEFAULT_CLIP_TOL)
-    with pytest.raises(UsageError):
-        discretize(lambda a, b: position_density(p, a, b), grid, order=500)
+    with pytest.raises(TruncationError) as exact:
+        discretize_state(p, grid)
+    with pytest.raises(TruncationError) as generic:
+        discretize(lambda a, b: position_density(p, a, b), grid)
+    assert str(generic.value) == str(exact.value)
+    assert str(exact.value).startswith("viewing area captures only 0.996286721 of the state")
 
 
 def test_discretize_rejects_two_axis_grids():
