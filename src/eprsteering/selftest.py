@@ -169,7 +169,10 @@ def _check_connection(_: np.random.Generator) -> str:
     res_u = connection_check(lambda x: np.where(np.abs(x) <= 1.0, 0.5, 0.0), flat)
     _require(res_g < 1e-6, f"gaussian residual {res_g:.3e}")
     _require(res_u < 1e-9, f"uniform residual {res_u:.3e}")
-    return f"windowing identity holds (gaussian {res_g:.1e}, uniform {res_u:.1e})"
+    return (
+        "per-cell -p log p quadrature matches adaptive quad "
+        f"(gaussian {res_g:.1e}, uniform {res_u:.1e})"
+    )
 
 
 def _check_continuum_dominates(_: np.random.Generator) -> str:

@@ -262,6 +262,14 @@ def discretize(
     return _windowed(np.einsum("agbh,ag,bh->ab", vals, wa, wb), grid, tail_tol)
 
 
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _ndtr(t: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise, from the C library's ``erfc``."""
+    return 0.5 * _ERFC(-t / math.sqrt(2.0)).astype(np.float64)
+
+
 def _exact_gaussian_cells(
     var_a: float,
     var_b: float,
@@ -289,15 +297,12 @@ def _exact_gaussian_cells(
     panels = max(1, min(128, math.ceil(width / feature)))
 
     sub_edges = edges_a[0] + (width / panels) * np.arange(len(edges_a[:-1]) * panels + 1)
-    # Imported here: only the model state needs scipy, never a run from counts files.
-    from scipy.special import ndtr
-
     x, w = _cell_nodes(sub_edges)  # (cells*panels, nodes)
     phi = np.exp(-(x**2) / (2 * var_a)) / math.sqrt(2 * math.pi * var_a)
 
-    t_hi = (edges_b[1:][:, None, None] - slope * x[None]) / sd_c
-    t_lo = (edges_b[:-1][:, None, None] - slope * x[None]) / sd_c
-    window = ndtr(t_hi) - ndtr(t_lo)  # (nb, cells*panels, nodes)
+    # window m's upper edge is window m+1's lower one: one CDF per edge
+    t = (edges_b[:, None, None] - slope * x[None]) / sd_c
+    window = np.diff(_ndtr(t), axis=0)  # (nb, cells*panels, nodes)
 
     contrib = (window * (phi * w)[None]).sum(axis=2)  # (nb, cells*panels)
     nb = len(edges_b) - 1
@@ -410,34 +415,23 @@ def connection_check(
     *,
     points: Sequence[float] | None = None,
 ) -> float:
-    """Residual of the exact windowing identity for a 1-D density, in nats.
+    """Per-cell Gauss-Legendre ``integral -p log p`` against adaptive ``quad``, nats.
 
-    The identity: differential entropy equals the window entropy plus the
-    probability-weighted in-window differential entropies,
-
-        h(p) = H(P) + sum_m P_m * h_m.
-
-    The right side is assembled from per-cell Gauss-Legendre integrals, the
-    left side from an independent adaptive quadrature, so the residual probes
-    both the identity and the discretizer.  The density must be (numerically)
-    confined to the grid extent; pass its discontinuities in ``points``.
+    The windowing identity ``h(p) = H(P) + sum_m P_m * h_m`` holds term by
+    term: the ``P_m log P_m`` terms of ``H(P)`` and of ``P_m * h_m`` cancel,
+    leaving the sum over windows of ``integral -p log p``.  The residual
+    compares that sum, each window integrated with the fixed Gauss-Legendre
+    rule, against one adaptive quadrature over the whole extent, so it
+    measures the discretizer.  The density must be (numerically) confined to
+    the grid extent; pass its discontinuities in ``points``.
     """
     # Imported here: scipy.integrate roughly doubles the package's import
-    # time, and only this oracle needs it.
+    # time, and this oracle is the package's one scipy user.
     from scipy.integrate import quad
 
     x, w = _cell_nodes(axis.edges())
     vals = np.asarray(pdf(x), dtype=np.float64)
-    cell_p = (vals * w).sum(axis=1)
-    cell_plogp = (_plogp(vals) * w).sum(axis=1)
-
-    mask = cell_p > ZERO_FLOOR
-    window_entropy = -float((cell_p[mask] * np.log(cell_p[mask])).sum())
-    # sum_m P_m h_m with h_m = -integral (p/P_m) log(p/P_m) over window m
-    in_window = float(
-        (-cell_plogp[mask] + cell_p[mask] * np.log(cell_p[mask])).sum()
-    )
-    rhs = window_entropy + in_window
+    rhs = -float((_plogp(vals) * w).sum())
 
     def neg_plogp(t: float) -> float:
         p = float(np.asarray(pdf(np.asarray([t])))[0])
@@ -464,7 +458,8 @@ def windowed_conditional_rhs(
     Assembles  sum_lm P_lm * h_lm(b|a)  +  H(B|A)  from per-cell quadrature,
     where h_lm is the in-cell conditional differential entropy.  Windowing
     discards information, so this dominates the true h(b|a) up to quadrature
-    error; the margin shrinks to zero for uncorrelated densities.
+    error; the margin shrinks to zero for uncorrelated densities.  Raises
+    :class:`TruncationError` under the same mass gate as :func:`discretize`.
     """
     _single_axis(grid, "windowed_conditional_rhs")
     vals, wa, wb = _cell_values(pdf, grid)
@@ -475,6 +470,6 @@ def windowed_conditional_rhs(
     # P_lm * [h_lm(joint) - h_lm(a marginal)]; the cell_p * log(cell_p) terms cancel
     weighted = float((marg_plogp - cell_plogp)[cell_p > ZERO_FLOOR].sum())
 
-    dist = JointDistribution(probs=np.maximum(cell_p, 0.0) / cell_p.sum(), grid=grid)
+    dist, _ = _windowed(cell_p, grid, STRICT_TAIL_TOL)
     h_window = conditional_entropy(dist, given="A", base=math.e).value
     return weighted + h_window

@@ -103,15 +103,43 @@ def test_public_names_are_pinned():
         assert hasattr(eprsteering, name), name
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # only the model state and the continuum oracle in spdc need scipy, and
-    # each imports it where it is called
-    code = "import sys, eprsteering.cli; print(any(m.startswith('scipy') for m in sys.modules))"
-    out = subprocess.run(
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only the continuum oracle spdc.connection_check needs scipy, and it
+    # imports it where it is called
+    code = "import sys, eprsteering.cli; print(any(m.startswith('scipy') for m in sys.modules))"
+    assert _run_python(code).stdout.strip() == "False"
+
+
+def test_synthetic_state_leaves_scipy_unloaded():
+    code = (
+        "import sys, eprsteering as ep\n"
+        "ep.sample_histograms(ep.make_synthetic_state(), seed=0)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert _run_python(code).stdout.strip() == "[]"
+
+
+def test_synthetic_runs_need_no_scipy(tmp_path):
+    # a None entry makes every `import scipy...` raise ImportError
+    runs = [
+        ["witness", "--synthetic", "--boot", "100", "--output", os.devnull],
+        ["synth", "--out-dir", str(tmp_path)],
+        ["curve", "--synthetic", "--total", "100000", "--output", os.devnull],
+    ]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from eprsteering import cli\n"
+        f"print([cli.main(argv) for argv in {runs!r}])"
+    )
+    assert _run_python(code).stdout.strip() == "[0, 0, 0]"

@@ -24,6 +24,7 @@ from eprsteering import (
     viewing_grid,
     windowed_conditional_rhs,
 )
+from eprsteering import spdc
 from eprsteering.spdc import (
     DEFAULT_CLIP_TOL,
     DoubleGaussianParams,
@@ -255,6 +256,44 @@ def test_discretize_routes_share_one_mass_gate():
     assert str(exact.value).startswith("viewing area captures only 0.996286721 of the state")
 
 
+def _with_scipy_ndtr(monkeypatch, build):
+    # scipy serves here only as the oracle for the libm-based CDF
+    from scipy.special import ndtr
+
+    with monkeypatch.context() as m:
+        m.setattr(spdc, "_ndtr", ndtr)
+        return build()
+
+
+def test_ndtr_matches_scipy():
+    from scipy.special import ndtr
+
+    t = np.append(np.linspace(-40.0, 40.0, 160_001), 0.0)
+    assert np.abs(spdc._ndtr(t) - ndtr(t)).max() <= 4.5e-16
+    assert spdc._ndtr(np.zeros(1))[0] == 0.5
+
+
+def test_synthetic_state_matches_scipy_cdf_build(monkeypatch):
+    state = make_synthetic_state()
+    ref = _with_scipy_ndtr(monkeypatch, make_synthetic_state)
+    for dist, ref_dist in ((state.position, ref.position), (state.momentum, ref.momentum)):
+        assert np.abs(dist.probs - ref_dist.probs).max() <= 1e-15
+    for seed in range(5):
+        for hist, ref_hist in zip(sample_histograms(state, seed=seed), sample_histograms(ref, seed=seed)):
+            np.testing.assert_array_equal(hist.counts.counts, ref_hist.counts.counts)
+
+
+def test_exact_route_matches_scipy_cdf_build_on_panelled_windows(monkeypatch):
+    # mode ratio 100: the conditional ridge is ~0.06 wide against windows 3
+    # wide, so the outer rule is tiled into 50 panels per window
+    p = DoubleGaussianParams(1.0, 0.01)
+    grid = viewing_grid(Observable.POSITION, 4, 12.0)
+    dist, deficit = discretize_state(p, grid)
+    ref, ref_deficit = _with_scipy_ndtr(monkeypatch, lambda: discretize_state(p, grid))
+    assert np.abs(dist.probs - ref.probs).max() <= 1e-15
+    assert deficit == pytest.approx(ref_deficit, abs=1e-15)
+
+
 def test_discretize_rejects_two_axis_grids():
     p = default_params()
     ax = AxisGrid.centered(4, 1.0)
@@ -384,3 +423,13 @@ def test_windowed_bound_is_tight_at_independence():
     rhs = windowed_conditional_rhs(lambda a, b: position_density(p, a, b), grid)
     h_true = continuous_conditional_entropy(p, Observable.POSITION, base=math.e)
     assert rhs == pytest.approx(h_true, abs=1e-6)
+
+
+def test_windowed_bound_shares_the_mass_gate():
+    # the grid captures 0.57 of the state, and discretize refuses it too
+    p = DoubleGaussianParams(1.0, 0.25)
+    ax = AxisGrid.centered(8, 1.0)
+    grid = GridSpec(Observable.POSITION, (ax,), (ax,))
+    for window in (windowed_conditional_rhs, discretize):
+        with pytest.raises(TruncationError, match="captures only 0.57"):
+            window(lambda a, b: position_density(p, a, b), grid)
