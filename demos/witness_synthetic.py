@@ -32,7 +32,7 @@ def describe(result, report=None):
 
 def main():
     state = make_synthetic_state()
-    sp, sm = state.params.axis(0)
+    sp, sm = state.params.sigma_plus, state.params.sigma_minus
     print(f"mode widths: sigma_plus {sp:g} m, sigma_minus {sm:g} m (ratio {sp / sm:.1f})")
     print(
         f"viewing area clips {state.clipped_position:.2%} of position mass, "

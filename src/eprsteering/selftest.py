@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import witness_significance
+from .bootstrap import _check_seed, witness_significance
 from .coarse import downsample
 from .entropy import conditional_entropy, entropy, mutual_information
 from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, Observable
@@ -34,7 +34,7 @@ from .spdc import (
 )
 from .witness import PI_E, conditional_witness, min_resolution, per_dim_bound, symmetric_witness
 
-__all__ = ["CheckResult", "run_all", "CHECK_NAMES"]
+__all__ = ["CheckResult", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -310,11 +310,10 @@ _CHECKS = [
     ("file-roundtrip", _check_file_roundtrip),
 ]
 
-CHECK_NAMES = tuple(name for name, _ in _CHECKS)
-
 
 def run_all(seed: int = 0) -> list[CheckResult]:
     """Run every check with a fresh deterministic generator."""
+    seed = _check_seed(seed)
     results = []
     for index, (name, fn) in enumerate(_CHECKS):
         rng = np.random.default_rng([seed, index])

@@ -5,7 +5,7 @@ The model is the double-Gaussian transverse amplitude
     psi(x_a, x_b) ~ exp(-(x_a + x_b)^2 / (4 s_plus^2))
                   * exp(-(x_a - x_b)^2 / (4 s_minus^2))
 
-per transverse axis, centered on the origin.  ``s_plus`` is the standard
+on one transverse axis, centered on the origin.  ``s_plus`` is the standard
 deviation of the sum mode of the position density and ``s_minus`` that of the
 difference mode; in momentum the two roles swap with scales ``1/s_plus`` and
 ``1/s_minus``, so position-correlated pairs are momentum-anticorrelated.
@@ -79,46 +79,28 @@ DEFAULT_CLIP_TOL = 0.02
 
 @dataclass(frozen=True)
 class DoubleGaussianParams:
-    """Sum- and difference-mode position widths, one pair per transverse axis."""
+    """Sum- and difference-mode position widths of one transverse axis.
 
-    sigma_plus: tuple[float, ...]
-    sigma_minus: tuple[float, ...]
+    A 2-D state is the product of two one-axis states: discretize each axis on
+    its own and pass the results as independent blocks or as their outer
+    product.
+    """
+
+    sigma_plus: float
+    sigma_minus: float
 
     def __post_init__(self) -> None:
-        plus = self._coerce("sigma_plus", self.sigma_plus)
-        minus = self._coerce("sigma_minus", self.sigma_minus)
-        if len(plus) != len(minus):
-            raise UsageError(
-                f"sigma_plus has {len(plus)} axes but sigma_minus has {len(minus)}"
-            )
-        if not 1 <= len(plus) <= 2:
-            raise UsageError(f"1 or 2 transverse axes supported, got {len(plus)}")
-        object.__setattr__(self, "sigma_plus", plus)
-        object.__setattr__(self, "sigma_minus", minus)
-
-    @staticmethod
-    def _coerce(name: str, value) -> tuple[float, ...]:
-        if isinstance(value, (int, float, np.floating, np.integer)):
-            value = (value,)
-        return tuple(_positive(v, f"{name} entries") for v in value)
-
-    @property
-    def n_dims(self) -> int:
-        return len(self.sigma_plus)
-
-    def axis(self, i: int) -> tuple[float, float]:
-        return self.sigma_plus[i], self.sigma_minus[i]
+        object.__setattr__(self, "sigma_plus", _positive(self.sigma_plus, "sigma_plus"))
+        object.__setattr__(self, "sigma_minus", _positive(self.sigma_minus, "sigma_minus"))
 
 
 def default_params() -> DoubleGaussianParams:
     return DoubleGaussianParams(DEFAULT_SIGMA_PLUS, DEFAULT_SIGMA_MINUS)
 
 
-def position_density(
-    params: DoubleGaussianParams, x_a, x_b, axis: int = 0
-) -> np.ndarray | float:
-    """Joint position density along one transverse axis (axes factorize)."""
-    sp, sm = params.axis(axis)
+def position_density(params: DoubleGaussianParams, x_a, x_b) -> np.ndarray | float:
+    """Joint position density of the model axis."""
+    sp, sm = params.sigma_plus, params.sigma_minus
     x_a = np.asarray(x_a, dtype=np.float64)
     x_b = np.asarray(x_b, dtype=np.float64)
     out = np.exp(-((x_a + x_b) ** 2) / (2 * sp**2) - ((x_a - x_b) ** 2) / (2 * sm**2))
@@ -126,11 +108,9 @@ def position_density(
     return out if out.ndim else float(out)
 
 
-def momentum_density(
-    params: DoubleGaussianParams, k_a, k_b, axis: int = 0
-) -> np.ndarray | float:
+def momentum_density(params: DoubleGaussianParams, k_a, k_b) -> np.ndarray | float:
     """Joint momentum density; the sum/difference mode widths invert."""
-    sp, sm = params.axis(axis)
+    sp, sm = params.sigma_plus, params.sigma_minus
     k_a = np.asarray(k_a, dtype=np.float64)
     k_b = np.asarray(k_b, dtype=np.float64)
     out = np.exp(-((k_a + k_b) ** 2) * sp**2 / 2 - ((k_a - k_b) ** 2) * sm**2 / 2)
@@ -138,30 +118,28 @@ def momentum_density(
     return out if out.ndim else float(out)
 
 
-def position_covariance(params: DoubleGaussianParams, axis: int = 0) -> tuple[float, float, float]:
-    """(var_a, var_b, cov) of the position density on one axis."""
-    sp, sm = params.axis(axis)
+def position_covariance(params: DoubleGaussianParams) -> tuple[float, float, float]:
+    """(var_a, var_b, cov) of the position density."""
+    sp, sm = params.sigma_plus, params.sigma_minus
     var = (sp**2 + sm**2) / 4.0
     return var, var, (sp**2 - sm**2) / 4.0
 
 
-def momentum_covariance(params: DoubleGaussianParams, axis: int = 0) -> tuple[float, float, float]:
-    """(var_a, var_b, cov) of the momentum density on one axis."""
-    sp, sm = params.axis(axis)
+def momentum_covariance(params: DoubleGaussianParams) -> tuple[float, float, float]:
+    """(var_a, var_b, cov) of the momentum density."""
+    sp, sm = params.sigma_plus, params.sigma_minus
     var = (1.0 / sp**2 + 1.0 / sm**2) / 4.0
     return var, var, (1.0 / sp**2 - 1.0 / sm**2) / 4.0
 
 
-def conditional_variance(
-    params: DoubleGaussianParams, observable: Observable, axis: int = 0
-) -> float:
+def conditional_variance(params: DoubleGaussianParams, observable: Observable) -> float:
     """Variance of one party's outcome given the other's exact value.
 
     The model is party-symmetric, so steering either way sees the same
     number.  Closed forms avoid the cancellation the generic
     ``var - cov^2/var`` expression suffers at large mode ratios.
     """
-    sp, sm = params.axis(axis)
+    sp, sm = params.sigma_plus, params.sigma_minus
     if Observable(observable) is Observable.POSITION:
         return (sp**2 * sm**2) / (sp**2 + sm**2)
     return 1.0 / (sp**2 + sm**2)
@@ -170,27 +148,23 @@ def conditional_variance(
 def continuous_conditional_entropy(
     params: DoubleGaussianParams, observable: Observable, base: float = 2.0
 ) -> float:
-    """Differential conditional entropy summed over axes, 0.5*log(2*pi*e*var)."""
+    """Differential conditional entropy, 0.5*log(2*pi*e*var)."""
     base = _check_base(base)
-    nats = sum(
-        0.5 * math.log(2 * math.pi * math.e * conditional_variance(params, observable, i))
-        for i in range(params.n_dims)
-    )
+    nats = 0.5 * math.log(2 * math.pi * math.e * conditional_variance(params, observable))
     return nats / math.log(base)
 
 
 def continuous_margin(params: DoubleGaussianParams, base: float = 2.0) -> float:
     """Continuous-variable steering margin, positive iff the mode widths differ.
 
-    Per axis this reduces to log((sp^2 + sm^2) / (2*sp*sm)), the log ratio of
+    This reduces to log((sp^2 + sm^2) / (2*sp*sm)), the log ratio of
     arithmetic to geometric mean of the mode variances, so it is non-negative
-    and vanishes exactly at sp == sm (separable limit).
+    and vanishes exactly at sp == sm (separable limit).  A 2-D product state's
+    margin is the sum of its axes' margins.
     """
     base = _check_base(base)
-    nats = 0.0
-    for i in range(params.n_dims):
-        sp, sm = params.axis(i)
-        nats += math.log((sp**2 + sm**2) / (2.0 * sp * sm))
+    sp, sm = params.sigma_plus, params.sigma_minus
+    nats = math.log((sp**2 + sm**2) / (2.0 * sp * sm))
     return nats / math.log(base)
 
 
@@ -232,7 +206,7 @@ def _windowed(
     if deficit > tail_tol:
         raise TruncationError(
             f"viewing area captures only {mass:.9g} of the state (tol {tail_tol:g}); "
-            "widen the extents or raise tail_tol to clip deliberately"
+            "widen the extents to clip less of it"
         )
     if -deficit > tail_tol:
         raise TruncationError(
@@ -314,19 +288,18 @@ def discretize_state(
     params: DoubleGaussianParams,
     grid: GridSpec,
     *,
-    axis: int = 0,
     tail_tol: float = STRICT_TAIL_TOL,
 ) -> tuple[JointDistribution, float]:
-    """Window one axis of the model state through the exact Gaussian route.
+    """Window the model state through the exact Gaussian route.
 
     Same contract as :func:`discretize`; here the deficit really is tail mass
     outside the viewing area, since the cell integrals are exact to roundoff.
     """
     _single_axis(grid, "discretize_state")
     if Observable(grid.observable) is Observable.POSITION:
-        var_a, var_b, cov = position_covariance(params, axis)
+        var_a, var_b, cov = position_covariance(params)
     else:
-        var_a, var_b, cov = momentum_covariance(params, axis)
+        var_a, var_b, cov = momentum_covariance(params)
     cells = _exact_gaussian_cells(var_a, var_b, cov, grid.axes_a[0].edges(), grid.axes_b[0].edges())
     return _windowed(cells, grid, tail_tol)
 
@@ -370,8 +343,6 @@ def make_synthetic_state(
     """
     if params is None:
         params = default_params()
-    if params.n_dims != 1:
-        raise UsageError("the synthetic preset is single-axis; build 2-D states per axis")
     pos_grid = viewing_grid(Observable.POSITION, n_windows, extent_x)
     mom_grid = viewing_grid(Observable.MOMENTUM, n_windows, extent_k)
     pos, clip_x = discretize_state(params, pos_grid, tail_tol=clip_tol)

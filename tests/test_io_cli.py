@@ -412,6 +412,11 @@ def test_selftest_command_passes(capsys):
     assert "[FAIL]" not in out
 
 
+def test_selftest_rejects_a_negative_seed(capsys):
+    assert run_cli("selftest", "--seed", "-1") == 1
+    assert capsys.readouterr().err == "usage error: seed must be >= 0, got -1\n"
+
+
 # ------------------------------------------------------------- exit codes
 
 

@@ -6,10 +6,12 @@ import pytest
 from eprsteering import (
     AxisGrid,
     GridSpec,
+    JointDistribution,
     Observable,
     TruncationError,
     UsageError,
     conditional_variance,
+    conditional_witness,
     connection_check,
     continuous_conditional_entropy,
     continuous_margin,
@@ -54,16 +56,16 @@ def numeric_moments(density, extent: float, n: int = 801):
 
 def test_default_params_values():
     p = default_params()
-    assert p.axis(0) == (3.5e-4, 2.9e-5)
-    assert p.n_dims == 1
+    assert (p.sigma_plus, p.sigma_minus) == (3.5e-4, 2.9e-5)
 
 
 def test_params_coerce_scalars_and_pairs():
-    p = DoubleGaussianParams(1.0, 0.5)
-    assert p.sigma_plus == (1.0,)
-    q = DoubleGaussianParams((1.0, 2.0), (0.5, 0.25))
-    assert q.n_dims == 2
-    assert q.axis(1) == (2.0, 0.25)
+    p = DoubleGaussianParams(np.float32(1.0), 1)
+    assert (p.sigma_plus, p.sigma_minus) == (1.0, 1.0)
+    assert type(p.sigma_plus) is float and type(p.sigma_minus) is float
+    # one axis per state: a 2-D state is built per axis
+    with pytest.raises(UsageError):
+        DoubleGaussianParams((1.0, 2.0), (0.5, 0.25))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
@@ -72,11 +74,6 @@ def test_params_reject_nonpositive_widths(bad):
         DoubleGaussianParams(bad, 1.0)
     with pytest.raises(UsageError):
         DoubleGaussianParams(1.0, bad)
-
-
-def test_params_reject_mismatched_axis_counts():
-    with pytest.raises(UsageError):
-        DoubleGaussianParams((1.0, 2.0), (0.5,))
 
 
 # ---------------------------------------------------------------- densities
@@ -175,13 +172,6 @@ def test_continuous_margin_is_entropy_deficit_from_pi_e():
     assert continuous_margin(p) == pytest.approx(
         math.log2(math.pi * math.e) - h_sum, rel=1e-12
     )
-
-
-def test_two_axis_margin_adds_per_axis_terms():
-    p = DoubleGaussianParams((1.0, 2.0), (0.25, 0.5))
-    single_1 = continuous_margin(DoubleGaussianParams(1.0, 0.25))
-    single_2 = continuous_margin(DoubleGaussianParams(2.0, 0.5))
-    assert continuous_margin(p) == pytest.approx(single_1 + single_2, rel=1e-14)
 
 
 # ------------------------------------------------------------- discretize
@@ -294,6 +284,32 @@ def test_exact_route_matches_scipy_cdf_build_on_panelled_windows(monkeypatch):
     assert deficit == pytest.approx(ref_deficit, abs=1e-15)
 
 
+@pytest.mark.parametrize("n_windows", [6, 16])
+def test_two_axis_state_is_built_per_axis(n_windows):
+    # blocks and their outer product are the same 2-D state, and windowing
+    # keeps its margin below the sum of the per-axis continuous margins
+    params = [DoubleGaussianParams(1.0, 0.25), DoubleGaussianParams(2.0, 0.5)]
+
+    def per_axis(observable, covariance):
+        blocks = []
+        for p in params:
+            grid = viewing_grid(observable, n_windows, 12 * math.sqrt(covariance(p)[0]))
+            blocks.append(discretize_state(p, grid)[0])
+        axes = tuple(b.grid.axes_a[0] for b in blocks)
+        product = JointDistribution(
+            np.einsum("ab,cd->acbd", blocks[0].probs, blocks[1].probs),
+            GridSpec(observable, axes, axes),
+        )
+        return blocks, product
+
+    pos_blocks, pos_product = per_axis(Observable.POSITION, position_covariance)
+    mom_blocks, mom_product = per_axis(Observable.MOMENTUM, momentum_covariance)
+    from_blocks = conditional_witness(pos_blocks, mom_blocks).margin
+    from_product = conditional_witness(pos_product, mom_product).margin
+    assert from_blocks == pytest.approx(from_product, abs=1e-12)
+    assert from_blocks < continuous_margin(params[0]) + continuous_margin(params[1])
+
+
 def test_discretize_rejects_two_axis_grids():
     p = default_params()
     ax = AxisGrid.centered(4, 1.0)
@@ -326,12 +342,6 @@ def test_make_synthetic_state_records_clipped_fractions():
 def test_make_synthetic_state_honors_clip_tolerance():
     with pytest.raises(TruncationError):
         make_synthetic_state(clip_tol=1e-3)
-
-
-def test_make_synthetic_state_rejects_two_axis_params():
-    p = DoubleGaussianParams((1.0, 1.0), (0.5, 0.5))
-    with pytest.raises(UsageError):
-        make_synthetic_state(p, extent_x=10.0, extent_k=10.0)
 
 
 def test_expected_counts_scale_with_total():
@@ -423,6 +433,19 @@ def test_windowed_bound_is_tight_at_independence():
     rhs = windowed_conditional_rhs(lambda a, b: position_density(p, a, b), grid)
     h_true = continuous_conditional_entropy(p, Observable.POSITION, base=math.e)
     assert rhs == pytest.approx(h_true, abs=1e-6)
+
+
+def test_under_mass_advice_suits_every_caller():
+    # windowed_conditional_rhs has no tolerance to raise: widening is the fix
+    p = DoubleGaussianParams(1.0, 0.25)
+    ax = AxisGrid.centered(8, 1.0)
+    grid = GridSpec(Observable.POSITION, (ax,), (ax,))
+    with pytest.raises(TruncationError) as err:
+        windowed_conditional_rhs(lambda a, b: position_density(p, a, b), grid)
+    message = str(err.value)
+    assert "tail_tol" not in message
+    assert "(tol 1e-06)" in message
+    assert "widen the extents" in message
 
 
 def test_windowed_bound_shares_the_mass_gate():
