@@ -6,9 +6,12 @@ witness margin.  Streams come from a counter-based generator keyed by
 ``(seed..., replicate, attempt)``, so any replicate can be reproduced in
 isolation and results never depend on evaluation order.
 
-Draw order: one ``rng.poisson`` call per replicate over the observed counts
-of the position blocks, then the momentum blocks, concatenated in the order
-given.  This is the same stream as one call per block in that order.
+Draw order: one ``rng.poisson`` call per replicate over the non-zero
+observed counts of the position blocks, then the momentum blocks,
+concatenated in the order given.  This is the same stream as one call per
+block over every cell in that order: numpy's Poisson sampler returns 0 for
+a zero mean without reading the stream, so leaving the zero cells out skips
+no variate, and they stay 0 in every replicate.
 
 Replicates are scored in chunks by the witness module's batched margin
 kernel, which also scores point estimates, so a replicate scored alone
@@ -23,12 +26,13 @@ arithmetic, and each replicate is drawn by resetting the key of one reused
 which stays the definition of the stream.  On a 2-vCPU x86-64 host (Python
 3.11, numpy 2.4) the key reset takes ~1 us and the hash ~1-2 us per
 replicate (~100 us per call), where building a generator takes ~25-30 us.
-The draw takes ~16 us per call plus ~40 ns per cell, ~50 us for two 24x24
-histograms.  Part of that is numpy's: ``Generator.poisson`` re-checks its
-means on every call (two ``np.all`` per draw, 3.3 s of the 9.4 s spent
-drawing in acceptance test 6), although they were checked once before the
-first draw.  That is the floor under this stream contract; it is not worked
-around with a private numpy API.
+The draw takes ~13 us per call plus ~70 ns per non-zero cell: ~35 us for
+the 319 non-zero cells of the default state's two 24x24 histograms, where a
+draw over all 1,152 cells took ~45 us.  Part of that is numpy's:
+``Generator.poisson`` re-checks its means on every call (two ``np.all`` per
+draw, 3.3 s of the 9.4 s spent drawing in acceptance test 6), although they
+were checked once before the first draw.  That is the floor under this
+stream contract; it is not worked around with a private numpy API.
 """
 
 from __future__ import annotations
@@ -233,17 +237,27 @@ def _replicate_margins(
     """Margin of every replicate, and the number of draws rejected as empty.
 
     Each draw comes from the stream of ``replicate_rng(key, replicate,
-    attempt)``, set by resetting the key of one reused ``Philox``.  Draws go
-    into a chunk buffer of at most ``_CHUNK_BYTES``; each chunk is
-    normalized and scored by one kernel call.
+    attempt)``, set by resetting the key of one reused ``Philox``, and covers
+    the support: the non-zero observed cells, whose block offsets increase
+    strictly because every block holds events.  Draws are checked for empty
+    blocks and normalized on the support, then scattered into a dense chunk
+    buffer of at most ``_CHUNK_BYTES``, zeroed once, that one kernel call
+    scores.  Sums of integer-valued floats below 2**53 are exact, so totals
+    and probabilities equal those of a draw over every cell.
     """
     blocks = (*pos_blocks, *mom_blocks)
     if not all(b.counts.total for b in blocks):
         raise DegenerateBootstrapError("a histogram holds zero events, so every replicate of it is empty")
     sizes = [b.counts.counts.size for b in blocks]
     offsets = np.cumsum([0, *sizes[:-1]])
+    layout = list(zip(offsets, sizes, blocks))
     lam = _check_poisson_means(np.concatenate([b.counts.counts.ravel() for b in blocks]))
     rows = max(1, min(n_boot, _CHUNK_BYTES // lam.nbytes))
+    dense = np.zeros((rows, lam.size))
+    support = np.flatnonzero(lam)
+    starts = np.searchsorted(support, offsets)
+    widths = np.diff([*starts, support.size])
+    lam = lam[support]
     buf = np.empty((rows, lam.size))
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
@@ -259,7 +273,7 @@ def _replicate_margins(
         return rng.poisson(lam)
 
     def empty(draws: np.ndarray) -> np.ndarray:
-        return (np.add.reduceat(draws, offsets, axis=-1) == 0).any(axis=-1)
+        return (np.add.reduceat(draws, starts, axis=-1) == 0).any(axis=-1)
 
     margins = np.empty(n_boot)
     rejected = 0
@@ -281,12 +295,9 @@ def _replicate_margins(
             raise DegenerateBootstrapError(
                 f"replicate {start + pending[0]} stayed empty after {_MAX_REDRAWS} redraws"
             )
-        totals = np.add.reduceat(chunk, offsets, axis=1)
-        probs = []
-        for k, (lo, size, b) in enumerate(zip(offsets, sizes, blocks)):
-            block = chunk[:, lo : lo + size]
-            block /= totals[:, [k]]
-            probs.append(block.reshape(-1, *b.grid.shape))
+        chunk /= np.repeat(np.add.reduceat(chunk, starts, axis=1), widths, axis=1)
+        dense[: len(chunk), support] = chunk
+        probs = [dense[: len(chunk), lo : lo + size].reshape(-1, *b.grid.shape) for lo, size, b in layout]
         margins[start : start + len(chunk)] = kernel(probs)[1]
     return margins, rejected
 

@@ -76,7 +76,7 @@ def _whole_number(text: str) -> int:
     return int(value)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, *, boot: bool = True) -> None:
     p.add_argument(
         "--direction",
         choices=sorted(_DIRECTIONS),
@@ -85,7 +85,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "sym = symmetric mutual-information witness (default ba)",
     )
     p.add_argument("--base", choices=sorted(_BASES), default="2", help="log base (default 2)")
-    p.add_argument("--boot", type=int, default=1000, help="bootstrap replicates (default 1000)")
+    if boot:
+        p.add_argument("--boot", type=int, default=1000, help="bootstrap replicates (default 1000)")
     p.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
     p.add_argument("--output", default="-", help="output path, '-' for stdout (default)")
 
@@ -292,9 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="symmetric resolution curve as CSV")
     _add_inputs(p_curve)
-    _add_common(p_curve)
+    _add_common(p_curve, boot=False)
     p_curve.add_argument("--resolutions", type=_int_list, default=None, help="window counts (default: every divisor of the base grid)")
-    p_curve.set_defaults(func=_cmd_curve)
+    # curves are not bootstrapped, so --boot is refused; config_hash still
+    # records the default count, so curve hashes match across versions
+    p_curve.set_defaults(func=_cmd_curve, boot=RunConfig.n_boot)
 
     p_synth = sub.add_parser("synth", help="write synthetic counts and grid files")
     _add_model(p_synth, "synthetic state")

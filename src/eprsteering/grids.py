@@ -57,10 +57,12 @@ def _check_int(value, name: str, minimum: int = 1) -> int:
 
 
 def _positive(value, name: str, error: type[SteeringError] = UsageError) -> float:
-    """``value`` as a finite float > 0, or ``error`` naming it."""
+    """``value`` as a finite float > 0, or ``error`` naming it; :class:`UsageError` if it is no number."""
     try:
         number = float(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} must be a real number, got {type(value).__name__}") from None
+    except OverflowError:
         number = math.nan
     if not math.isfinite(number) or number <= 0.0:
         raise error(f"{name} must be finite and > 0, got {value!r}")

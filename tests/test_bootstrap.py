@@ -97,6 +97,46 @@ def default_1d(sampled):
     return [downsample(pos, 3, 3)], [downsample(mom, 3, 3)]
 
 
+def one_cell(shape, flat_index, count):
+    counts = np.zeros(shape, dtype=np.int64)
+    counts.flat[flat_index] = count
+    return counts
+
+
+def zero_rim(counts):
+    """``counts`` with its first and last cells (in flat order) emptied."""
+    counts = counts.copy()
+    counts.flat[0] = counts.flat[-1] = 0
+    return counts
+
+
+# Sparse layouts: the blocks open and close on zero cells, but for one that
+# holds a single event in a single cell (its first cell, in the
+# independent-axes layout), so about a third of the draws come back empty
+# and are redrawn.
+
+
+def sparse_1d():
+    rng = np.random.default_rng(7)
+    return [tiny_pair(zero_rim(rng.poisson(1.5, (5, 5))))[0]], [tiny_pair(one_cell((5, 5), 12, 1))[1]]
+
+
+def sparse_independent_axes():
+    rng = np.random.default_rng(8)
+    pos = [tiny_pair(zero_rim(rng.poisson(0.8, (4, 4))))[0] for _ in range(2)]
+    mom = [tiny_pair(one_cell((4, 4), 0, 1))[1], tiny_pair(zero_rim(rng.poisson(2.0, (4, 4))))[1]]
+    return pos, mom
+
+
+def sparse_full_joint_2d():
+    rng = np.random.default_rng(9)
+    shape = (3, 2, 3, 2)
+    return (
+        [Histogram(zero_rim(rng.poisson(1.0, shape)), grid_2d(Observable.POSITION, shape))],
+        [Histogram(one_cell(shape, 17, 1), grid_2d(Observable.MOMENTUM, shape))],
+    )
+
+
 # ------------------------------------------------------------------ streams
 
 
@@ -135,6 +175,26 @@ def test_philox_keys_match_seed_sequence(seed, attempt):
         np.testing.assert_array_equal(key, want)
         stream = replicate_rng(seed, i, attempt).bit_generator.state["state"]["key"]
         np.testing.assert_array_equal(key, stream)
+
+
+def _plain(state: dict) -> dict:
+    return {k: _plain(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in state.items()}
+
+
+@pytest.mark.parametrize("seed", [(0,), (7,), (3, 1), (2**40 + 3, 5, 9)])
+def test_poisson_reads_no_stream_for_a_zero_mean(seed):
+    # the bootstrap draws only the non-zero means: numpy returns 0 for a zero
+    # mean without reading the stream, so the draws and the generator's final
+    # state equal those of the draw over every mean, in either sampler regime
+    lam = np.array([0.0, 0.0, 3.0, 0.0, 0.5, 12.0, 0.0, 40.0, 1e6, 0.0, 7.0, 0.0])
+    support = np.flatnonzero(lam)
+    dense_rng, sparse_rng = replicate_rng(seed, 4), replicate_rng(seed, 4)
+    for _ in range(3):
+        dense = dense_rng.poisson(lam)
+        sparse = np.zeros_like(dense)
+        sparse[support] = sparse_rng.poisson(lam[support])
+        np.testing.assert_array_equal(dense, sparse)
+    assert _plain(dense_rng.bit_generator.state) == _plain(sparse_rng.bit_generator.state)
 
 
 def test_poisson_mean_limit_is_numpys():
@@ -297,21 +357,29 @@ def test_report_matches_replicate_reconstruction(sampled_default):
 
 
 @pytest.mark.parametrize("direction", list(Direction))
-@pytest.mark.parametrize("inputs", ["1d", "2d", "independent"])
+@pytest.mark.parametrize(
+    "inputs", ["1d", "2d", "independent", "sparse-1d", "sparse-2d", "sparse-independent"]
+)
 def test_chunked_kernel_matches_per_replicate_evaluate(
     inputs, direction, sampled_default, monkeypatch
 ):
     # chunks of 7 rows split 100 replicates unevenly; the margins must not
-    # depend on which rows were scored together
+    # depend on which rows were scored together.  The bootstrap draws the
+    # non-zero cells alone, and the reference every cell: the sparse inputs
+    # hold that equal across block edges, zero-cell rims and redraws
     pos, mom = {
         "1d": lambda: default_1d(sampled_default),
         "2d": full_joint_2d,
         "independent": independent_axes,
+        "sparse-1d": sparse_1d,
+        "sparse-2d": sparse_full_joint_2d,
+        "sparse-independent": sparse_independent_axes,
     }[inputs]()
     cells = sum(b.counts.counts.size for b in pos + mom)
     monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 7 * 8 * cells)
     chunked, rejected = kernel_margins(pos, mom, direction, 13, 100)
     want, want_rejected = per_replicate_margins(pos, mom, direction, 13, 100)
+    assert (want_rejected > 0) == inputs.startswith("sparse")
     assert rejected == want_rejected
     np.testing.assert_array_equal(chunked, want)
     monkeypatch.undo()

@@ -62,6 +62,15 @@ def test_axis_grid_rejects_bad_width(width):
         AxisGrid(n_windows=2, window_width=width)
 
 
+@pytest.mark.parametrize(
+    "width, kind", [((1.0, 2.0), "tuple"), ([0.5], "list"), (None, "NoneType"), ("wide", "str")]
+)
+def test_axis_grid_names_a_width_of_the_wrong_type(width, kind):
+    # a value that is no number is a usage fault, not a bad magnitude
+    with pytest.raises(UsageError, match=f"^window_width must be a real number, got {kind}$"):
+        AxisGrid(n_windows=2, window_width=width)
+
+
 def test_axis_grid_rejects_nonfinite_origin():
     with pytest.raises(UsageError):
         AxisGrid(n_windows=2, window_width=1.0, origin=float("inf"))

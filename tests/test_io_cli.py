@@ -450,10 +450,31 @@ def test_too_few_replicates_exit_one_before_any_work(synth_dir, monkeypatch, cap
         ["witness", *files],
         ["map", *files],
         ["map", "--synthetic"],
-        ["curve", *files],
     ):
         assert run_cli(*argv, "--boot", "50") == 1
         assert "n_boot must be >= 100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("boot", ["5", "100", "200"])
+def test_curve_refuses_boot_before_any_work(synth_dir, boot, monkeypatch, capsys):
+    # a curve is not bootstrapped: any --boot is refused, not hashed
+    monkeypatch.setattr("eprsteering.cli.make_synthetic_state", _never)
+    monkeypatch.setattr("eprsteering.coarse.downsample", _never)
+    files = ["--position", str(synth_dir / "position.csv"), "--momentum", str(synth_dir / "momentum.csv")]
+    for source in (files, ["--synthetic"]):
+        assert run_cli("curve", *source, "--boot", boot) == 1
+        assert "--boot" in capsys.readouterr().err
+
+
+def test_curve_config_hash_keeps_the_default_replicate_count(tmp_path):
+    # the hash a curve run had while --boot was accepted (and defaulted to 1000)
+    out = tmp_path / "curve.csv"
+    flags = ["--n-windows", "8", "--total", "100000"]
+    assert run_cli("curve", "--synthetic", *flags, "--resolutions", "2,4", "--output", str(out)) == 0
+    config = RunConfig(synthetic=SyntheticConfig(n_windows=8, total=100_000))
+    assert config.n_boot == 1000
+    assert out.read_text().splitlines()[1] == f"# config_hash={config_hash(config)}"
+    assert config_hash(config) == "9aca41ee1ed1"
 
 
 def test_data_errors_exit_two(tmp_path, capsys):

@@ -63,16 +63,19 @@ def test_params_coerce_scalars_and_pairs():
     p = DoubleGaussianParams(np.float32(1.0), 1)
     assert (p.sigma_plus, p.sigma_minus) == (1.0, 1.0)
     assert type(p.sigma_plus) is float and type(p.sigma_minus) is float
-    # one axis per state: a 2-D state is built per axis
-    with pytest.raises(UsageError):
+    # one axis per state: a 2-D state is built per axis, and a pair of
+    # widths is refused by its type, not as a bad magnitude
+    with pytest.raises(UsageError, match="^sigma_plus must be a real number, got tuple$"):
         DoubleGaussianParams((1.0, 2.0), (0.5, 0.25))
+    with pytest.raises(UsageError, match="^sigma_minus must be a real number, got list$"):
+        DoubleGaussianParams(1.0, [0.5, 0.25])
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_params_reject_nonpositive_widths(bad):
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=f"^sigma_plus must be finite and > 0, got {bad!r}$"):
         DoubleGaussianParams(bad, 1.0)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=f"^sigma_minus must be finite and > 0, got {bad!r}$"):
         DoubleGaussianParams(1.0, bad)
 
 
