@@ -6,7 +6,7 @@ Subcommands::
     eprsteer map       margins over a grid of per-party resolutions (CSV)
     eprsteer curve     margins across symmetric coarse-grainings (CSV)
     eprsteer synth     write synthetic counts + grid files to a directory
-    eprsteer selftest  run the built-in consistency battery
+    eprsteer selftest  run the built-in install checks
 
 Exit codes: 0 success (and, for selftest, all checks passing), 1 usage
 errors, 2 malformed data, 3 violated numerical contracts.
@@ -214,6 +214,9 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
+    if args.seed is not None and not args.synthetic:
+        raise UsageError("--seed only makes sense with --synthetic")
+    args.seed = RunConfig.seed if args.seed is None else args.seed
     config = _run_config(args, direction=_DIRECTIONS[args.direction])
     if config.direction is Direction.SYMMETRIC:
         raise UsageError("curves are for the directed witness; pick ba or ab")
@@ -295,9 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_inputs(p_curve)
     _add_common(p_curve, boot=False)
     p_curve.add_argument("--resolutions", type=_int_list, default=None, help="window counts (default: every divisor of the base grid)")
-    # curves are not bootstrapped, so --boot is refused; config_hash still
-    # records the default count, so curve hashes match across versions
-    p_curve.set_defaults(func=_cmd_curve, boot=RunConfig.n_boot)
+    # curves are not bootstrapped, so --boot is refused and --seed only
+    # samples --synthetic; config_hash still records the defaults, so curve
+    # hashes match across versions
+    p_curve.set_defaults(func=_cmd_curve, boot=RunConfig.n_boot, seed=None)
 
     p_synth = sub.add_parser("synth", help="write synthetic counts and grid files")
     _add_model(p_synth, "synthetic state")
@@ -305,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out-dir", required=True, help="directory for the generated files")
     p_synth.set_defaults(func=_cmd_synth)
 
-    p_self = sub.add_parser("selftest", help="run the built-in consistency battery")
+    p_self = sub.add_parser("selftest", help="run the built-in install checks")
     p_self.add_argument("--seed", type=int, default=0, help="seed for the randomized checks")
     p_self.set_defaults(func=_cmd_selftest)
     return parser

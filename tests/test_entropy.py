@@ -166,6 +166,14 @@ def test_conditioning_cannot_increase_entropy(arr):
     assert float(conditional_entropy(p, given="A")) <= h_b + 1e-12
 
 
+@given(joint_arrays)
+@settings(max_examples=80, deadline=None)
+def test_entropy_never_exceeds_the_uniform_value(arr):
+    p = normalized(arr)
+    assert float(entropy(p, base=2.0)) <= math.log2(p.size) + 1e-12
+    assert float(conditional_entropy(p, given="A", base=2.0)) <= math.log2(p.shape[1]) + 1e-12
+
+
 def test_product_distribution_has_zero_mutual_information():
     rng = np.random.default_rng(11)
     pa = normalized(rng.random(6))

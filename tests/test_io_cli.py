@@ -1,3 +1,4 @@
+import hashlib
 import io as stdio
 import json
 import math
@@ -34,6 +35,8 @@ from eprsteering import (
     write_grid_json,
     write_map_csv,
 )
+from eprsteering import selftest
+from eprsteering.bootstrap import _philox_keys, replicate_rng
 from eprsteering.cli import main
 from eprsteering.coarse import resolution_curve
 
@@ -410,6 +413,52 @@ def test_selftest_command_passes(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert "[FAIL]" not in out
+    assert out.endswith("9/9 checks passed\n")
+
+
+def _flipped_keys(seed, index, attempt):
+    keys = _philox_keys(seed, index, attempt)
+    keys[-1, 1] ^= np.uint64(1 << 63)
+    return keys
+
+
+def _stale_drawer(lam):
+    # sets each key on the live state, so the counter and buffer carry over
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+
+    def draw(philox_key):
+        state = bitgen.state
+        state["state"]["key"] = philox_key
+        bitgen.state = state
+        return rng.poisson(lam)
+
+    return draw
+
+
+class _ZeroMeanReader(np.random.Generator):
+    """A generator whose Poisson draw reads the stream once per zero mean."""
+
+    def poisson(self, lam=1.0, size=None):
+        out = super().poisson(lam, size)
+        self.random(int(np.count_nonzero(np.asarray(lam) == 0)))
+        return out
+
+
+@pytest.mark.parametrize(
+    "name, fault, check",
+    [
+        ("_philox_keys", _flipped_keys, "philox-key-hash"),
+        ("_philox_drawer", _stale_drawer, "philox-key-reset"),
+        ("replicate_rng", lambda *key: _ZeroMeanReader(replicate_rng(*key).bit_generator), "poisson-zero-means"),
+    ],
+)
+@pytest.mark.parametrize("seed", ["0", "9"])
+def test_selftest_fails_the_check_of_a_broken_stream_fact(name, fault, check, seed, monkeypatch, capsys):
+    monkeypatch.setattr(selftest, name, fault)
+    assert run_cli("selftest", "--seed", seed) == 3
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {check}: AssertionError")
 
 
 def test_selftest_rejects_a_negative_seed(capsys):
@@ -475,6 +524,31 @@ def test_curve_config_hash_keeps_the_default_replicate_count(tmp_path):
     assert config.n_boot == 1000
     assert out.read_text().splitlines()[1] == f"# config_hash={config_hash(config)}"
     assert config_hash(config) == "9aca41ee1ed1"
+
+
+@pytest.mark.parametrize("seed", ["0", "5"])
+def test_curve_refuses_seed_without_synthetic(synth_dir, seed, monkeypatch, capsys):
+    # on counts files a curve draws nothing, so a seed would only move config_hash
+    monkeypatch.setattr("eprsteering.coarse.downsample", _never)
+    files = ["--position", str(synth_dir / "position.csv"), "--momentum", str(synth_dir / "momentum.csv")]
+    assert run_cli("curve", *files, "--seed", seed) == 1
+    assert capsys.readouterr().err == "usage error: --seed only makes sense with --synthetic\n"
+
+
+def test_curve_on_files_keeps_its_rows_and_config_hash(synth_dir, tmp_path, monkeypatch):
+    # the bytes a curve run on these files wrote while --seed was accepted and defaulted to 0
+    monkeypatch.chdir(synth_dir)
+    out = tmp_path / "curve.csv"
+    assert run_cli("curve", "--position", "position.csv", "--momentum", "momentum.csv", "--output", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == "# config_hash=d70a70224767"
+    config = RunConfig(position_counts=("position.csv",), momentum_counts=("momentum.csv",))
+    assert lines[1] == f"# config_hash={config_hash(config)}"
+    rows = "".join(line + "\n" for line in lines if not line.startswith("#"))
+    assert hashlib.sha256(rows.encode()).hexdigest() == "ace929b0dbcbfe3b6a2ac0ca68073094a422293db88fd3ef8618f46d448961a3"
+    with_seed = tmp_path / "seeded.csv"
+    assert run_cli("curve", "--synthetic", "--n-windows", "8", "--total", "100000", "--seed", "3", "--output", str(with_seed)) == 0
+    assert [l for l in with_seed.read_text().splitlines() if not l.startswith("#")] == rows.splitlines()
 
 
 def test_data_errors_exit_two(tmp_path, capsys):

@@ -397,19 +397,24 @@ def test_sample_histograms_rejects_bad_seed():
 
 
 def test_connection_identity_gaussian():
-    axis = AxisGrid.centered(16, 12.0)
-    residual = connection_check(
-        lambda x: np.exp(-(x**2) / 2) / math.sqrt(2 * math.pi), axis
-    )
-    assert abs(residual) < 1e-6
+    assert connection_check(1.0, AxisGrid.centered(16, 12.0)) <= 1e-12
 
 
-def test_connection_identity_uniform():
-    axis = AxisGrid.centered(4, 2.0)
-    residual = connection_check(
-        lambda x: np.where(np.abs(x) <= 1.0, 0.5, 0.0), axis, points=(-1.0, 1.0)
-    )
-    assert abs(residual) < 1e-9
+def test_connection_check_sees_a_rule_off_by_one_part_in_a_billion(monkeypatch):
+    # the closed form resolves a weight error that adaptive quad at 1e-6 hid
+    monkeypatch.setattr(spdc, "_GL_WEIGHTS", spdc._GL_WEIGHTS * (1 + 1e-9))
+    assert connection_check(1.0, AxisGrid.centered(16, 12.0)) > 1e-12
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+def test_connection_check_rejects_a_nonpositive_width(sigma):
+    with pytest.raises(UsageError, match="sigma"):
+        connection_check(sigma, AxisGrid.centered(8, 4.0))
+
+
+def test_connection_check_needs_no_confined_density():
+    # the tails past the grid extent are not part of any window's integral
+    assert connection_check(3.0, AxisGrid.centered(8, 4.0)) <= 1e-12
 
 
 def test_windowed_conditional_bound_dominates_true_entropy():

@@ -105,6 +105,24 @@ def test_min_resolution_is_threshold(lx, lk):
         assert per_dim_bound(lx / (n - 1), lk / (n - 1)) <= 1e-12
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    excess=st.floats(1.0, 4.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_no_distribution_fires_at_window_products_of_pi_e_or_more(seed, n, excess):
+    # the bound is <= 0 there and conditional entropies are >= 0
+    rng = np.random.default_rng(seed)
+    probs = [p / p.sum() for p in rng.exponential(size=(2, n, n))]
+    pos = square_dist(probs[0], n * 2.0, Observable.POSITION)
+    mom = square_dist(probs[1], n * excess * PI_E / 2.0, Observable.MOMENTUM)
+    result = conditional_witness(pos, mom)
+    assert result.bound <= 1e-12
+    assert result.margin <= 0.0
+    assert not result.violated
+
+
 # ------------------------------------------------------- conditional witness
 
 
