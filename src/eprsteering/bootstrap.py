@@ -27,12 +27,12 @@ which stays the definition of the stream.  On a 2-vCPU x86-64 host (Python
 3.11, numpy 2.4) the key reset takes ~1 us and the hash ~1-2 us per
 replicate (~100 us per call), where building a generator takes ~25-30 us.
 The draw takes ~13 us per call plus ~70 ns per non-zero cell: ~35 us for
-the 319 non-zero cells of the default state's two 24x24 histograms, where a
-draw over all 1,152 cells took ~45 us.  Part of that is numpy's:
-``Generator.poisson`` re-checks its means on every call (two ``np.all`` per
-draw, 3.3 s of the 9.4 s spent drawing in acceptance test 6), although they
-were checked once before the first draw.  That is the floor under this
-stream contract; it is not worked around with a private numpy API.
+the 319 non-zero cells of the default state's two 24x24 histograms.  Part
+of that is numpy's: ``Generator.poisson`` re-checks its means on every call
+(two ``np.all`` per draw, 3.3 s of the 9.4 s spent drawing in acceptance
+test 6), although they were checked once before the first draw.  That is
+the floor under this stream contract; it is not worked around with a
+private numpy API.
 
 The contract rests on three facts of the installed numpy: ``_philox_keys``
 reproduces ``SeedSequence``'s hash, a reset Philox starts the keyed stream,
@@ -293,19 +293,16 @@ def _replicate_margins(
     rejected = 0
     for start in range(0, n_boot, rows):
         chunk = buf[: min(rows, n_boot - start)]
-        first = _philox_keys(key, np.arange(start, start + len(chunk)), 0)
-        for r, philox_key in enumerate(first.tolist()):
-            chunk[r] = draw(philox_key)
-        pending = np.flatnonzero(empty(chunk))
-        for attempt in range(1, _MAX_REDRAWS):
+        pending = np.arange(len(chunk))
+        for attempt in range(_MAX_REDRAWS):
+            philox_keys = _philox_keys(key, start + pending, attempt)
+            for r, philox_key in zip(pending.tolist(), philox_keys.tolist()):
+                chunk[r] = draw(philox_key)
+            pending = pending[empty(chunk[pending])]
             if not pending.size:
                 break
             rejected += pending.size
-            redraws = _philox_keys(key, start + pending, attempt)
-            for r, philox_key in zip(pending, redraws.tolist()):
-                chunk[r] = draw(philox_key)
-            pending = pending[empty(chunk[pending])]
-        if pending.size:
+        else:
             raise DegenerateBootstrapError(
                 f"replicate {start + pending[0]} stayed empty after {_MAX_REDRAWS} redraws"
             )

@@ -9,7 +9,8 @@ Subcommands::
     eprsteer selftest  run the built-in install checks
 
 Exit codes: 0 success (and, for selftest, all checks passing), 1 usage
-errors, 2 malformed data, 3 violated numerical contracts.
+errors, 2 malformed data, 3 violated numerical contracts or a run that does
+not fit in memory.
 """
 
 from __future__ import annotations
@@ -328,6 +329,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"numerical error: the run does not fit in memory{detail}", file=sys.stderr)
         return 3
 
 

@@ -36,9 +36,6 @@ __all__ = [
     "CountTensor",
     "JointDistribution",
     "Histogram",
-    "validate_distribution",
-    "normalize_counts",
-    "marginal",
 ]
 
 Party = Literal["A", "B"]
@@ -190,45 +187,24 @@ class CountTensor:
         return int(self.counts.sum())
 
 
-def _distribution_faults(arr: np.ndarray, shape: tuple[int, ...] | None = None) -> list[SteeringError]:
-    """Every way a float64 array fails to be a probability tensor (of ``shape``), in check order.
+def _checked_probs(probs, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``probs`` as a float64 array; raises its first fault if it is no distribution (of ``shape``).
 
-    A shape mismatch or a non-finite entry ends the checks.  This is the one
-    place a sum is compared with one.
+    Faults are checked in order: shape, non-finite entries, negative
+    entries, sum.  This is the one place a sum is compared with one.
     """
+    arr = np.asarray(probs, dtype=np.float64)
     if shape is not None and arr.shape != shape:
-        return [ShapeMismatchError(f"probability shape {arr.shape} does not match grid shape {shape}")]
+        raise ShapeMismatchError(f"probability shape {arr.shape} does not match grid shape {shape}")
     if not np.isfinite(arr).all():
-        return [NumericalError("probability tensor has non-finite entries")]
-    faults: list[SteeringError] = []
+        raise NumericalError("probability tensor has non-finite entries")
     if (arr < 0).any():
-        faults.append(
-            NegativeProbabilityError(f"probability tensor has negative entries (min {arr.min():.3e})")
-        )
+        raise NegativeProbabilityError(f"probability tensor has negative entries (min {arr.min():.3e})")
     total = float(arr.sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         off = f"off by {total - 1.0:.3e} (tol {NORMALIZATION_TOL:g})"
-        faults.append(NotNormalizedError(f"probability tensor sums to {total!r}, {off}"))
-    return faults
-
-
-def _checked_probs(probs, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """``probs`` as a float64 array, raising its first fault if it is not a distribution."""
-    arr = np.asarray(probs, dtype=np.float64)
-    faults = _distribution_faults(arr, shape)
-    if faults:
-        raise faults[0]
+        raise NotNormalizedError(f"probability tensor sums to {total!r}, {off}")
     return arr
-
-
-def validate_distribution(probs: np.ndarray, grid: GridSpec | None = None) -> list[str]:
-    """Check a probability tensor, returning human-readable findings.
-
-    An empty list means the tensor is a valid distribution (and matches
-    ``grid`` when one is given).
-    """
-    arr = np.asarray(probs, dtype=np.float64)
-    return [str(f) for f in _distribution_faults(arr, None if grid is None else grid.shape)]
 
 
 @dataclass(frozen=True)
@@ -277,16 +253,3 @@ class Histogram:
         probs = self.counts.counts.astype(np.float64) / float(total)
         return JointDistribution(probs=probs, grid=self.grid)
 
-
-def normalize_counts(counts: CountTensor | np.ndarray, grid: GridSpec) -> JointDistribution:
-    """Relative frequencies from raw counts, checked as a :class:`Histogram` on ``grid``."""
-    return Histogram(counts=counts, grid=grid).normalize()
-
-
-def marginal(dist: JointDistribution, party: Party) -> np.ndarray:
-    """Marginal probability tensor of one party (sums out the other)."""
-    if party not in ("A", "B"):
-        raise UsageError(f"party must be 'A' or 'B', got {party!r}")
-    n = dist.n_dims
-    axes = tuple(range(n, 2 * n)) if party == "A" else tuple(range(n))
-    return dist.probs.sum(axis=axes)

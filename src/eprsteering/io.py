@@ -45,6 +45,7 @@ from .spdc import (
     DEFAULT_SIGMA_MINUS,
     DEFAULT_SIGMA_PLUS,
     DEFAULT_TOTAL_EVENTS,
+    _mass_tol,
 )
 from .witness import Direction
 
@@ -256,8 +257,9 @@ class SyntheticConfig:
     clip_tol: float = DEFAULT_CLIP_TOL
 
     def __post_init__(self) -> None:
-        for name in ("sigma_plus", "sigma_minus", "extent_x", "extent_k", "clip_tol"):
+        for name in ("sigma_plus", "sigma_minus", "extent_x", "extent_k"):
             object.__setattr__(self, name, _positive(getattr(self, name), name))
+        object.__setattr__(self, "clip_tol", _mass_tol(self.clip_tol, "clip_tol"))
         for name in ("n_windows", "total"):
             object.__setattr__(self, name, _check_int(getattr(self, name), name))
 

@@ -36,7 +36,7 @@ from .spdc import (
     sample_histograms,
     viewing_grid,
 )
-from .witness import conditional_witness, symmetric_witness
+from .witness import Direction, evaluate
 
 __all__ = ["CheckResult", "run_all"]
 
@@ -93,7 +93,7 @@ def _check_continuum_dominates(_: np.random.Generator) -> str:
             mom_grid = viewing_grid(Observable.MOMENTUM, n, 12.0 * math.sqrt(var_k))
             pos, _ = discretize_state(params, pos_grid)
             mom, _ = discretize_state(params, mom_grid)
-            res = conditional_witness(pos, mom, base=2.0)
+            res = evaluate(pos, mom, base=2.0)
             worst = max(worst, res.margin - cont)
     _require(worst <= 1e-6, f"discrete margin exceeded the continuous one by {worst:.3e}")
     return f"windowed margins never beat the continuous margin (max excess {worst:.2e})"
@@ -172,10 +172,8 @@ def _check_default_state(_: np.random.Generator) -> str:
         f = DEFAULT_RESOLUTION // res
         pos = downsample(state.position, f, f)
         mom = downsample(state.momentum, f, f)
-        if kind == "conditional":
-            got = conditional_witness(pos, mom).margin
-        else:
-            got = symmetric_witness(pos, mom).margin
+        direction = Direction.B_GIVEN_A if kind == "conditional" else Direction.SYMMETRIC
+        got = evaluate(pos, mom, direction).margin
         _require(
             abs(got - expect) <= 5e-3,
             f"{kind}@{res}: margin {got:.4f} drifted from calibration {expect}",
@@ -187,7 +185,7 @@ def _check_default_state(_: np.random.Generator) -> str:
 def _check_file_roundtrip(_: np.random.Generator) -> str:
     state = make_synthetic_state(n_windows=6)
     pos, mom = sample_histograms(state, total=5e4, seed=3)
-    before = conditional_witness(pos.normalize(), mom.normalize())
+    before = evaluate(pos.normalize(), mom.normalize())
     with tempfile.TemporaryDirectory() as tmp:
         save_histogram(pos, Path(tmp) / "position.csv")
         save_histogram(mom, Path(tmp) / "momentum.csv")
@@ -195,7 +193,7 @@ def _check_file_roundtrip(_: np.random.Generator) -> str:
         mom2 = load_histogram(Path(tmp) / "momentum.csv")
     _require(np.array_equal(pos.counts.counts, pos2.counts.counts), "counts changed")
     _require(pos.grid == pos2.grid and mom.grid == mom2.grid, "grids changed")
-    after = conditional_witness(pos2.normalize(), mom2.normalize())
+    after = evaluate(pos2.normalize(), mom2.normalize())
     _require(before == after, "witness result changed across the file round trip")
     return "save → load → re-evaluate is bit-exact"
 

@@ -56,7 +56,6 @@ __all__ = [
     "viewing_grid",
     "SyntheticState",
     "make_synthetic_state",
-    "expected_counts",
     "sample_histograms",
     "connection_check",
     "windowed_conditional_rhs",
@@ -80,6 +79,17 @@ STRICT_TAIL_TOL = 1e-6
 DEFAULT_CLIP_TOL = 0.02
 
 
+def _mass_tol(value, name: str) -> float:
+    """``value`` as a tolerance on missed mass: finite, > 0 and < 1, else :class:`UsageError`.
+
+    A tolerance of 1 or more would accept a grid that captures no mass at all.
+    """
+    tol = _positive(value, name)
+    if tol >= 1.0:
+        raise UsageError(f"{name} must be < 1, got {value!r}")
+    return tol
+
+
 @dataclass(frozen=True)
 class DoubleGaussianParams:
     """Sum- and difference-mode position widths of one transverse axis.
@@ -93,8 +103,15 @@ class DoubleGaussianParams:
     sigma_minus: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma_plus", _positive(self.sigma_plus, "sigma_plus"))
-        object.__setattr__(self, "sigma_minus", _positive(self.sigma_minus, "sigma_minus"))
+        for name in ("sigma_plus", "sigma_minus"):
+            width = _positive(getattr(self, name), name)
+            square = width * width
+            if not 0.0 < square < math.inf or 1.0 / square == math.inf:
+                raise UsageError(
+                    f"{name} is out of range, got {width!r}: its square and inverse "
+                    "square must be finite floats > 0"
+                )
+            object.__setattr__(self, name, width)
 
 
 def default_params() -> DoubleGaussianParams:
@@ -204,6 +221,7 @@ def _windowed(
     cells: np.ndarray, grid: GridSpec, tail_tol: float
 ) -> tuple[JointDistribution, float]:
     """The renormalized cells and ``1 - mass``, gated two-sided on ``tail_tol``."""
+    tail_tol = _mass_tol(tail_tol, "tail_tol")
     mass = float(cells.sum())
     deficit = 1.0 - mass
     if deficit > tail_tol:
@@ -262,8 +280,8 @@ def _exact_gaussian_cells(
     """
     sd_a = math.sqrt(var_a)
     slope = cov / var_a
-    cond_var = var_b - cov**2 / var_a
-    if cond_var <= 0.0:
+    cond_var = var_b - cov * cov / var_a  # a product overflows to inf, where ** raises
+    if not cond_var > 0.0:
         raise NumericalError("degenerate covariance: conditional variance is not positive")
     sd_c = math.sqrt(cond_var)
 
@@ -344,6 +362,7 @@ def make_synthetic_state(
     ``clip_tol`` is how much tail mass the viewing area may cut off; the
     clipped fractions end up in the returned state, never silently dropped.
     """
+    clip_tol = _mass_tol(clip_tol, "clip_tol")
     if params is None:
         params = default_params()
     pos_grid = viewing_grid(Observable.POSITION, n_windows, extent_x)
@@ -359,11 +378,6 @@ def make_synthetic_state(
     )
 
 
-def expected_counts(dist: JointDistribution, total: float) -> np.ndarray:
-    """Per-cell expected event numbers for a given total."""
-    return dist.probs * _positive(total, "total")
-
-
 def sample_histograms(
     state: SyntheticState,
     total: float = DEFAULT_TOTAL_EVENTS,
@@ -375,8 +389,9 @@ def sample_histograms(
     ``(seed, 1)``.
     """
     seed = _check_seed(seed)
-    pos_counts = sample_counts(expected_counts(state.position, total), _keyed_rng((seed, 0)))
-    mom_counts = sample_counts(expected_counts(state.momentum, total), _keyed_rng((seed, 1)))
+    total = _positive(total, "total")
+    pos_counts = sample_counts(state.position.probs * total, _keyed_rng((seed, 0)))
+    mom_counts = sample_counts(state.momentum.probs * total, _keyed_rng((seed, 1)))
     return (
         Histogram(counts=pos_counts, grid=state.position.grid),
         Histogram(counts=mom_counts, grid=state.momentum.grid),

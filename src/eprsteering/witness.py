@@ -1,14 +1,16 @@
 """Entropic steering witnesses for windowed position/momentum measurements.
 
-Two families are implemented, both functions of discrete histograms only:
+:func:`evaluate` computes two families, both functions of discrete
+histograms only; its ``direction`` picks one:
 
-* conditional witness: sum of the steered party's conditional entropies for
-  the two conjugate observables, compared against a bound built from that
-  party's window widths.  ``margin = bound - lhs``; a positive margin is a
-  violation and certifies steering in the stated direction.
-* symmetric witness: sum of the two mutual informations, compared against a
-  viewing-area bound.  ``margin = lhs - bound``; a positive margin certifies
-  steering in both directions at once.
+* conditional witness (``B_GIVEN_A``, ``A_GIVEN_B``): sum of the steered
+  party's conditional entropies for the two conjugate observables, compared
+  against a bound built from that party's window widths.
+  ``margin = bound - lhs``; a positive margin is a violation and certifies
+  steering in the stated direction.
+* symmetric witness (``SYMMETRIC``): sum of the two mutual informations,
+  compared against a viewing-area bound.  ``margin = lhs - bound``; a
+  positive margin certifies steering in both directions at once.
 
 Either way ``margin > 0`` means "witness fired", so callers can treat the
 sign uniformly.
@@ -38,8 +40,6 @@ __all__ = [
     "WitnessResult",
     "per_dim_bound",
     "min_resolution",
-    "conditional_witness",
-    "symmetric_witness",
     "evaluate",
 ]
 
@@ -224,39 +224,18 @@ def _margin_kernel(
     )
 
 
-def conditional_witness(
-    position: ObservableInput,
-    momentum: ObservableInput,
-    direction: Direction = Direction.B_GIVEN_A,
-    base: float = 2.0,
-) -> WitnessResult:
-    """Directed entropic witness from position and momentum histograms.
-
-    ``position`` / ``momentum`` are full-joint distributions, or sequences of
-    per-dimension distributions treated as independent blocks (their
-    conditional entropies add).
-    """
-    if Direction(direction) is Direction.SYMMETRIC:
-        raise UsageError("use symmetric_witness for the symmetric direction")
-    return evaluate(position, momentum, direction, base)
-
-
-def symmetric_witness(
-    position: ObservableInput,
-    momentum: ObservableInput,
-    base: float = 2.0,
-) -> WitnessResult:
-    """Mutual-information witness; firing certifies steering in both directions."""
-    return evaluate(position, momentum, Direction.SYMMETRIC, base)
-
-
 def evaluate(
     position: ObservableInput,
     momentum: ObservableInput,
     direction: Direction = Direction.B_GIVEN_A,
     base: float = 2.0,
 ) -> WitnessResult:
-    """The witness of ``direction``: conditional for B_given_A and A_given_B, else symmetric."""
+    """The witness of ``direction``: conditional for B_given_A and A_given_B, else symmetric.
+
+    ``position`` / ``momentum`` are full-joint distributions, or sequences of
+    per-dimension distributions treated as independent blocks (their
+    entropy terms add).
+    """
     direction = Direction(direction)
     base = _check_base(base)
     pos = _blocks(position, JointDistribution, "position")

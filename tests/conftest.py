@@ -2,14 +2,14 @@
 
 The acceptance tests tag themselves with ``record_criterion("criterion", ...)``
 and a one-line ``detail``; the terminal summary prints one PASS/FAIL line per
-criterion so the whole acceptance surface is readable at a glance.
+criterion (XFAIL for a known defect marked ``xfail``) so the whole acceptance surface is readable at a glance.
 """
 
 from __future__ import annotations
 
 import pytest
 
-_acceptance_lines: list[tuple[str, bool, str]] = []
+_acceptance_lines: list[tuple[str, str, str]] = []
 
 
 @pytest.fixture
@@ -35,15 +35,15 @@ def pytest_runtest_logreport(report):
     if criterion is None:
         criterion = report.nodeid.split("::")[-1]
     detail = props.get("detail", "" if report.passed else "see failure above")
-    _acceptance_lines.append((str(criterion), report.passed, str(detail)))
+    status = "XFAIL" if hasattr(report, "wasxfail") else "PASS" if report.passed else "FAIL"
+    _acceptance_lines.append((str(criterion), status, str(detail)))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _acceptance_lines:
         return
     terminalreporter.section("acceptance criteria")
-    for criterion, passed, detail in _acceptance_lines:
-        status = "PASS" if passed else "FAIL"
+    for criterion, status, detail in _acceptance_lines:
         line = f"[{status}] {criterion}"
         if detail:
             line += f": {detail}"

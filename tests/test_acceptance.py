@@ -310,3 +310,20 @@ def test_9_violation_decisions_are_base_invariant(record_criterion, default_run)
             assert len(signs) == 1
             checked += 1
     record_criterion("detail", f"{checked} direction/resolution decisions, all sign-stable")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the plug-in bootstrap certifies separable states at sparse counts",
+)
+def test_10_sparse_separable_states_never_fire(record_criterion):
+    record_criterion("criterion", "sparse null test: separable state, 24x24, B|A, 100 to 5e3 events")
+    state = make_synthetic_state(DoubleGaussianParams(1.0, 1.0), extent_x=8.0, extent_k=8.0)
+    significances = []
+    for total in (100, 1_000, 5_000):
+        for seed in range(5):
+            pos, mom = sample_histograms(state, total=total, seed=seed)
+            report = witness_significance(pos, mom, n_boot=200, seed=seed)
+            significances.append(report.significance)
+    record_criterion("detail", f"max significance {max(significances):+.1f} sigma over 15 runs")
+    assert max(significances) < 3.0

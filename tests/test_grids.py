@@ -21,9 +21,8 @@ from eprsteering import (
     ShapeMismatchError,
     UsageError,
     ZeroTotalError,
-    marginal,
-    normalize_counts,
-    validate_distribution,
+    conditional_entropy,
+    entropy,
 )
 
 
@@ -146,13 +145,13 @@ def test_count_tensor_rejects_float_dtype():
 def test_normalize_counts_zero_total():
     grid = square_grid(2, 1.0)
     with pytest.raises(ZeroTotalError):
-        normalize_counts(CountTensor(np.zeros((2, 2), dtype=np.int64)), grid)
+        Histogram(CountTensor(np.zeros((2, 2), dtype=np.int64)), grid).normalize()
 
 
 def test_normalize_counts_shape_mismatch():
     grid = square_grid(3, 1.0)
     with pytest.raises(ShapeMismatchError):
-        normalize_counts(CountTensor(np.ones((2, 2), dtype=np.int64)), grid)
+        Histogram(CountTensor(np.ones((2, 2), dtype=np.int64)), grid).normalize()
 
 
 def test_histogram_normalize_matches_manual():
@@ -202,32 +201,25 @@ def test_joint_distribution_shape_mismatch():
         JointDistribution(np.full((3, 3), 1 / 9), grid)
 
 
-def test_validate_distribution_reports_findings():
-    grid = square_grid(2, 1.0)
-    ok = np.full((2, 2), 0.25)
-    assert validate_distribution(ok, grid) == []
-    off = np.full((2, 2), 0.3)
-    assert any("sum" in f for f in validate_distribution(off, grid))
-    neg = np.array([[0.7, 0.4], [-0.1, 0.0]])
-    assert any("negative" in f for f in validate_distribution(neg, grid))
-
-
 # ---------------------------------------------------------------- marginals
 
 
 def test_marginal_sums_over_other_party():
+    # H(B|A) = H(A,B) - H(A) with A's marginal the row sums; H(A|B) takes the column sums
     grid = square_grid(2, 1.0)
     probs = np.array([[0.1, 0.2], [0.3, 0.4]])
     dist = JointDistribution(probs, grid)
-    np.testing.assert_allclose(marginal(dist, "A"), [0.3, 0.7])
-    np.testing.assert_allclose(marginal(dist, "B"), [0.4, 0.6])
+    joint = entropy(dist).value
+    for given, party_probs in (("A", [0.3, 0.7]), ("B", [0.4, 0.6])):
+        expected = joint - entropy(np.array(party_probs)).value
+        assert conditional_entropy(dist, given).value == pytest.approx(expected, abs=1e-15)
 
 
 def test_marginal_rejects_unknown_party():
     grid = square_grid(2, 1.0)
     dist = JointDistribution(np.full((2, 2), 0.25), grid)
     with pytest.raises(UsageError):
-        marginal(dist, "C")
+        conditional_entropy(dist, "C")
 
 
 @given(
@@ -248,5 +240,5 @@ def test_normalized_counts_form_valid_distribution(counts):
     dist = Histogram(arr, grid).normalize()
     assert abs(dist.probs.sum() - 1.0) < 1e-12
     np.testing.assert_allclose(
-        marginal(dist, "A"), arr.sum(axis=1) / arr.sum(), atol=1e-15
+        dist.probs.sum(axis=1), arr.sum(axis=1) / arr.sum(), atol=1e-15
     )

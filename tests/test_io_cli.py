@@ -572,6 +572,47 @@ def test_numerical_errors_exit_three(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--sigma-plus", "--sigma-minus"])
+@pytest.mark.parametrize("width", ["1e200", "1e-200"])
+def test_a_width_whose_square_leaves_the_float_range_exits_one(flag, width, tmp_path, capsys):
+    for argv in (["witness", "--synthetic", "--boot", "100"], ["synth", "--out-dir", str(tmp_path)]):
+        assert run_cli(*argv, flag, width) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {flag[2:].replace('-', '_')} is out of range")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("widths", [["--sigma-plus", "1e80"], ["--sigma-plus", "1e-154", "--sigma-minus", "1e154"]])
+def test_a_mode_ratio_beyond_the_float_range_exits_three(widths, capsys):
+    # each width is in range, but the squared covariance of the pair is not
+    assert run_cli("witness", "--synthetic", *widths, "--boot", "100") == 3
+    assert capsys.readouterr().err == "numerical error: degenerate covariance: conditional variance is not positive\n"
+
+
+@pytest.mark.parametrize("clip_tol", ["1", "5"])
+def test_a_clip_tolerance_of_one_or_more_exits_one(clip_tol, capsys):
+    argv = ["witness", "--synthetic", "--extent-x", "1e-300", "--clip-tol", clip_tol, "--boot", "100"]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"usage error: clip_tol must be < 1, got {float(clip_tol)!r}\n"
+
+
+@pytest.mark.parametrize(
+    "exc, detail",
+    [
+        (MemoryError("Unable to allocate 1.16 TiB for an array"), " (Unable to allocate 1.16 TiB for an array)"),
+        (MemoryError(), ""),
+    ],
+)
+def test_a_run_that_does_not_fit_in_memory_exits_three(exc, detail, monkeypatch, capsys):
+    # stands in for the allocation, which may or may not fail at once depending on the host
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("eprsteering.spdc._exact_gaussian_cells", out_of_memory)
+    assert run_cli("witness", "--synthetic", "--n-windows", "100000", "--boot", "100") == 3
+    assert capsys.readouterr().err == f"numerical error: the run does not fit in memory{detail}\n"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -8,15 +8,15 @@ from eprsteering import (
     GridSpec,
     JointDistribution,
     Observable,
+    SyntheticConfig,
     TruncationError,
     UsageError,
     conditional_variance,
-    conditional_witness,
     connection_check,
     continuous_conditional_entropy,
     continuous_margin,
     default_params,
-    expected_counts,
+    evaluate,
     make_synthetic_state,
     momentum_covariance,
     momentum_density,
@@ -307,8 +307,8 @@ def test_two_axis_state_is_built_per_axis(n_windows):
 
     pos_blocks, pos_product = per_axis(Observable.POSITION, position_covariance)
     mom_blocks, mom_product = per_axis(Observable.MOMENTUM, momentum_covariance)
-    from_blocks = conditional_witness(pos_blocks, mom_blocks).margin
-    from_product = conditional_witness(pos_product, mom_product).margin
+    from_blocks = evaluate(pos_blocks, mom_blocks).margin
+    from_product = evaluate(pos_product, mom_product).margin
     assert from_blocks == pytest.approx(from_product, abs=1e-12)
     assert from_blocks < continuous_margin(params[0]) + continuous_margin(params[1])
 
@@ -342,18 +342,45 @@ def test_make_synthetic_state_records_clipped_fractions():
     assert state.momentum.grid.observable is Observable.MOMENTUM
 
 
+@pytest.mark.parametrize("name", ["sigma_plus", "sigma_minus"])
+@pytest.mark.parametrize("width", [1e155, 1e200, 1e-160, 1e-200])
+def test_a_width_whose_square_leaves_the_float_range_is_refused(name, width):
+    widths = {"sigma_plus": 1.0, "sigma_minus": 1.0, name: width}
+    with pytest.raises(UsageError, match=f"{name} is out of range"):
+        DoubleGaussianParams(**widths)
+
+
+@pytest.mark.parametrize("width", [1e150, 1e-150])
+def test_a_width_whose_square_stays_in_the_float_range_is_kept(width):
+    assert DoubleGaussianParams(width, width).sigma_plus == width
+
+
+@pytest.mark.parametrize("tol", [1.0, 5.0])
+def test_a_mass_tolerance_of_one_or_more_is_refused(tol):
+    # the grid misses the density, so its cells hold no mass at all
+    p = DoubleGaussianParams(1.0, 1.0)
+    ax = AxisGrid(8, 1.0, origin=100.0)
+    grid = GridSpec(Observable.POSITION, (ax,), (ax,))
+    with pytest.raises(UsageError, match="tail_tol must be < 1"):
+        discretize(lambda a, b: position_density(p, a, b), grid, tail_tol=tol)
+    with pytest.raises(UsageError, match="tail_tol must be < 1"):
+        discretize_state(p, grid, tail_tol=tol)
+    with pytest.raises(UsageError, match="clip_tol must be < 1"):
+        make_synthetic_state(p, extent_x=1e-300, clip_tol=tol)
+    with pytest.raises(UsageError, match="clip_tol must be < 1"):
+        SyntheticConfig(clip_tol=tol)
+
+
 def test_make_synthetic_state_honors_clip_tolerance():
     with pytest.raises(TruncationError):
         make_synthetic_state(clip_tol=1e-3)
 
 
-def test_expected_counts_scale_with_total():
+def test_sample_histograms_rejects_a_nonpositive_total():
     state = make_synthetic_state(n_windows=8)
-    means = expected_counts(state.position, 1e6)
-    assert means.sum() == pytest.approx(1e6, rel=1e-12)
-    assert (means >= 0).all()
-    with pytest.raises(UsageError):
-        expected_counts(state.position, 0.0)
+    for total in (0.0, -1.0, math.inf, math.nan, "many"):
+        with pytest.raises(UsageError, match="total"):
+            sample_histograms(state, total=total)
 
 
 def test_sample_histograms_deterministic_and_poissonian():
@@ -384,7 +411,7 @@ def test_sample_histograms_streams_are_keyed_by_seed_and_observable(seed):
     pos, mom = sample_histograms(state, total=50_000, seed=seed)
     for hist, dist, stream in ((pos, state.position, 0), (mom, state.momentum, 1)):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
-        np.testing.assert_array_equal(hist.counts.counts, rng.poisson(expected_counts(dist, 50_000)))
+        np.testing.assert_array_equal(hist.counts.counts, rng.poisson(dist.probs * 50_000.0))
 
 
 def test_sample_histograms_rejects_bad_seed():

@@ -15,11 +15,9 @@ from eprsteering import (
     NonpositiveWindowError,
     Observable,
     UsageError,
-    conditional_witness,
     evaluate,
     min_resolution,
     per_dim_bound,
-    symmetric_witness,
 )
 
 PI_E = math.pi * math.e
@@ -117,7 +115,7 @@ def test_no_distribution_fires_at_window_products_of_pi_e_or_more(seed, n, exces
     probs = [p / p.sum() for p in rng.exponential(size=(2, n, n))]
     pos = square_dist(probs[0], n * 2.0, Observable.POSITION)
     mom = square_dist(probs[1], n * excess * PI_E / 2.0, Observable.MOMENTUM)
-    result = conditional_witness(pos, mom)
+    result = evaluate(pos, mom)
     assert result.bound <= 1e-12
     assert result.margin <= 0.0
     assert not result.violated
@@ -128,7 +126,7 @@ def test_no_distribution_fires_at_window_products_of_pi_e_or_more(seed, n, exces
 
 def test_perfectly_correlated_diagonal_fires():
     pos, mom = diag_pair(24)
-    result = conditional_witness(pos, mom)
+    result = evaluate(pos, mom)
     assert result.direction is Direction.B_GIVEN_A
     assert result.lhs == pytest.approx(0.0, abs=1e-12)
     assert result.bound == pytest.approx(BOUND_24, abs=1e-12)
@@ -140,7 +138,7 @@ def test_perfectly_correlated_diagonal_fires():
 
 def test_uniform_product_state_cannot_fire():
     pos, mom = uniform_pair(8)
-    result = conditional_witness(pos, mom)
+    result = evaluate(pos, mom)
     # conditional entropies hit log2(8) for each observable
     assert result.lhs == pytest.approx(6.0, abs=1e-12)
     assert result.bound == pytest.approx(BOUND_8, abs=1e-12)
@@ -163,8 +161,8 @@ def test_direction_selects_steered_party():
     pos = JointDistribution(probs, pos_grid)
     mom = JointDistribution(probs, mom_grid)
 
-    ba = conditional_witness(pos, mom, direction=Direction.B_GIVEN_A)
-    ab = conditional_witness(pos, mom, direction=Direction.A_GIVEN_B)
+    ba = evaluate(pos, mom, direction=Direction.B_GIVEN_A)
+    ab = evaluate(pos, mom, direction=Direction.A_GIVEN_B)
 
     assert ba.lhs == pytest.approx(0.0, abs=1e-12)
     assert ab.lhs == pytest.approx(2.0, abs=1e-12)
@@ -174,29 +172,23 @@ def test_direction_selects_steered_party():
     assert ab.direction is Direction.A_GIVEN_B
 
 
-def test_conditional_rejects_symmetric_direction():
-    pos, mom = diag_pair(4)
-    with pytest.raises(UsageError):
-        conditional_witness(pos, mom, direction=Direction.SYMMETRIC)
-
-
 def test_observable_mismatch_rejected():
     pos, _ = diag_pair(4)
     with pytest.raises(UsageError):
-        conditional_witness(pos, pos)
+        evaluate(pos, pos)
 
 
 def test_dimension_mismatch_rejected():
     pos, mom = diag_pair(4)
     with pytest.raises(DimensionMismatchError):
-        conditional_witness([pos, pos], mom)
+        evaluate([pos, pos], mom)
 
 
 def test_base_rescales_margin_without_changing_sign():
     pos, mom = diag_pair(24)
-    r2 = conditional_witness(pos, mom, base=2.0)
-    re = conditional_witness(pos, mom, base=math.e)
-    r10 = conditional_witness(pos, mom, base=10.0)
+    r2 = evaluate(pos, mom, base=2.0)
+    re = evaluate(pos, mom, base=math.e)
+    r10 = evaluate(pos, mom, base=10.0)
     assert re.margin == pytest.approx(r2.margin * math.log(2.0), rel=1e-12)
     assert r10.margin == pytest.approx(r2.margin * math.log10(2.0), rel=1e-12)
     assert (r2.violated, re.violated, r10.violated) == (True, True, True)
@@ -207,7 +199,7 @@ def test_base_rescales_margin_without_changing_sign():
 
 def test_symmetric_diagonal_frozen_values():
     pos, mom = diag_pair(24)
-    result = symmetric_witness(pos, mom)
+    result = evaluate(pos, mom, Direction.SYMMETRIC)
     assert result.direction is Direction.SYMMETRIC
     assert result.lhs == pytest.approx(9.169925001442312, abs=1e-12)
     assert result.bound == pytest.approx(SYM_BOUND, abs=1e-12)
@@ -217,7 +209,7 @@ def test_symmetric_diagonal_frozen_values():
 
 def test_symmetric_uniform_product_is_silent():
     pos, mom = uniform_pair(8)
-    result = symmetric_witness(pos, mom)
+    result = evaluate(pos, mom, Direction.SYMMETRIC)
     assert result.lhs == pytest.approx(0.0, abs=1e-12)
     assert not result.violated
 
@@ -230,8 +222,8 @@ def test_symmetric_bound_takes_worse_party():
     mom_grid = GridSpec(
         Observable.MOMENTUM, (AxisGrid(4, 0.25),), (AxisGrid(4, 1.0),)
     )
-    result = symmetric_witness(
-        JointDistribution(probs, pos_grid), JointDistribution(probs, mom_grid)
+    result = evaluate(
+        JointDistribution(probs, pos_grid), JointDistribution(probs, mom_grid), Direction.SYMMETRIC
     )
     bound_a = math.log2(2.0 * 1.0 / PI_E)
     bound_b = math.log2(2.0 * 4.0 / PI_E)
@@ -283,8 +275,8 @@ def two_axis_inputs():
 
 def test_independent_axis_blocks_match_product_joint():
     pos_blocks, mom_blocks, pos_full, mom_full = two_axis_inputs()
-    from_blocks = conditional_witness(pos_blocks, mom_blocks)
-    from_full = conditional_witness(pos_full, mom_full)
+    from_blocks = evaluate(pos_blocks, mom_blocks)
+    from_full = evaluate(pos_full, mom_full)
     assert from_blocks.mode == "independent-axes"
     assert from_full.mode == "full-joint"
     assert from_blocks.n_dims == 2
@@ -299,8 +291,8 @@ def test_independent_axis_blocks_match_product_joint():
 
 def test_symmetric_blocks_match_product_joint():
     pos_blocks, mom_blocks, pos_full, mom_full = two_axis_inputs()
-    from_blocks = symmetric_witness(pos_blocks, mom_blocks)
-    from_full = symmetric_witness(pos_full, mom_full)
+    from_blocks = evaluate(pos_blocks, mom_blocks, Direction.SYMMETRIC)
+    from_full = evaluate(pos_full, mom_full, Direction.SYMMETRIC)
     assert from_blocks.lhs == pytest.approx(from_full.lhs, abs=1e-12)
     assert from_blocks.bound == pytest.approx(from_full.bound, abs=1e-12)
 
@@ -308,4 +300,4 @@ def test_symmetric_blocks_match_product_joint():
 def test_more_than_two_axes_rejected():
     pos_blocks, mom_blocks, _, _ = two_axis_inputs()
     with pytest.raises(UsageError):
-        conditional_witness(pos_blocks + pos_blocks[:1], mom_blocks + mom_blocks[:1])
+        evaluate(pos_blocks + pos_blocks[:1], mom_blocks + mom_blocks[:1])
