@@ -13,9 +13,10 @@ block over every cell in that order: numpy's Poisson sampler returns 0 for
 a zero mean without reading the stream, so leaving the zero cells out skips
 no variate, and they stay 0 in every replicate.
 
-Replicates are scored in chunks by the witness module's batched margin
-kernel, which also scores point estimates, so a replicate scored alone
-reproduces its margin bit for bit.
+A replicate keeps one layout from draw to score: each block's non-zero
+observed cells, scored in chunks by the witness module's margin kernel,
+whose sums add in column order.  A zero cell adds nothing, so a margin
+equals, bit for bit, that of the dense histograms scored by ``evaluate``.
 
 The bootstrap does not build a generator per replicate.  A Philox stream is
 fixed by its 128-bit key, and ``replicate_rng`` takes that key from
@@ -264,27 +265,22 @@ def _replicate_margins(
 
     Each draw comes from the stream of ``replicate_rng(key, replicate,
     attempt)``, set by resetting the key of one reused ``Philox``, and covers
-    the support: the non-zero observed cells, whose block offsets increase
-    strictly because every block holds events.  Draws are checked for empty
-    blocks and normalized on the support, then scattered into a dense chunk
-    buffer of at most ``_CHUNK_BYTES``, zeroed once, that one kernel call
-    scores.  Sums of integer-valued floats below 2**53 are exact, so totals
-    and probabilities equal those of a draw over every cell.
+    the support: each block's non-zero observed cells, blocks in order.
+    Draws fill a chunk buffer of at most ``_CHUNK_BYTES``, are checked for
+    empty blocks, divided by their block totals and scored on the support
+    by one kernel call.  Sums of integer-valued floats below 2**53 are
+    exact, so totals and probabilities equal those of a dense draw.
     """
     blocks = (*pos_blocks, *mom_blocks)
     if not all(b.counts.total for b in blocks):
         raise DegenerateBootstrapError("a histogram holds zero events, so every replicate of it is empty")
-    sizes = [b.counts.counts.size for b in blocks]
-    offsets = np.cumsum([0, *sizes[:-1]])
-    layout = list(zip(offsets, sizes, blocks))
-    lam = _check_poisson_means(np.concatenate([b.counts.counts.ravel() for b in blocks]))
+    supports = [np.flatnonzero(b.counts.counts) for b in blocks]
+    lam = _check_poisson_means(np.concatenate([b.counts.counts.flat[s] for b, s in zip(blocks, supports)]))
+    widths = [s.size for s in supports]
+    starts = np.cumsum([0, *widths[:-1]])
     rows = max(1, min(n_boot, _CHUNK_BYTES // lam.nbytes))
-    dense = np.zeros((rows, lam.size))
-    support = np.flatnonzero(lam)
-    starts = np.searchsorted(support, offsets)
-    widths = np.diff([*starts, support.size])
-    buf = np.empty((rows, support.size))
-    draw = _philox_drawer(lam[support])
+    buf = np.empty((rows, lam.size))
+    draw = _philox_drawer(lam)
 
     def empty(draws: np.ndarray) -> np.ndarray:
         return (np.add.reduceat(draws, starts, axis=-1) == 0).any(axis=-1)
@@ -307,9 +303,9 @@ def _replicate_margins(
                 f"replicate {start + pending[0]} stayed empty after {_MAX_REDRAWS} redraws"
             )
         chunk /= np.repeat(np.add.reduceat(chunk, starts, axis=1), widths, axis=1)
-        dense[: len(chunk), support] = chunk
-        probs = [dense[: len(chunk), lo : lo + size].reshape(-1, *b.grid.shape) for lo, size, b in layout]
-        margins[start : start + len(chunk)] = kernel(probs)[1]
+        margins[start : start + len(chunk)] = kernel(
+            [(chunk[:, lo : lo + w], s) for lo, w, s in zip(starts, widths, supports)]
+        )[1]
     return margins, rejected
 
 

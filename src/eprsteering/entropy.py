@@ -63,47 +63,54 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _shannon_rows(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy in nats of each row of a ``(batch, *cells)`` array."""
-    return -_plogp(p.reshape(len(p), -1)).sum(axis=1)
+def _bin_sums(values: np.ndarray, bins: np.ndarray | int, n_bins: int) -> np.ndarray:
+    """``(batch, n_bins)`` sums of each row's columns by bin, added in column order."""
+    batch = len(values)
+    index = np.broadcast_to(bins + n_bins * np.arange(batch)[:, None], values.shape)
+    return np.bincount(index.ravel(), values.ravel(), batch * n_bins).reshape(batch, n_bins)
 
 
-def _plugin_nats(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plug-in entropies in nats of each row of a ``(batch, *cells)`` probability array.
+def _plugin_nats(rows: np.ndarray, cells: np.ndarray, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Joint, party-A and party-B plug-in entropies in nats of each row of ``rows``.
 
-    ``n`` is the number of axes per party.  Returns the joint, party-A
-    marginal and party-B marginal entropies, one value per row.  Every
-    entropy in the package goes through here, and a row's values do not
-    depend on the rows batched with it, so a point estimate and the same
-    counts scored inside a bootstrap batch agree bit for bit.
+    ``rows`` is a ``(batch, k)`` probability array and ``cells`` the
+    increasing flat indices of its columns in a tensor of ``shape``, party
+    A's ``len(shape) // 2`` axes first; cells not listed hold zero.  Every
+    entropy in the package comes from here.  Sums add in column order and a
+    zero adds nothing, so a row's values depend neither on which zero cells
+    are listed nor on the rows batched with it: a point estimate and the same
+    counts scored on their non-zero cells in a bootstrap chunk agree bit for bit.
     """
-    axes_a = tuple(range(1, n + 1))
-    axes_b = tuple(range(n + 1, 2 * n + 1))
-    return (
-        _shannon_rows(probs),
-        _shannon_rows(probs.sum(axis=axes_b)),
-        _shannon_rows(probs.sum(axis=axes_a)),
-    )
+    n = len(shape) // 2
+    size_b = math.prod(shape[n:])
+    a, b = np.divmod(cells, size_b)
+    marginals = (_bin_sums(rows, a, math.prod(shape[:n])), _bin_sums(rows, b, size_b))
+    return tuple(-_bin_sums(_plogp(p), 0, 1)[:, 0] for p in (rows, *marginals))
 
 
-def _party_split(dist: DistLike) -> tuple[np.ndarray, int]:
-    """Validated probabilities plus the number of leading party-A axes."""
+def _dense_nats(p: np.ndarray) -> list[float]:
+    """Joint, party-A and party-B entropies in nats of one probability tensor."""
+    return [float(h[0]) for h in _plugin_nats(p.reshape(1, -1), np.arange(p.size), p.shape)]
+
+
+def _party_split(dist: DistLike) -> np.ndarray:
+    """Validated probabilities whose party split is known: party A's axes first."""
     if isinstance(dist, JointDistribution):
-        return dist.probs, dist.n_dims
+        return dist.probs
     arr = _checked_probs(dist)
     if arr.ndim != 2:
         raise UsageError(
             "party structure is ambiguous for raw arrays unless they are 2-D; "
             "wrap higher-rank tensors in JointDistribution"
         )
-    return arr, 1
+    return arr
 
 
 def entropy(dist: DistLike, base: float = 2.0) -> EntropyValue:
     """Shannon entropy of the whole tensor viewed as one distribution."""
     base = _check_base(base)
     p = dist.probs if isinstance(dist, JointDistribution) else _checked_probs(dist)
-    return EntropyValue(_shannon_rows(p[None])[0] / math.log(base), base)
+    return EntropyValue(_dense_nats(p)[0] / math.log(base), base)
 
 
 def conditional_entropy(dist: DistLike, given: Party = "A", base: float = 2.0) -> EntropyValue:
@@ -115,16 +122,12 @@ def conditional_entropy(dist: DistLike, given: Party = "A", base: float = 2.0) -
     base = _check_base(base)
     if given not in ("A", "B"):
         raise UsageError(f"given must be 'A' or 'B', got {given!r}")
-    p, n = _party_split(dist)
-    h, h_a, h_b = _plugin_nats(p[None], n)
-    nats = h[0] - (h_a if given == "A" else h_b)[0]
-    return EntropyValue(nats / math.log(base), base)
+    h, h_a, h_b = _dense_nats(_party_split(dist))
+    return EntropyValue((h - (h_a if given == "A" else h_b)) / math.log(base), base)
 
 
 def mutual_information(dist: DistLike, base: float = 2.0) -> EntropyValue:
     """Mutual information between the two parties, I(A;B) = H(A)+H(B)-H(A,B)."""
     base = _check_base(base)
-    p, n = _party_split(dist)
-    h, h_a, h_b = _plugin_nats(p[None], n)
-    nats = h_a[0] + h_b[0] - h[0]
-    return EntropyValue(nats / math.log(base), base)
+    h, h_a, h_b = _dense_nats(_party_split(dist))
+    return EntropyValue((h_a + h_b - h) / math.log(base), base)

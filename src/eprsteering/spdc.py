@@ -259,6 +259,9 @@ def discretize(
 
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
 
+#: Largest per-window party-A mass the exact route's outer rule may miss.
+_QUADRATURE_TOL = 1e-9
+
 
 def _ndtr(t: np.ndarray) -> np.ndarray:
     """Standard normal CDF, elementwise, from the C library's ``erfc``."""
@@ -277,6 +280,10 @@ def _exact_gaussian_cells(
     Integrates marginal(x) * [CDF(upper) - CDF(lower)] of the conditional,
     with the outer rule tiled finely enough to resolve the conditional ridge,
     whose x-scale is sigma_cond/|slope| and can sit far below the cell width.
+    Tiling stops at 128 panels per window, so the rule's party-A mass per
+    window is checked against its closed form: a miss above
+    ``_QUADRATURE_TOL`` raises :class:`TruncationError` rather than reading
+    as clipped mass.
     """
     sd_a = math.sqrt(var_a)
     slope = cov / var_a
@@ -289,19 +296,25 @@ def _exact_gaussian_cells(
     feature = 2.0 * sd_a
     if slope != 0.0:
         feature = min(feature, 6.0 * sd_c / abs(slope))
-    panels = max(1, min(128, math.ceil(width / feature)))
+    panels = max(1, math.ceil(min(128.0, width / feature)))  # the ratio may overflow to inf
 
     sub_edges = edges_a[0] + (width / panels) * np.arange(len(edges_a[:-1]) * panels + 1)
     x, w = _cell_nodes(sub_edges)  # (cells*panels, nodes)
-    phi = np.exp(-(x**2) / (2 * var_a)) / math.sqrt(2 * math.pi * var_a)
+    with np.errstate(over="ignore"):  # an x**2 past the float range is density 0
+        phi_w = np.exp(-(x**2) / (2 * var_a)) / math.sqrt(2 * math.pi * var_a) * w
+        exact_a = np.diff(_ndtr(edges_a / sd_a))
+    na, nb = len(edges_a) - 1, len(edges_b) - 1
+    if np.abs(phi_w.sum(axis=1).reshape(na, panels).sum(axis=1) - exact_a).max() > _QUADRATURE_TOL:
+        raise TruncationError(
+            "the windows are too wide for the quadrature to resolve the state; "
+            "narrow the extent or add windows"
+        )
 
     # window m's upper edge is window m+1's lower one: one CDF per edge
     t = (edges_b[:, None, None] - slope * x[None]) / sd_c
     window = np.diff(_ndtr(t), axis=0)  # (nb, cells*panels, nodes)
 
-    contrib = (window * (phi * w)[None]).sum(axis=2)  # (nb, cells*panels)
-    nb = len(edges_b) - 1
-    na = len(edges_a) - 1
+    contrib = (window * phi_w[None]).sum(axis=2)  # (nb, cells*panels)
     return contrib.reshape(nb, na, panels).sum(axis=2).T.copy()
 
 

@@ -124,26 +124,27 @@ def _blocks(obj, kind: type, name: str) -> tuple:
 class _MarginKernel:
     """A validated witness set-up that scores batches of count-normalized rows.
 
-    Calling it with one ``(batch, *cells)`` probability array per block,
-    position blocks first, returns the left-hand side and the margin of each
-    row.  :meth:`point` scores a batch of one and is the only place a
-    :class:`WitnessResult` is built; the bootstrap scores its replicates in
-    chunks through the same call.
+    Calling it with one ``(rows, cells)`` pair per block, position blocks
+    first, returns the left-hand side and the margin of each row; ``rows``
+    and ``cells`` are as in ``entropy._plugin_nats``, on that block's grid
+    shape.  :meth:`point` scores every cell of a batch of one and is the
+    only place a :class:`WitnessResult` is built; the bootstrap scores its
+    replicates' non-zero cells in chunks through the same call.
     """
 
     direction: Direction
     base: float
     mode: str
     n_dims: int
-    block_dims: tuple[int, ...]
+    block_shapes: tuple[tuple[int, ...], ...]
     bound: float
     bound_terms: tuple[float, ...]
 
-    def __call__(self, probs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
         log_base = math.log(self.base)
         terms = []
-        for p, n in zip(probs, self.block_dims):
-            h, h_a, h_b = _plugin_nats(p, n)
+        for (rows, cells), shape in zip(blocks, self.block_shapes):
+            h, h_a, h_b = _plugin_nats(rows, cells, shape)
             if self.direction is Direction.SYMMETRIC:
                 nats = h_a + h_b - h
             else:
@@ -156,7 +157,7 @@ class _MarginKernel:
 
     def point(self, probs: Sequence[np.ndarray]) -> WitnessResult:
         """The witness on one probability array per block, scored as a batch of one."""
-        lhs, margin = self([p[None] for p in probs])
+        lhs, margin = self([(p.reshape(1, -1), np.arange(p.size)) for p in probs])
         return WitnessResult(
             direction=self.direction,
             base=self.base,
@@ -218,7 +219,7 @@ def _margin_kernel(
         base=base,
         mode="independent-axes" if max(len(position), len(momentum)) > 1 else "full-joint",
         n_dims=n_pos,
-        block_dims=tuple(g.n_dims for g in (*position, *momentum)),
+        block_shapes=tuple(g.shape for g in (*position, *momentum)),
         bound=bound,
         bound_terms=tuple(terms),
     )

@@ -65,11 +65,23 @@ def per_replicate_margins(pos_blocks, mom_blocks, direction, seed, n_boot):
     return margins, rejected
 
 
-def kernel_margins(pos_blocks, mom_blocks, direction, seed, n_boot):
+def kernel_margins(pos_blocks, mom_blocks, direction, seed, n_boot, chunks=None):
+    """The bootstrap's margins; ``chunks``, if given, collects the rows of each kernel call."""
     kernel = _margin_kernel(
         [b.grid for b in pos_blocks], [b.grid for b in mom_blocks], Direction(direction), 2.0
     )
-    return bootstrap._replicate_margins(pos_blocks, mom_blocks, kernel, (seed,), n_boot)
+
+    def scored(blocks):
+        if chunks is not None:
+            chunks.append(len(blocks[0][0]))
+        return kernel(blocks)
+
+    return bootstrap._replicate_margins(pos_blocks, mom_blocks, scored, (seed,), n_boot)
+
+
+def support_size(blocks):
+    """Non-zero cells over all blocks: the columns of one bootstrap row."""
+    return sum(np.count_nonzero(b.counts.counts) for b in blocks)
 
 
 def grid_2d(observable, shape):
@@ -375,9 +387,10 @@ def test_chunked_kernel_matches_per_replicate_evaluate(
         "sparse-2d": sparse_full_joint_2d,
         "sparse-independent": sparse_independent_axes,
     }[inputs]()
-    cells = sum(b.counts.counts.size for b in pos + mom)
-    monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 7 * 8 * cells)
-    chunked, rejected = kernel_margins(pos, mom, direction, 13, 100)
+    monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 7 * 8 * support_size(pos + mom))
+    chunks = []
+    chunked, rejected = kernel_margins(pos, mom, direction, 13, 100, chunks)
+    assert chunks == [7] * 14 + [2]
     want, want_rejected = per_replicate_margins(pos, mom, direction, 13, 100)
     assert (want_rejected > 0) == inputs.startswith("sparse")
     assert rejected == want_rejected
@@ -396,8 +409,10 @@ def test_sparse_rejections_in_small_chunks_match_per_replicate_loop(monkeypatch)
     # whole run, not in its chunk
     counts = np.array([[1, 0], [0, 1]], dtype=np.int64)
     pos, mom = tiny_pair(counts)
-    monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 7 * 8 * 8)
-    chunked, rejected = kernel_margins([pos], [mom], Direction.SYMMETRIC, 3, 100)
+    monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 7 * 8 * support_size([pos, mom]))
+    chunks = []
+    chunked, rejected = kernel_margins([pos], [mom], Direction.SYMMETRIC, 3, 100, chunks)
+    assert chunks == [7] * 14 + [2]
     want, want_rejected = per_replicate_margins([pos], [mom], Direction.SYMMETRIC, 3, 100)
     assert want_rejected > 0
     assert rejected == want_rejected

@@ -545,7 +545,7 @@ def test_curve_on_files_keeps_its_rows_and_config_hash(synth_dir, tmp_path, monk
     config = RunConfig(position_counts=("position.csv",), momentum_counts=("momentum.csv",))
     assert lines[1] == f"# config_hash={config_hash(config)}"
     rows = "".join(line + "\n" for line in lines if not line.startswith("#"))
-    assert hashlib.sha256(rows.encode()).hexdigest() == "ace929b0dbcbfe3b6a2ac0ca68073094a422293db88fd3ef8618f46d448961a3"
+    assert hashlib.sha256(rows.encode()).hexdigest() == "a6a142613240bf9b917e36a7dde4c6180f24a0757cad1847c534569251f91108"
     with_seed = tmp_path / "seeded.csv"
     assert run_cli("curve", "--synthetic", "--n-windows", "8", "--total", "100000", "--seed", "3", "--output", str(with_seed)) == 0
     assert [l for l in with_seed.read_text().splitlines() if not l.startswith("#")] == rows.splitlines()
@@ -570,6 +570,16 @@ def test_numerical_errors_exit_three(capsys):
     code = run_cli("witness", "--synthetic", "--clip-tol", "1e-4", "--boot", "100")
     assert code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("extent", ["300", "1e300"])
+def test_windows_too_wide_for_the_quadrature_exit_three(extent, capsys):
+    assert run_cli("witness", "--synthetic", "--extent-x", extent, "--boot", "100") == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "numerical error: the windows are too wide for the quadrature to resolve the state; "
+        "narrow the extent or add windows\n"
+    )
 
 
 @pytest.mark.parametrize("flag", ["--sigma-plus", "--sigma-minus"])

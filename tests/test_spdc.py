@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,19 @@ def test_discretize_state_rejects_clipping_beyond_tolerance():
         discretize_state(p, grid)  # strict default tolerance
     with pytest.raises(TruncationError):
         discretize_state(p, viewing_grid(Observable.POSITION, extent=2e-4))
+
+
+@pytest.mark.parametrize("extent_x", [10.0, 300.0, 1e300, 1.7e308])
+def test_exact_route_refuses_windows_too_wide_to_resolve(extent_x):
+    # the outer rule tiles a window in at most 128 panels; past that the
+    # state's party-A mass per window is missed, which is no clipped mass
+    # (the state lies inside every one of these areas), and an x**2 past the
+    # float range is density 0, not an overflow warning, and a window
+    # width over the state's scale past the float range is the 128-panel cap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationError, match="too wide for the quadrature"):
+            make_synthetic_state(extent_x=extent_x)
 
 
 def test_discretize_routes_share_one_mass_gate():
