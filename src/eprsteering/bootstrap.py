@@ -1,8 +1,8 @@
 """Poisson bootstrap for witness significance.
 
 Each replicate redraws every histogram cell as an independent Poisson variate
-with the observed count as its mean, re-normalizes, and re-evaluates the
-witness margin.  Streams come from a counter-based generator keyed by
+with the observed count as its mean and re-scores the witness margin on the
+drawn counts.  Streams come from a counter-based generator keyed by
 ``(seed..., replicate, attempt)``, so any replicate can be reproduced in
 isolation and results never depend on evaluation order.
 
@@ -14,9 +14,12 @@ a zero mean without reading the stream, so leaving the zero cells out skips
 no variate, and they stay 0 in every replicate.
 
 A replicate keeps one layout from draw to score: each block's non-zero
-observed cells, scored in chunks by the witness module's margin kernel,
-whose sums add in column order.  A zero cell adds nothing, so a margin
-equals, bit for bit, that of the dense histograms scored by ``evaluate``.
+observed cells, the columns of the witness module's margin kernel.  The
+drawn counts are scored as they are, never divided by their totals: each
+block's entropy is ``log N - sum(c log c) / N`` with ``N`` its event total,
+and the kernel's sums add in column order.  A zero cell adds nothing, so a
+margin equals, bit for bit, ``evaluate`` on the replicate's histograms, and
+the report's point estimate is ``evaluate`` on the observed ones.
 
 The bootstrap does not build a generator per replicate.  A Philox stream is
 fixed by its 128-bit key, and ``replicate_rng`` takes that key from
@@ -25,15 +28,17 @@ the same hash for a whole chunk of replicates in one pass of uint32
 arithmetic, and each replicate is drawn by resetting the key of one reused
 ``Philox``.  The streams, and so every draw, are those of ``replicate_rng``,
 which stays the definition of the stream.  On a 2-vCPU x86-64 host (Python
-3.11, numpy 2.4) the key reset takes ~1 us and the hash ~1-2 us per
-replicate (~100 us per call), where building a generator takes ~25-30 us.
-The draw takes ~13 us per call plus ~70 ns per non-zero cell: ~35 us for
-the 319 non-zero cells of the default state's two 24x24 histograms.  Part
-of that is numpy's: ``Generator.poisson`` re-checks its means on every call
-(two ``np.all`` per draw, 3.3 s of the 9.4 s spent drawing in acceptance
-test 6), although they were checked once before the first draw.  That is
-the floor under this stream contract; it is not worked around with a
-private numpy API.
+3.11, numpy 2.4; ranges span the host's speed shifts) the key reset takes
+~0.5-0.7 us and the hash ~1 us per replicate in a call of 100 (80-140 us
+per call) and ~0.2 us in a call of 1,000, where building a generator takes
+~13-22 us.  The draw takes ~6-10 us per call plus ~40 ns per non-zero cell:
+~19-32 us for the 319 non-zero cells of the default state's two 24x24
+histograms, against ~5-7 us per replicate to score them and ~30-50 us per
+call for the point estimate.  Part of the draw is numpy's:
+``Generator.poisson`` re-checks its means on every call (two ``np.all`` per
+draw, 3.3 s of the 9.4 s spent drawing in acceptance test 6), although they
+were checked once before the first draw.  That is the floor under this
+stream contract; it is not worked around with a private numpy API.
 
 The contract rests on three facts of the installed numpy: ``_philox_keys``
 reproduces ``SeedSequence``'s hash, a reset Philox starts the keyed stream,
@@ -237,9 +242,10 @@ def _philox_drawer(lam: np.ndarray) -> Callable[[list[int]], np.ndarray]:
 class BootstrapReport:
     """Summary of the bootstrap margin distribution, with the point estimate it surrounds.
 
-    ``point`` is the witness on the observed counts (each histogram
-    normalized), scored by the same kernel as the replicates; the run's
-    direction and log base are ``point.direction`` and ``point.base``.
+    ``point`` is the witness on the observed counts, scored by the same
+    kernel as the replicates, and equal bit for bit to ``evaluate`` on the
+    same histograms; the run's direction and log base are
+    ``point.direction`` and ``point.base``.
     ``significance`` is margin_mean / margin_std (sample std, ddof=1), in
     units of bootstrap standard deviations; its sign follows the margin, so
     values above +3 certify a violation at the conventional threshold.
@@ -254,47 +260,40 @@ class BootstrapReport:
     point: WitnessResult
 
 
-def _replicate_margins(
-    pos_blocks: Sequence[Histogram],
-    mom_blocks: Sequence[Histogram],
-    kernel: _MarginKernel,
-    key: tuple[int, ...],
-    n_boot: int,
-) -> tuple[np.ndarray, int]:
+def _replicate_margins(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int) -> tuple[np.ndarray, int]:
     """Margin of every replicate, and the number of draws rejected as empty.
 
     Each draw comes from the stream of ``replicate_rng(key, replicate,
     attempt)``, set by resetting the key of one reused ``Philox``, and covers
-    the support: each block's non-zero observed cells, blocks in order.
-    Draws fill a chunk buffer of at most ``_CHUNK_BYTES``, are checked for
-    empty blocks, divided by their block totals and scored on the support
-    by one kernel call.  Sums of integer-valued floats below 2**53 are
-    exact, so totals and probabilities equal those of a dense draw.
+    the columns of ``kernel.layout``: each block's non-zero observed cells,
+    blocks in order.  Draws fill a chunk buffer of at most ``_CHUNK_BYTES``;
+    one ``np.add.reduceat`` per attempt gives each block's event total,
+    which finds the empty blocks to redraw and is the ``N`` the kernel
+    scores the drawn counts with, undivided, in one call per chunk.  Sums of
+    integer-valued floats below 2**53 are exact, so the totals equal those
+    of a dense draw.
     """
-    blocks = (*pos_blocks, *mom_blocks)
-    if not all(b.counts.total for b in blocks):
+    layout = kernel.layout
+    if not layout.totals.all():
         raise DegenerateBootstrapError("a histogram holds zero events, so every replicate of it is empty")
-    supports = [np.flatnonzero(b.counts.counts) for b in blocks]
-    lam = _check_poisson_means(np.concatenate([b.counts.counts.flat[s] for b, s in zip(blocks, supports)]))
-    widths = [s.size for s in supports]
-    starts = np.cumsum([0, *widths[:-1]])
+    lam = _check_poisson_means(layout.weights)
     rows = max(1, min(n_boot, _CHUNK_BYTES // lam.nbytes))
     buf = np.empty((rows, lam.size))
+    totals_buf = np.empty((rows, layout.starts.size))
     draw = _philox_drawer(lam)
-
-    def empty(draws: np.ndarray) -> np.ndarray:
-        return (np.add.reduceat(draws, starts, axis=-1) == 0).any(axis=-1)
 
     margins = np.empty(n_boot)
     rejected = 0
     for start in range(0, n_boot, rows):
         chunk = buf[: min(rows, n_boot - start)]
+        totals = totals_buf[: len(chunk)]
         pending = np.arange(len(chunk))
         for attempt in range(_MAX_REDRAWS):
             philox_keys = _philox_keys(key, start + pending, attempt)
             for r, philox_key in zip(pending.tolist(), philox_keys.tolist()):
                 chunk[r] = draw(philox_key)
-            pending = pending[empty(chunk[pending])]
+            np.add.reduceat(chunk, layout.starts, axis=1, out=totals)
+            pending = pending[(totals[pending] == 0).any(axis=1)]
             if not pending.size:
                 break
             rejected += pending.size
@@ -302,10 +301,7 @@ def _replicate_margins(
             raise DegenerateBootstrapError(
                 f"replicate {start + pending[0]} stayed empty after {_MAX_REDRAWS} redraws"
             )
-        chunk /= np.repeat(np.add.reduceat(chunk, starts, axis=1), widths, axis=1)
-        margins[start : start + len(chunk)] = kernel(
-            [(chunk[:, lo : lo + w], s) for lo, w, s in zip(starts, widths, supports)]
-        )[1]
+        margins[start : start + len(chunk)] = kernel(chunk, totals)[1]
     return margins, rejected
 
 
@@ -320,7 +316,7 @@ def witness_significance(
 ) -> BootstrapReport:
     """Bootstrap the witness margin from observed counts, and score the counts themselves.
 
-    Replicates where any histogram comes back empty cannot be normalized;
+    Replicates where any histogram comes back empty have no entropy to score;
     they are redrawn from a fresh substream and counted in
     ``rejected_replicates``.  A count above ``POISSON_MEAN_MAX`` cannot be
     redrawn and raises :class:`DataError` before any draw.
@@ -328,19 +324,17 @@ def witness_significance(
     direction = Direction(direction)
     key = _seed_key(seed)
     n_boot = _check_int(n_boot, "n_boot", MIN_REPLICATES)
-    pos_blocks = _blocks(position, Histogram, "position")
-    mom_blocks = _blocks(momentum, Histogram, "momentum")
+    pos_blocks = _blocks(position, (Histogram,), "position")
+    mom_blocks = _blocks(momentum, (Histogram,), "momentum")
     base = _check_base(base)
-    kernel = _margin_kernel(
-        [b.grid for b in pos_blocks], [b.grid for b in mom_blocks], direction, base
-    )
-    margins, rejected = _replicate_margins(pos_blocks, mom_blocks, kernel, key, n_boot)
+    kernel = _margin_kernel(pos_blocks, mom_blocks, direction, base)
+    margins, rejected = _replicate_margins(kernel, key, n_boot)
 
     mean = float(margins.mean())
     std = float(margins.std(ddof=1))
     if std == 0.0:
         raise DegenerateBootstrapError("all bootstrap margins are identical; no spread to report")
-    point = kernel.point([b.normalize().probs for b in (*pos_blocks, *mom_blocks)])
+    point = kernel.point()
     return BootstrapReport(
         n_boot=n_boot,
         seed=key,

@@ -1,14 +1,18 @@
 """Shannon information measures on discrete probability tensors.
 
 All quantities are computed in nats internally and rebased on the way out, so
-identities hold to float64 roundoff regardless of the requested base.
+identities hold to float64 roundoff regardless of the requested base.  The
+one kernel behind them, :meth:`_Layout.nats`, also scores counts as they
+are, each group with its event total ``N``: the witness module's point
+estimates of histograms and the bootstrap's replicates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from itertools import accumulate
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -57,40 +61,106 @@ class EntropyValue:
 
 
 def _plogp(p: np.ndarray) -> np.ndarray:
-    """``p * log(p)`` elementwise in nats, zero at cells at or below ``ZERO_FLOOR``."""
-    terms = np.log(p, out=np.zeros_like(p), where=p > ZERO_FLOOR)
+    """``p * log(p)`` elementwise in nats, zero at cells at or below ``ZERO_FLOOR``; ``p`` may be counts.
+
+    Those cells take ``log(p + 1) = log(1) = 0``, which spares the log a mask.
+    """
+    terms = p + (p <= ZERO_FLOOR)
+    np.log(terms, out=terms)
     terms *= p
     return terms
 
 
-def _bin_sums(values: np.ndarray, bins: np.ndarray | int, n_bins: int) -> np.ndarray:
-    """``(batch, n_bins)`` sums of each row's columns by bin, added in column order."""
-    batch = len(values)
-    index = np.broadcast_to(bins + n_bins * np.arange(batch)[:, None], values.shape)
-    return np.bincount(index.ravel(), values.ravel(), batch * n_bins).reshape(batch, n_bins)
+def _nats(values: np.ndarray, index: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Entropies in nats, ``log N - sum(w log w) / N``, of groups of weights, shaped like ``totals``.
 
-
-def _plugin_nats(rows: np.ndarray, cells: np.ndarray, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Joint, party-A and party-B plug-in entropies in nats of each row of ``rows``.
-
-    ``rows`` is a ``(batch, k)`` probability array and ``cells`` the
-    increasing flat indices of its columns in a tensor of ``shape``, party
-    A's ``len(shape) // 2`` axes first; cells not listed hold zero.  Every
-    entropy in the package comes from here.  Sums add in column order and a
-    zero adds nothing, so a row's values depend neither on which zero cells
-    are listed nor on the rows batched with it: a point estimate and the same
-    counts scored on their non-zero cells in a bootstrap chunk agree bit for bit.
+    ``values`` holds non-negative weights and ``index`` the flat position in
+    ``totals`` of the group each weight (in ``values.ravel()`` order) adds
+    to; ``totals`` holds each group's total ``N``.  Counts pass their event
+    totals; probabilities pass ``N = 1``, where the formula is
+    ``-sum(p log p)`` bit for bit.  Sums add in column order and a zero
+    weight adds nothing, so a group's entropy depends neither on which zero
+    columns it holds nor on the rows batched with it.
     """
-    n = len(shape) // 2
-    size_b = math.prod(shape[n:])
-    a, b = np.divmod(cells, size_b)
-    marginals = (_bin_sums(rows, a, math.prod(shape[:n])), _bin_sums(rows, b, size_b))
-    return tuple(-_bin_sums(_plogp(p), 0, 1)[:, 0] for p in (rows, *marginals))
+    sums = np.bincount(index, _plogp(values).ravel(), totals.size).reshape(totals.shape)
+    return np.log(totals) - sums / totals
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """The columns of a batch of rows: each block's non-zero cells, blocks in order.
+
+    :func:`_layout` builds it once from one tensor per block.  ``weights``
+    and ``totals`` are those tensors' own weights on the columns and each
+    block's total ``N``; ``starts`` is the first column of each block and
+    ``blocks`` the block of each column.  ``a_bins`` and ``b_bins`` map each
+    column to its party-A and party-B marginal bin, among ``n_a`` and
+    ``n_b`` bins laid out block by block, and ``bin_blocks`` maps the A
+    bins, then the B bins, to the marginal entropy each adds to.
+    """
+
+    weights: np.ndarray
+    totals: np.ndarray
+    starts: np.ndarray
+    blocks: np.ndarray
+    a_bins: np.ndarray
+    b_bins: np.ndarray
+    n_a: int
+    n_b: int
+    bin_blocks: np.ndarray
+
+    def nats(self, weights: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Joint, party-A and party-B entropies in nats of each block of each row, each ``(batch, blocks)``.
+
+        ``weights`` is a C-contiguous ``(batch, columns)`` array of rows on
+        this layout, and ``totals`` the ``(batch, blocks)`` total of each
+        row's blocks.  Each marginal bin sums its cells in column order.
+        """
+        batch, blocks = totals.shape
+        rows = np.arange(batch)[:, None]
+        index = np.empty(weights.shape, dtype=np.intp)
+        marginals = np.empty((batch, self.n_a + self.n_b))
+        for bins, n, lo in ((self.a_bins, self.n_a, 0), (self.b_bins, self.n_b, self.n_a)):
+            np.add(bins, n * rows, out=index)
+            sums = np.bincount(index.ravel(), weights.ravel(), batch * n)
+            marginals[:, lo : lo + n] = sums.reshape(batch, n)
+        np.add(self.blocks, blocks * rows, out=index)
+        h = _nats(weights, index.ravel(), totals)
+        both = np.concatenate((totals, totals), axis=1)
+        h_ab = _nats(marginals, (self.bin_blocks + 2 * blocks * rows).ravel(), both)
+        return h, h_ab[:, :blocks], h_ab[:, blocks:]
+
+
+def _layout(tensors: Sequence[np.ndarray], totals: Sequence[float]) -> _Layout:
+    """The layout of the non-zero cells of ``tensors``, each with party A's ``ndim // 2`` axes first."""
+    cells = [np.flatnonzero(t) for t in tensors]
+    sizes_b = [math.prod(t.shape[t.ndim // 2 :]) for t in tensors]
+    sizes_a = [t.size // size_b for t, size_b in zip(tensors, sizes_b)]
+    starts_a, starts_b = accumulate(sizes_a, initial=0), accumulate(sizes_b, initial=0)
+    a_bins, b_bins = [], []
+    for c, size_b, start_a, start_b in zip(cells, sizes_b, starts_a, starts_b):
+        a, b = np.divmod(c, size_b)
+        a_bins.append(a + start_a)
+        b_bins.append(b + start_b)
+    widths = [c.size for c in cells]
+    index = np.arange(len(tensors))
+    return _Layout(
+        weights=np.concatenate([t.ravel()[c] for t, c in zip(tensors, cells)]).astype(np.float64, copy=False),
+        totals=np.array(totals, dtype=np.float64),
+        starts=np.array([0, *accumulate(widths[:-1])]),
+        blocks=np.repeat(index, widths),
+        a_bins=np.concatenate(a_bins),
+        b_bins=np.concatenate(b_bins),
+        n_a=sum(sizes_a),
+        n_b=sum(sizes_b),
+        bin_blocks=np.concatenate([np.repeat(index, sizes_a), np.repeat(index + len(index), sizes_b)]),
+    )
 
 
 def _dense_nats(p: np.ndarray) -> list[float]:
     """Joint, party-A and party-B entropies in nats of one probability tensor."""
-    return [float(h[0]) for h in _plugin_nats(p.reshape(1, -1), np.arange(p.size), p.shape)]
+    layout = _layout([p], [1.0])
+    return [float(h[0, 0]) for h in layout.nats(layout.weights[None], layout.totals[None])]
 
 
 def _party_split(dist: DistLike) -> np.ndarray:
@@ -110,7 +180,8 @@ def entropy(dist: DistLike, base: float = 2.0) -> EntropyValue:
     """Shannon entropy of the whole tensor viewed as one distribution."""
     base = _check_base(base)
     p = dist.probs if isinstance(dist, JointDistribution) else _checked_probs(dist)
-    return EntropyValue(_dense_nats(p)[0] / math.log(base), base)
+    h = _nats(p, np.zeros(p.size, dtype=np.intp), np.ones((1, 1)))
+    return EntropyValue(float(h[0, 0]) / math.log(base), base)
 
 
 def conditional_entropy(dist: DistLike, given: Party = "A", base: float = 2.0) -> EntropyValue:

@@ -25,14 +25,15 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .entropy import _check_base, _plugin_nats
+from .entropy import _check_base, _layout, _Layout
 from .errors import (
     DimensionMismatchError,
     NonpositiveExtentError,
     NonpositiveWindowError,
     UsageError,
+    ZeroTotalError,
 )
-from .grids import GridSpec, JointDistribution, Observable, Party, _positive
+from .grids import Histogram, JointDistribution, Observable, Party, _positive
 
 __all__ = [
     "PI_E",
@@ -45,7 +46,10 @@ __all__ = [
 
 PI_E = math.pi * math.e
 
-ObservableInput = Union[JointDistribution, Sequence[JointDistribution]]
+#: A block of a witness: counts, scored with their event total, or probabilities.
+Block = Union[Histogram, JointDistribution]
+
+ObservableInput = Union[Block, Sequence[Block]]
 
 
 class Direction(str, Enum):
@@ -105,59 +109,57 @@ def min_resolution(extent_x: float, extent_k: float) -> int:
     return int(math.floor(math.sqrt(ratio))) + 1
 
 
-def _blocks(obj, kind: type, name: str) -> tuple:
-    """``obj`` as a non-empty tuple of ``kind``: one instance, or a sequence of them."""
-    if isinstance(obj, kind):
+def _blocks(obj, kinds: tuple[type, ...], name: str) -> tuple:
+    """``obj`` as a non-empty tuple of ``kinds``: one instance, or a sequence of them."""
+    if isinstance(obj, kinds):
         return (obj,)
     try:
         blocks = tuple(obj)
     except TypeError:
         blocks = ()
-    if not blocks or not all(isinstance(b, kind) for b in blocks):
-        raise UsageError(
-            f"{name} must be a {kind.__name__} or a sequence of them, got {type(obj).__name__}"
-        )
+    if not blocks or not all(isinstance(b, kinds) for b in blocks):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise UsageError(f"{name} must be a {names} or a sequence of them, got {type(obj).__name__}")
     return blocks
 
 
 @dataclass(frozen=True)
 class _MarginKernel:
-    """A validated witness set-up that scores batches of count-normalized rows.
+    """A validated witness set-up, with the layout of its blocks' non-zero cells, that scores batches of rows.
 
-    Calling it with one ``(rows, cells)`` pair per block, position blocks
-    first, returns the left-hand side and the margin of each row; ``rows``
-    and ``cells`` are as in ``entropy._plugin_nats``, on that block's grid
-    shape.  :meth:`point` scores every cell of a batch of one and is the
-    only place a :class:`WitnessResult` is built; the bootstrap scores its
-    replicates' non-zero cells in chunks through the same call.
+    Calling it with a ``(batch, columns)`` array of weights on ``layout``
+    and the ``(batch, blocks)`` totals of each row's blocks, position blocks
+    first, returns the left-hand side and the margin of each row.  Counts
+    are scored as they are, with their event totals; probabilities with
+    totals of one.  :meth:`point` scores the blocks the kernel was built
+    from and is the only place a :class:`WitnessResult` is built; the
+    bootstrap scores its replicates' draws in chunks through the same call.
     """
 
     direction: Direction
     base: float
     mode: str
     n_dims: int
-    block_shapes: tuple[tuple[int, ...], ...]
     bound: float
     bound_terms: tuple[float, ...]
+    layout: _Layout
 
-    def __call__(self, blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-        log_base = math.log(self.base)
-        terms = []
-        for (rows, cells), shape in zip(blocks, self.block_shapes):
-            h, h_a, h_b = _plugin_nats(rows, cells, shape)
-            if self.direction is Direction.SYMMETRIC:
-                nats = h_a + h_b - h
-            else:
-                nats = h - (h_a if self.direction is Direction.B_GIVEN_A else h_b)
-            terms.append(nats / log_base)
-        lhs = sum(terms)
+    def __call__(self, weights: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h, h_a, h_b = self.layout.nats(weights, totals)
+        if self.direction is Direction.SYMMETRIC:
+            nats = h_a + h_b - h
+        else:
+            nats = h - (h_a if self.direction is Direction.B_GIVEN_A else h_b)
+        lhs = sum(nats.T / math.log(self.base))
         if self.direction is Direction.SYMMETRIC:
             return lhs, lhs - self.bound
         return lhs, self.bound - lhs
 
-    def point(self, probs: Sequence[np.ndarray]) -> WitnessResult:
-        """The witness on one probability array per block, scored as a batch of one."""
-        lhs, margin = self([(p.reshape(1, -1), np.arange(p.size)) for p in probs])
+    def point(self) -> WitnessResult:
+        """The witness on the blocks the kernel was built from, scored as a batch of one."""
+        if not self.layout.totals.all():
+            raise ZeroTotalError("count tensor holds zero events")
+        lhs, margin = self(self.layout.weights[None], self.layout.totals[None])
         return WitnessResult(
             direction=self.direction,
             base=self.base,
@@ -171,15 +173,19 @@ class _MarginKernel:
 
 
 def _margin_kernel(
-    position: Sequence[GridSpec],
-    momentum: Sequence[GridSpec],
+    pos_blocks: Sequence[Block],
+    mom_blocks: Sequence[Block],
     direction: Direction,
     base: float,
 ) -> _MarginKernel:
-    """Check the grids of paired position/momentum blocks and build their witness bound.
+    """Check the grids of paired position/momentum blocks, build their witness bound and lay out their cells.
 
-    ``base`` must already be checked.
+    ``base`` must already be checked.  A :class:`Histogram` block is laid
+    out with its counts and event total, a :class:`JointDistribution` with
+    its probabilities and a total of one.
     """
+    position = [b.grid for b in pos_blocks]
+    momentum = [b.grid for b in mom_blocks]
     for grids, observable in ((position, Observable.POSITION), (momentum, Observable.MOMENTUM)):
         for g in grids:
             if g.observable is not observable:
@@ -219,9 +225,12 @@ def _margin_kernel(
         base=base,
         mode="independent-axes" if max(len(position), len(momentum)) > 1 else "full-joint",
         n_dims=n_pos,
-        block_shapes=tuple(g.shape for g in (*position, *momentum)),
         bound=bound,
         bound_terms=tuple(terms),
+        layout=_layout(
+            [b.counts.counts if isinstance(b, Histogram) else b.probs for b in (*pos_blocks, *mom_blocks)],
+            [b.total if isinstance(b, Histogram) else 1.0 for b in (*pos_blocks, *mom_blocks)],
+        ),
     )
 
 
@@ -233,13 +242,14 @@ def evaluate(
 ) -> WitnessResult:
     """The witness of ``direction``: conditional for B_given_A and A_given_B, else symmetric.
 
-    ``position`` / ``momentum`` are full-joint distributions, or sequences of
-    per-dimension distributions treated as independent blocks (their
-    entropy terms add).
+    ``position`` / ``momentum`` are full-joint blocks, or sequences of
+    per-dimension blocks treated as independent (their entropy terms add).
+    A block is a :class:`JointDistribution`, or a :class:`Histogram` whose
+    counts are scored as they are: the same score, within roundoff, as its
+    ``normalize()``, and bit for bit the ``point`` of its bootstrap.
     """
     direction = Direction(direction)
     base = _check_base(base)
-    pos = _blocks(position, JointDistribution, "position")
-    mom = _blocks(momentum, JointDistribution, "momentum")
-    kernel = _margin_kernel([b.grid for b in pos], [b.grid for b in mom], direction, base)
-    return kernel.point([b.probs for b in pos + mom])
+    pos = _blocks(position, (Histogram, JointDistribution), "position")
+    mom = _blocks(momentum, (Histogram, JointDistribution), "momentum")
+    return _margin_kernel(pos, mom, direction, base).point()

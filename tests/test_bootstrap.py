@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from eprsteering import (
     Histogram,
     Observable,
     UsageError,
+    ZeroTotalError,
     downsample,
     evaluate,
     make_synthetic_state,
@@ -25,7 +27,7 @@ from eprsteering import (
 )
 from eprsteering import bootstrap
 from eprsteering.bootstrap import MIN_REPLICATES, POISSON_MEAN_MAX, _philox_keys
-from eprsteering.witness import _margin_kernel
+from eprsteering.witness import _margin_kernel, _MarginKernel
 
 
 @pytest.fixture(scope="module")
@@ -59,24 +61,25 @@ def per_replicate_margins(pos_blocks, mom_blocks, direction, seed, n_boot):
                 break
             rejected += 1
             attempt += 1
-        pos = [Histogram(c, b.grid).normalize() for c, b in zip(pos_rep, pos_blocks)]
-        mom = [Histogram(c, b.grid).normalize() for c, b in zip(mom_rep, mom_blocks)]
+        pos = [Histogram(c, b.grid) for c, b in zip(pos_rep, pos_blocks)]
+        mom = [Histogram(c, b.grid) for c, b in zip(mom_rep, mom_blocks)]
         margins[i] = evaluate(pos, mom, direction=direction).margin
     return margins, rejected
 
 
 def kernel_margins(pos_blocks, mom_blocks, direction, seed, n_boot, chunks=None):
     """The bootstrap's margins; ``chunks``, if given, collects the rows of each kernel call."""
-    kernel = _margin_kernel(
-        [b.grid for b in pos_blocks], [b.grid for b in mom_blocks], Direction(direction), 2.0
-    )
+    kernel = _margin_kernel(pos_blocks, mom_blocks, Direction(direction), 2.0)
+    score = _MarginKernel.__call__
 
-    def scored(blocks):
+    def scored(self, weights, totals):
         if chunks is not None:
-            chunks.append(len(blocks[0][0]))
-        return kernel(blocks)
+            chunks.append(len(weights))
+        return score(self, weights, totals)
 
-    return bootstrap._replicate_margins(pos_blocks, mom_blocks, scored, (seed,), n_boot)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_MarginKernel, "__call__", scored)
+        return bootstrap._replicate_margins(kernel, (seed,), n_boot)
 
 
 def support_size(blocks):
@@ -147,6 +150,21 @@ def sparse_full_joint_2d():
         [Histogram(zero_rim(rng.poisson(1.0, shape)), grid_2d(Observable.POSITION, shape))],
         [Histogram(one_cell(shape, 17, 1), grid_2d(Observable.MOMENTUM, shape))],
     )
+
+
+INPUTS = ["1d", "2d", "independent", "sparse-1d", "sparse-2d", "sparse-independent"]
+
+
+def named_inputs(name, sampled):
+    """The position and momentum blocks of one of ``INPUTS``."""
+    return {
+        "1d": lambda: default_1d(sampled),
+        "2d": full_joint_2d,
+        "independent": independent_axes,
+        "sparse-1d": sparse_1d,
+        "sparse-2d": sparse_full_joint_2d,
+        "sparse-independent": sparse_independent_axes,
+    }[name]()
 
 
 # ------------------------------------------------------------------ streams
@@ -359,7 +377,7 @@ def test_report_matches_replicate_reconstruction(sampled_default):
         rng = replicate_rng(11, i)
         pos_rep = Histogram(poisson_resample(pos.counts, rng), pos.grid)
         mom_rep = Histogram(poisson_resample(mom.counts, rng), mom.grid)
-        margins[i] = evaluate(pos_rep.normalize(), mom_rep.normalize()).margin
+        margins[i] = evaluate(pos_rep, mom_rep).margin
     assert report.margin_mean == margins.mean()
     assert report.margin_std == margins.std(ddof=1)
     assert report.significance == margins.mean() / margins.std(ddof=1)
@@ -369,24 +387,16 @@ def test_report_matches_replicate_reconstruction(sampled_default):
 
 
 @pytest.mark.parametrize("direction", list(Direction))
-@pytest.mark.parametrize(
-    "inputs", ["1d", "2d", "independent", "sparse-1d", "sparse-2d", "sparse-independent"]
-)
+@pytest.mark.parametrize("inputs", INPUTS)
 def test_chunked_kernel_matches_per_replicate_evaluate(
     inputs, direction, sampled_default, monkeypatch
 ):
     # chunks of 7 rows split 100 replicates unevenly; the margins must not
-    # depend on which rows were scored together.  The bootstrap draws the
-    # non-zero cells alone, and the reference every cell: the sparse inputs
-    # hold that equal across block edges, zero-cell rims and redraws
-    pos, mom = {
-        "1d": lambda: default_1d(sampled_default),
-        "2d": full_joint_2d,
-        "independent": independent_axes,
-        "sparse-1d": sparse_1d,
-        "sparse-2d": sparse_full_joint_2d,
-        "sparse-independent": sparse_independent_axes,
-    }[inputs]()
+    # depend on which rows were scored together.  The bootstrap scores the
+    # observed non-zero cells, and the reference each replicate's own: the
+    # sparse inputs hold that equal across block edges, zero-cell rims and
+    # redraws
+    pos, mom = named_inputs(inputs, sampled_default)
     monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 7 * 8 * support_size(pos + mom))
     chunks = []
     chunked, rejected = kernel_margins(pos, mom, direction, 13, 100, chunks)
@@ -399,9 +409,30 @@ def test_chunked_kernel_matches_per_replicate_evaluate(
     whole, _ = kernel_margins(pos, mom, direction, 13, 100)
     np.testing.assert_array_equal(whole, want)
     report = witness_significance(pos, mom, direction=direction, n_boot=100, seed=13)
-    assert report.point == evaluate(
-        [b.normalize() for b in pos], [b.normalize() for b in mom], direction=direction
-    )
+    assert report.point == evaluate(pos, mom, direction=direction)
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("inputs", INPUTS)
+def test_counts_score_within_roundoff_of_their_probabilities(inputs, direction, sampled_default):
+    # a Histogram is scored as counts with its event total N, its normalize()
+    # as probabilities with N = 1: log N - sum(c log c) / N is the same
+    # entropy, so the two differ by roundoff alone
+    pos, mom = named_inputs(inputs, sampled_default)
+    counts = evaluate(pos, mom, direction=direction)
+    probs = evaluate([b.normalize() for b in pos], [b.normalize() for b in mom], direction=direction)
+    assert abs(counts.margin - probs.margin) <= 1e-12
+    assert abs(counts.lhs - probs.lhs) <= 1e-12
+    assert dataclasses.replace(counts, lhs=probs.lhs, margin=probs.margin) == probs
+    report = witness_significance(pos, mom, direction=direction, n_boot=100, seed=3)
+    assert report.point == counts
+
+
+def test_evaluate_refuses_a_histogram_without_events(sampled_default):
+    pos, mom = sampled_default
+    empty = Histogram(np.zeros(mom.counts.shape, dtype=np.int64), mom.grid)
+    with pytest.raises(ZeroTotalError, match="count tensor holds zero events"):
+        evaluate(pos, empty)
 
 
 def test_sparse_rejections_in_small_chunks_match_per_replicate_loop(monkeypatch):

@@ -240,7 +240,7 @@ def test_asymmetry_map_cells_match_direct_evaluation(sampled_12):
         fb = 12 // cell.resolution_b
         pos_rr = downsample(pos, fa, fb)
         mom_rr = downsample(mom, fa, fb)
-        point = evaluate(pos_rr.normalize(), mom_rr.normalize())
+        point = evaluate(pos_rr, mom_rr)
         boot = witness_significance(
             pos_rr, mom_rr, n_boot=100, seed=[5, cell.resolution_a, cell.resolution_b]
         )
