@@ -46,9 +46,7 @@ def main():
         ax = AxisGrid.centered(n, extent)
         grid = GridSpec(Observable.POSITION, (ax,), (ax,))
         dist, _ = discretize_state(params, grid)
-        h_bound = float(conditional_entropy(dist, given="A", base=math.e)) + math.log(
-            extent / n
-        )
+        h_bound = conditional_entropy(dist, given="A", base=math.e) + math.log(extent / n)
         print(f"   {n:>3} windows: H + log(dx) = {h_bound:+.4f} nat (slack {h_bound - h_true:+.1e})")
 
     print("\n3. discrete margin converging to the continuous one")

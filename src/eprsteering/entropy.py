@@ -1,7 +1,7 @@
 """Shannon information measures on discrete probability tensors.
 
-All quantities are computed in nats internally and rebased on the way out, so
-identities hold to float64 roundoff regardless of the requested base.  The
+All quantities are computed in nats internally and returned as floats in the
+requested base, so identities hold to float64 roundoff regardless of base.  The
 one kernel behind them, :meth:`_Layout.nats`, also scores counts as they
 are, each group with its event total ``N``: the witness module's point
 estimates of histograms and the bootstrap's replicates.
@@ -20,7 +20,6 @@ from .errors import UsageError
 from .grids import JointDistribution, Party, _checked_probs
 
 __all__ = [
-    "EntropyValue",
     "entropy",
     "conditional_entropy",
     "mutual_information",
@@ -38,26 +37,6 @@ def _check_base(base: float) -> float:
     if not math.isfinite(base) or base <= 1.0:
         raise UsageError(f"log base must be finite and > 1, got {base!r}")
     return base
-
-
-@dataclass(frozen=True)
-class EntropyValue:
-    """A scalar information quantity together with the log base it is in."""
-
-    value: float
-    base: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "base", _check_base(self.base))
-
-    def rebase(self, base: float) -> "EntropyValue":
-        """The same quantity expressed in another log base."""
-        base = _check_base(base)
-        return EntropyValue(self.value * math.log(self.base) / math.log(base), base)
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _plogp(p: np.ndarray) -> np.ndarray:
@@ -157,34 +136,34 @@ def _layout(tensors: Sequence[np.ndarray], totals: Sequence[float]) -> _Layout:
     )
 
 
-def _dense_nats(p: np.ndarray) -> list[float]:
-    """Joint, party-A and party-B entropies in nats of one probability tensor."""
+def _party_nats(dist: DistLike) -> list[float]:
+    """Joint, party-A and party-B entropies in nats of ``dist``, whose party split must be known.
+
+    A raw array's split is known only when it is 2-D; a
+    :class:`JointDistribution` puts party A's axes first.
+    """
+    if isinstance(dist, JointDistribution):
+        p = dist.probs
+    else:
+        p = _checked_probs(dist)
+        if p.ndim != 2:
+            raise UsageError(
+                "party structure is ambiguous for raw arrays unless they are 2-D; "
+                "wrap higher-rank tensors in JointDistribution"
+            )
     layout = _layout([p], [1.0])
     return [float(h[0, 0]) for h in layout.nats(layout.weights[None], layout.totals[None])]
 
 
-def _party_split(dist: DistLike) -> np.ndarray:
-    """Validated probabilities whose party split is known: party A's axes first."""
-    if isinstance(dist, JointDistribution):
-        return dist.probs
-    arr = _checked_probs(dist)
-    if arr.ndim != 2:
-        raise UsageError(
-            "party structure is ambiguous for raw arrays unless they are 2-D; "
-            "wrap higher-rank tensors in JointDistribution"
-        )
-    return arr
-
-
-def entropy(dist: DistLike, base: float = 2.0) -> EntropyValue:
+def entropy(dist: DistLike, base: float = 2.0) -> float:
     """Shannon entropy of the whole tensor viewed as one distribution."""
     base = _check_base(base)
     p = dist.probs if isinstance(dist, JointDistribution) else _checked_probs(dist)
     h = _nats(p, np.zeros(p.size, dtype=np.intp), np.ones((1, 1)))
-    return EntropyValue(float(h[0, 0]) / math.log(base), base)
+    return float(h[0, 0]) / math.log(base)
 
 
-def conditional_entropy(dist: DistLike, given: Party = "A", base: float = 2.0) -> EntropyValue:
+def conditional_entropy(dist: DistLike, given: Party = "A", base: float = 2.0) -> float:
     """Entropy of one party's outcome given the other's, H(other | given).
 
     Computed as H(joint) - H(given party's marginal), which is exact for
@@ -193,12 +172,12 @@ def conditional_entropy(dist: DistLike, given: Party = "A", base: float = 2.0) -
     base = _check_base(base)
     if given not in ("A", "B"):
         raise UsageError(f"given must be 'A' or 'B', got {given!r}")
-    h, h_a, h_b = _dense_nats(_party_split(dist))
-    return EntropyValue((h - (h_a if given == "A" else h_b)) / math.log(base), base)
+    h, h_a, h_b = _party_nats(dist)
+    return (h - (h_a if given == "A" else h_b)) / math.log(base)
 
 
-def mutual_information(dist: DistLike, base: float = 2.0) -> EntropyValue:
+def mutual_information(dist: DistLike, base: float = 2.0) -> float:
     """Mutual information between the two parties, I(A;B) = H(A)+H(B)-H(A,B)."""
     base = _check_base(base)
-    h, h_a, h_b = _dense_nats(_party_split(dist))
-    return EntropyValue((h_a + h_b - h) / math.log(base), base)
+    h, h_a, h_b = _party_nats(dist)
+    return (h_a + h_b - h) / math.log(base)

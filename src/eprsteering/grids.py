@@ -89,6 +89,7 @@ class AxisGrid:
         object.__setattr__(self, "n_windows", _check_int(self.n_windows, "n_windows"))
         width = _positive(self.window_width, "window_width", NonpositiveWindowError)
         object.__setattr__(self, "window_width", width)
+        _positive(self.extent, "extent", NonpositiveExtentError)
         origin = float(self.origin)
         if not math.isfinite(origin):
             raise UsageError(f"origin must be finite, got {origin!r}")

@@ -111,6 +111,9 @@ def read_counts_csv(path: str | Path) -> CountTensor:
         for tok in tokens:
             tok = tok.strip()
             try:
+                # int() alone also takes 1_0 and non-ASCII digits such as ١٢
+                if not tok.isascii() or "_" in tok:
+                    raise ValueError(tok)
                 value = int(tok)
             except ValueError:
                 raise ParseError(f"not an integer count: {tok!r}", str(path), lineno) from None

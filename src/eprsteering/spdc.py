@@ -457,5 +457,4 @@ def windowed_conditional_rhs(
     weighted = float((marg_plogp - cell_plogp)[cell_p > ZERO_FLOOR].sum())
 
     dist, _ = _windowed(cell_p, grid, STRICT_TAIL_TOL)
-    h_window = conditional_entropy(dist, given="A", base=math.e).value
-    return weighted + h_window
+    return weighted + conditional_entropy(dist, given="A", base=math.e)

@@ -68,12 +68,12 @@ def test_1_entropy_identities(record_criterion):
     worst = 0.0
     for _ in range(1000):
         p = random_joint(rng)
-        h_joint = float(entropy(p))
-        h_a = float(entropy(p.sum(axis=1)))
-        h_b = float(entropy(p.sum(axis=0)))
-        h_b_given_a = float(conditional_entropy(p, given="A"))
-        h_a_given_b = float(conditional_entropy(p, given="B"))
-        mi = float(mutual_information(p))
+        h_joint = entropy(p)
+        h_a = entropy(p.sum(axis=1))
+        h_b = entropy(p.sum(axis=0))
+        h_b_given_a = conditional_entropy(p, given="A")
+        h_a_given_b = conditional_entropy(p, given="B")
+        mi = mutual_information(p)
         residuals = (
             h_joint - h_a - h_b_given_a,              # chain rule via A
             h_joint - h_b - h_a_given_b,              # chain rule via B
@@ -160,7 +160,7 @@ def test_3_binned_entropy_dominates_differential(record_criterion):
             ax = AxisGrid.centered(n, extent)
             grid = GridSpec(Observable.POSITION, (ax,), (ax,))
             dist, _ = discretize_state(params, grid)
-            h_disc = float(conditional_entropy(dist, given="A", base=math.e))
+            h_disc = conditional_entropy(dist, given="A", base=math.e)
             slack = h_disc + math.log(extent / n) - h_cont
             worst_slack = min(worst_slack, slack)
             assert slack >= -1e-6
@@ -263,9 +263,7 @@ def test_7_downsampling_never_creates_information(record_criterion):
         from eprsteering import JointDistribution
 
         dist = JointDistribution(probs, grid)
-        gain = float(mutual_information(downsample(dist, 2, 2))) - float(
-            mutual_information(dist)
-        )
+        gain = mutual_information(downsample(dist, 2, 2)) - mutual_information(dist)
         worst = max(worst, gain)
         assert gain <= 1e-12
     record_criterion("detail", f"max information gain {worst:.2e} bit over 500 joints")
@@ -326,4 +324,35 @@ def test_10_sparse_separable_states_never_fire(record_criterion):
             report = witness_significance(pos, mom, n_boot=200, seed=seed)
             significances.append(report.significance)
     record_criterion("detail", f"max significance {max(significances):+.1f} sigma over 15 runs")
+    assert max(significances) < 3.0
+
+
+@pytest.fixture(scope="module")
+def boundary_null():
+    """ROADMAP item 13's boundary null: a B|A margin just below zero, so no run may certify it."""
+    return make_synthetic_state(
+        DoubleGaussianParams(1.0, 0.835579), n_windows=24, extent_x=8.0, extent_k=8.0, clip_tol=0.1
+    )
+
+
+def test_boundary_null_margin_is_just_below_zero(boundary_null, record_criterion):
+    record_criterion("criterion", "boundary null state: exact B|A margin -0.005 bit")
+    margin = evaluate(boundary_null.position, boundary_null.momentum).margin
+    record_criterion("detail", f"margin {margin:+.8f} bit")
+    assert margin == pytest.approx(-0.005, abs=1e-6)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the plug-in bootstrap certifies a state whose exact margin is -0.005 bit",
+)
+def test_11_boundary_null_never_fires(boundary_null, record_criterion):
+    record_criterion("criterion", "boundary null test: exact margin -0.005 bit, 24x24, B|A, 300 and 1e3 events")
+    significances = []
+    for total in (300, 1_000):
+        for seed in range(10):
+            pos, mom = sample_histograms(boundary_null, total=total, seed=seed)
+            report = witness_significance(pos, mom, n_boot=200, seed=seed)
+            significances.append(report.significance)
+    record_criterion("detail", f"max significance {max(significances):+.1f} sigma over 20 runs")
     assert max(significances) < 3.0

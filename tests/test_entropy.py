@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from eprsteering import (
     AxisGrid,
-    EntropyValue,
     GridSpec,
     JointDistribution,
     NegativeProbabilityError,
@@ -48,25 +47,27 @@ joint_arrays = hnp.arrays(
 
 
 def test_frozen_joint_entropy():
-    assert float(entropy(dist_2x2())) == pytest.approx(FROZEN_JOINT_H, abs=1e-12)
+    assert entropy(dist_2x2()) == pytest.approx(FROZEN_JOINT_H, abs=1e-12)
 
 
 def test_frozen_conditional_entropy():
     value = conditional_entropy(dist_2x2(), given="A")
-    assert float(value) == pytest.approx(FROZEN_COND_B_GIVEN_A, abs=1e-12)
+    assert value == pytest.approx(FROZEN_COND_B_GIVEN_A, abs=1e-12)
 
 
 def test_frozen_mutual_information():
     value = mutual_information(dist_2x2())
-    assert float(value) == pytest.approx(FROZEN_MUTUAL, abs=1e-12)
+    assert value == pytest.approx(FROZEN_MUTUAL, abs=1e-12)
 
 
 def test_entropy_value_rebase_round_trip():
-    v = entropy(dist_2x2(), base=2.0)
-    w = v.rebase(math.e)
-    assert w.base == math.e
-    assert w.value == pytest.approx(v.value * math.log(2.0), rel=1e-14)
-    assert w.rebase(2.0).value == pytest.approx(v.value, rel=1e-14)
+    # every measure is a plain float, and bases convert by the log of the base
+    for f in (entropy, conditional_entropy, mutual_information):
+        in_bits = f(dist_2x2(), base=2.0)
+        in_nats = f(dist_2x2(), base=math.e)
+        assert type(in_bits) is float and type(in_nats) is float
+        assert in_nats == pytest.approx(in_bits * math.log(2.0), rel=1e-14)
+        assert in_nats / math.log(2.0) == pytest.approx(in_bits, rel=1e-14)
 
 
 @pytest.mark.parametrize("base", [1.0, 0.5, 0.0, -2.0, float("nan")])
@@ -81,23 +82,23 @@ def test_deterministic_distribution_has_zero_entropy():
     probs = np.zeros((2, 2))
     probs[1, 0] = 1.0
     dist = JointDistribution(probs, grid)
-    assert float(entropy(dist)) == 0.0
-    assert float(conditional_entropy(dist, given="A")) == 0.0
-    assert float(mutual_information(dist)) == pytest.approx(0.0, abs=1e-15)
+    assert entropy(dist) == 0.0
+    assert conditional_entropy(dist, given="A") == 0.0
+    assert mutual_information(dist) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_uniform_distribution_attains_log_size():
     ax = AxisGrid(8, 1.0)
     grid = GridSpec(Observable.POSITION, (ax,), (ax,))
     dist = JointDistribution(np.full((8, 8), 1 / 64), grid)
-    assert float(entropy(dist)) == pytest.approx(6.0, abs=1e-12)
-    assert float(conditional_entropy(dist, given="B")) == pytest.approx(3.0, abs=1e-12)
+    assert entropy(dist) == pytest.approx(6.0, abs=1e-12)
+    assert conditional_entropy(dist, given="B") == pytest.approx(3.0, abs=1e-12)
 
 
 def test_raw_array_inputs_accepted():
     probs = np.array([[0.5, 0.25], [0.125, 0.125]])
-    assert float(entropy(probs)) == pytest.approx(FROZEN_JOINT_H, abs=1e-12)
-    assert float(conditional_entropy(probs, given="A")) == pytest.approx(
+    assert entropy(probs) == pytest.approx(FROZEN_JOINT_H, abs=1e-12)
+    assert conditional_entropy(probs, given="A") == pytest.approx(
         FROZEN_COND_B_GIVEN_A, abs=1e-12
     )
 
@@ -131,13 +132,13 @@ def test_unknown_party_label_rejected():
 @settings(max_examples=80, deadline=None)
 def test_chain_rule_both_directions(arr):
     p = normalized(arr)
-    h_joint = float(entropy(p, base=2.0))
-    h_a = float(entropy(p.sum(axis=1), base=2.0))
-    h_b = float(entropy(p.sum(axis=0), base=2.0))
-    assert float(conditional_entropy(p, given="A")) == pytest.approx(
+    h_joint = entropy(p, base=2.0)
+    h_a = entropy(p.sum(axis=1), base=2.0)
+    h_b = entropy(p.sum(axis=0), base=2.0)
+    assert conditional_entropy(p, given="A") == pytest.approx(
         h_joint - h_a, abs=1e-12
     )
-    assert float(conditional_entropy(p, given="B")) == pytest.approx(
+    assert conditional_entropy(p, given="B") == pytest.approx(
         h_joint - h_b, abs=1e-12
     )
 
@@ -146,14 +147,14 @@ def test_chain_rule_both_directions(arr):
 @settings(max_examples=80, deadline=None)
 def test_mutual_information_symmetry_and_bounds(arr):
     p = normalized(arr)
-    mi = float(mutual_information(p))
-    h_a = float(entropy(p.sum(axis=1)))
-    h_b = float(entropy(p.sum(axis=0)))
+    mi = mutual_information(p)
+    h_a = entropy(p.sum(axis=1))
+    h_b = entropy(p.sum(axis=0))
     assert mi >= -1e-12
     assert mi <= min(h_a, h_b) + 1e-12
     # Bayes symmetry: H(A) - H(A|B) == H(B) - H(B|A)
-    asym = h_a - float(conditional_entropy(p, given="B"))
-    bsym = h_b - float(conditional_entropy(p, given="A"))
+    asym = h_a - conditional_entropy(p, given="B")
+    bsym = h_b - conditional_entropy(p, given="A")
     assert asym == pytest.approx(bsym, abs=1e-12)
     assert mi == pytest.approx(bsym, abs=1e-12)
 
@@ -162,30 +163,24 @@ def test_mutual_information_symmetry_and_bounds(arr):
 @settings(max_examples=80, deadline=None)
 def test_conditioning_cannot_increase_entropy(arr):
     p = normalized(arr)
-    h_b = float(entropy(p.sum(axis=0)))
-    assert float(conditional_entropy(p, given="A")) <= h_b + 1e-12
+    h_b = entropy(p.sum(axis=0))
+    assert conditional_entropy(p, given="A") <= h_b + 1e-12
 
 
 @given(joint_arrays)
 @settings(max_examples=80, deadline=None)
 def test_entropy_never_exceeds_the_uniform_value(arr):
     p = normalized(arr)
-    assert float(entropy(p, base=2.0)) <= math.log2(p.size) + 1e-12
-    assert float(conditional_entropy(p, given="A", base=2.0)) <= math.log2(p.shape[1]) + 1e-12
+    assert entropy(p, base=2.0) <= math.log2(p.size) + 1e-12
+    assert conditional_entropy(p, given="A", base=2.0) <= math.log2(p.shape[1]) + 1e-12
 
 
 def test_product_distribution_has_zero_mutual_information():
     rng = np.random.default_rng(11)
     pa = normalized(rng.random(6))
     pb = normalized(rng.random(5))
-    mi = float(mutual_information(np.outer(pa, pb)))
+    mi = mutual_information(np.outer(pa, pb))
     assert mi == pytest.approx(0.0, abs=1e-12)
-
-
-def test_entropy_value_float_protocol():
-    v = EntropyValue(1.5, 2.0)
-    assert float(v) == 1.5
-    assert v.rebase(2.0) == v
 
 
 def test_large_support_entropy_adds_within_roundoff_of_an_exact_sum():
@@ -201,4 +196,4 @@ def test_large_support_entropy_adds_within_roundoff_of_an_exact_sum():
     nonzero = probs[probs > 0]
     assert nonzero.size > 10_000
     exact = -math.fsum((nonzero * np.log(nonzero)).tolist())
-    assert abs(entropy(probs, base=math.e).value - exact) <= 1e-11
+    assert abs(entropy(probs, base=math.e) - exact) <= 1e-11

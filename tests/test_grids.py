@@ -80,6 +80,12 @@ def test_centered_rejects_nonpositive_extent():
         AxisGrid.centered(8, 0.0)
 
 
+def test_axis_grid_rejects_an_extent_that_overflows():
+    # each window is finite, but n_windows * window_width is not
+    with pytest.raises(NonpositiveExtentError, match="extent must be finite and > 0, got inf"):
+        AxisGrid(n_windows=4, window_width=1e308)
+
+
 # ---------------------------------------------------------------- GridSpec
 
 
@@ -209,10 +215,10 @@ def test_marginal_sums_over_other_party():
     grid = square_grid(2, 1.0)
     probs = np.array([[0.1, 0.2], [0.3, 0.4]])
     dist = JointDistribution(probs, grid)
-    joint = entropy(dist).value
+    joint = entropy(dist)
     for given, party_probs in (("A", [0.3, 0.7]), ("B", [0.4, 0.6])):
-        expected = joint - entropy(np.array(party_probs)).value
-        assert conditional_entropy(dist, given).value == pytest.approx(expected, abs=1e-15)
+        expected = joint - entropy(np.array(party_probs))
+        assert conditional_entropy(dist, given) == pytest.approx(expected, abs=1e-15)
 
 
 def test_marginal_rejects_unknown_party():

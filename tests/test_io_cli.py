@@ -2,6 +2,7 @@ import hashlib
 import io as stdio
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,11 +76,13 @@ def test_counts_csv_skips_comments_and_blanks(tmp_path):
 
 
 def test_counts_csv_bad_token_reports_line(tmp_path):
+    # int() would read the last three as 10, 12 and 12
     path = tmp_path / "bad.csv"
-    path.write_text("1,2\n3,x\n")
-    with pytest.raises(ParseError) as err:
-        read_counts_csv(path)
-    assert "bad.csv:2" in str(err.value)
+    for token in ("x", "1_0", "١٢", "１２"):
+        path.write_text(f"1,2\n3,{token}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="not an integer count") as err:
+            read_counts_csv(path)
+        assert "bad.csv:2" in str(err.value)
 
 
 def test_counts_csv_ragged_rows_rejected(tmp_path):
@@ -564,6 +567,26 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "bad.csv:2" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["witness", "--direction", "sym"], ["witness", "--direction", "ba"], ["map"], ["curve"]]
+)
+def test_a_grid_whose_extent_overflows_exits_two(argv, tmp_path, capsys):
+    # every window_width is finite, but n_windows * window_width is not
+    assert run_cli("synth", "--n-windows", "4", "--total", "10000", "--out-dir", str(tmp_path)) == 0
+    sidecar = tmp_path / "position.grid.json"
+    doc = json.loads(sidecar.read_text())
+    for axis in doc["axes_a"] + doc["axes_b"]:
+        axis["window_width"] = 1e308
+    sidecar.write_text(json.dumps(doc))
+    capsys.readouterr()
+    files = ["--position", str(tmp_path / "position.csv"), "--momentum", str(tmp_path / "momentum.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(*argv, *files, "--output", str(tmp_path / "out")) == 2
+    assert not caught
+    assert str(sidecar) in capsys.readouterr().err
 
 
 def test_numerical_errors_exit_three(capsys):

@@ -19,7 +19,6 @@ PUBLIC_NAMES = {
     "DimensionMismatchError",
     "Direction",
     "DoubleGaussianParams",
-    "EntropyValue",
     "GridSpec",
     "Histogram",
     "JointDistribution",
@@ -92,7 +91,7 @@ PUBLIC_NAMES = {
 
 def test_public_names_are_pinned():
     assert set(eprsteering.__all__) == PUBLIC_NAMES
-    assert len(eprsteering.__all__) == len(PUBLIC_NAMES) == 77
+    assert len(eprsteering.__all__) == len(PUBLIC_NAMES) == 76
     for name in eprsteering.__all__:
         assert hasattr(eprsteering, name), name
 
