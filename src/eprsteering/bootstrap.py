@@ -53,9 +53,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import DataError, DegenerateBootstrapError, UsageError
-from .entropy import _check_base
 from .grids import CountTensor, Histogram, _check_int
-from .witness import Direction, WitnessResult, _blocks, _margin_kernel, _MarginKernel
+from .witness import Direction, WitnessResult, _margin_kernel, _MarginKernel
 
 __all__ = [
     "BootstrapReport",
@@ -71,6 +70,12 @@ SeedLike = Union[int, Sequence[int], np.ndarray]
 MIN_REPLICATES = 100
 
 _MAX_REDRAWS = 1000
+
+#: Margins whose sample std is at most this fraction of their largest magnitude
+#: have no spread: margins equal in exact arithmetic differ in their last bits,
+#: by ~2-6e-16 of it (numpy's std of equal floats is not 0 either), while a
+#: genuine spread is ~1/sqrt(N) of it, above 1e-10 even for 2**64 events.
+ROUNDOFF_SPREAD = 1e-12
 
 #: Bytes of replicate counts scored per kernel call; a chunk holds at least one replicate.
 _CHUNK_BYTES = 4 << 20
@@ -108,7 +113,9 @@ def _keyed_rng(key: tuple[int, ...]) -> np.random.Generator:
 
     Keys of two integers, ``(seed, observable)``, are the sampling streams of
     ``spdc.sample_histograms``; replicate keys ``(seed..., replicate,
-    attempt)`` have three or more, so the two families never share a key.
+    attempt)`` have three or more.  ``SeedSequence`` hashes 32-bit words,
+    so the two families never share a stream while every seed is below
+    2**32: ``(5 * 2**32 + 7, 0)`` is the key ``(7, 5, 0)``.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
@@ -274,8 +281,6 @@ def _replicate_margins(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int)
     of a dense draw.
     """
     layout = kernel.layout
-    if not layout.totals.all():
-        raise DegenerateBootstrapError("a histogram holds zero events, so every replicate of it is empty")
     lam = _check_poisson_means(layout.weights)
     rows = max(1, min(n_boot, _CHUNK_BYTES // lam.nbytes))
     buf = np.empty((rows, lam.size))
@@ -319,21 +324,20 @@ def witness_significance(
     Replicates where any histogram comes back empty have no entropy to score;
     they are redrawn from a fresh substream and counted in
     ``rejected_replicates``.  A count above ``POISSON_MEAN_MAX`` cannot be
-    redrawn and raises :class:`DataError` before any draw.
+    redrawn and raises :class:`DataError` before any draw.  Margins constant
+    up to roundoff (``ROUNDOFF_SPREAD``) raise :class:`DegenerateBootstrapError`.
     """
-    direction = Direction(direction)
     key = _seed_key(seed)
     n_boot = _check_int(n_boot, "n_boot", MIN_REPLICATES)
-    pos_blocks = _blocks(position, (Histogram,), "position")
-    mom_blocks = _blocks(momentum, (Histogram,), "momentum")
-    base = _check_base(base)
-    kernel = _margin_kernel(pos_blocks, mom_blocks, direction, base)
+    kernel = _margin_kernel(position, momentum, direction, base, (Histogram,))
     margins, rejected = _replicate_margins(kernel, key, n_boot)
 
     mean = float(margins.mean())
     std = float(margins.std(ddof=1))
-    if std == 0.0:
-        raise DegenerateBootstrapError("all bootstrap margins are identical; no spread to report")
+    if std <= ROUNDOFF_SPREAD * float(np.abs(margins).max()):
+        raise DegenerateBootstrapError(
+            f"the bootstrap margins are constant up to roundoff (std {std:.3g}); no spread to report"
+        )
     point = kernel.point()
     return BootstrapReport(
         n_boot=n_boot,

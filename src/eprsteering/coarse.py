@@ -72,20 +72,14 @@ def downsample(data: Histogram | JointDistribution, factor_a: int, factor_b: int
     was given, on the correspondingly coarser grid.
     """
     if isinstance(data, Histogram):
-        grid = data.grid
         arr = data.counts.counts
     elif isinstance(data, JointDistribution):
-        grid = data.grid
         arr = data.probs
     else:
         raise UsageError(f"downsample expects Histogram or JointDistribution, got {type(data).__name__}")
-    n = grid.n_dims
-    factors = [factor_a] * n + [factor_b] * n
-    coarse = block_sum(arr, factors)
-    new_grid = _coarser_grid(grid, int(factor_a), int(factor_b))
-    if isinstance(data, Histogram):
-        return Histogram(counts=coarse, grid=new_grid)
-    return JointDistribution(probs=coarse, grid=new_grid)
+    n = data.grid.n_dims
+    coarse = block_sum(arr, [factor_a] * n + [factor_b] * n)
+    return type(data)(coarse, _coarser_grid(data.grid, int(factor_a), int(factor_b)))
 
 
 def _base_resolution(*grids: GridSpec) -> int:

@@ -43,7 +43,7 @@ class NumericalError(SteeringError):
 
 
 class ZeroTotalError(DataError):
-    """A count tensor holds no events, so it cannot be normalized."""
+    """A histogram holds no events, so it has no entropy to score; ``Histogram`` refuses it."""
 
 
 class ShapeMismatchError(DataError):
@@ -98,4 +98,4 @@ class TruncationError(NumericalError):
 
 
 class DegenerateBootstrapError(NumericalError):
-    """Bootstrap replicates show zero spread, so no significance is defined."""
+    """Bootstrap margins spread by no more than roundoff, so no significance is defined."""

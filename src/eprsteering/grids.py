@@ -89,7 +89,8 @@ class AxisGrid:
         object.__setattr__(self, "n_windows", _check_int(self.n_windows, "n_windows"))
         width = _positive(self.window_width, "window_width", NonpositiveWindowError)
         object.__setattr__(self, "window_width", width)
-        _positive(self.extent, "extent", NonpositiveExtentError)
+        if math.isinf(self.extent):
+            raise NonpositiveExtentError(f"extent n_windows * window_width = {self.n_windows} * {width!r} overflows")
         origin = float(self.origin)
         if not math.isfinite(origin):
             raise UsageError(f"origin must be finite, got {origin!r}")
@@ -227,7 +228,7 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Counts plus the grid they were recorded on."""
+    """Counts plus the grid they were recorded on; :class:`ZeroTotalError` if they hold no events."""
 
     counts: CountTensor
     grid: GridSpec
@@ -241,16 +242,15 @@ class Histogram:
             raise ShapeMismatchError(
                 f"count shape {counts.shape} does not match grid shape {self.grid.shape}"
             )
+        if counts.total == 0:
+            raise ZeroTotalError("count tensor holds zero events")
 
     @property
     def total(self) -> int:
         return self.counts.total
 
     def normalize(self) -> JointDistribution:
-        """Relative frequencies; raises :class:`ZeroTotalError` when no events were recorded."""
-        total = self.total
-        if total == 0:
-            raise ZeroTotalError("count tensor holds zero events")
-        probs = self.counts.counts.astype(np.float64) / float(total)
+        """Relative frequencies; a histogram holds at least one event, so they are always defined."""
+        probs = self.counts.counts.astype(np.float64) / float(self.total)
         return JointDistribution(probs=probs, grid=self.grid)
 

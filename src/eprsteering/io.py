@@ -35,6 +35,7 @@ from .errors import (
     ShapeMismatchError,
     SteeringError,
     UsageError,
+    ZeroTotalError,
 )
 from .grids import AxisGrid, CountTensor, GridSpec, Histogram, Observable, _check_int, _positive
 from .spdc import (
@@ -231,8 +232,6 @@ def load_histogram(
     the bootstrap cannot redraw raise :class:`ParseError` naming the file."""
     grid_path = grid_path if grid_path is not None else sidecar_path(counts_path)
     counts = read_counts_csv(counts_path)
-    if counts.total == 0:
-        raise ParseError("counts hold zero events", str(counts_path))
     try:
         _check_poisson_means(counts.counts)
     except DataError as exc:
@@ -242,6 +241,8 @@ def load_histogram(
         return Histogram(counts=counts, grid=grid)
     except ShapeMismatchError as exc:
         raise ShapeMismatchError(f"{counts_path} with {grid_path}: {exc}") from None
+    except ZeroTotalError as exc:
+        raise ParseError(str(exc), str(counts_path)) from None
 
 
 # ---------------------------------------------------------------- run config

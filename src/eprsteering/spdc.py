@@ -399,7 +399,7 @@ def sample_histograms(
     """Poisson-sampled position and momentum histograms of a synthetic state.
 
     Position is drawn from the stream keyed ``(seed, 0)`` and momentum from
-    ``(seed, 1)``.
+    ``(seed, 1)``; a draw with no events raises :class:`ZeroTotalError`.
     """
     seed = _check_seed(seed)
     total = _positive(total, "total")

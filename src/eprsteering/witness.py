@@ -31,7 +31,6 @@ from .errors import (
     NonpositiveExtentError,
     NonpositiveWindowError,
     UsageError,
-    ZeroTotalError,
 )
 from .grids import Histogram, JointDistribution, Observable, Party, _positive
 
@@ -157,8 +156,6 @@ class _MarginKernel:
 
     def point(self) -> WitnessResult:
         """The witness on the blocks the kernel was built from, scored as a batch of one."""
-        if not self.layout.totals.all():
-            raise ZeroTotalError("count tensor holds zero events")
         lhs, margin = self(self.layout.weights[None], self.layout.totals[None])
         return WitnessResult(
             direction=self.direction,
@@ -173,28 +170,34 @@ class _MarginKernel:
 
 
 def _margin_kernel(
-    pos_blocks: Sequence[Block],
-    mom_blocks: Sequence[Block],
+    position: ObservableInput,
+    momentum: ObservableInput,
     direction: Direction,
     base: float,
+    kinds: tuple[type, ...],
 ) -> _MarginKernel:
-    """Check the grids of paired position/momentum blocks, build their witness bound and lay out their cells.
+    """The one front door to a witness: check its direction, base, blocks and grids, build its bound, lay out its cells.
 
-    ``base`` must already be checked.  A :class:`Histogram` block is laid
-    out with its counts and event total, a :class:`JointDistribution` with
-    its probabilities and a total of one.
+    ``position`` / ``momentum`` are one block of ``kinds`` or a sequence of
+    them.  A :class:`Histogram` block is laid out with its counts and event
+    total, a :class:`JointDistribution` with its probabilities and a total
+    of one.
     """
-    position = [b.grid for b in pos_blocks]
-    momentum = [b.grid for b in mom_blocks]
-    for grids, observable in ((position, Observable.POSITION), (momentum, Observable.MOMENTUM)):
+    direction = Direction(direction)
+    base = _check_base(base)
+    pos_blocks = _blocks(position, kinds, "position")
+    mom_blocks = _blocks(momentum, kinds, "momentum")
+    pos_grids = [b.grid for b in pos_blocks]
+    mom_grids = [b.grid for b in mom_blocks]
+    for grids, observable in ((pos_grids, Observable.POSITION), (mom_grids, Observable.MOMENTUM)):
         for g in grids:
             if g.observable is not observable:
                 raise UsageError(
                     f"expected a {observable.value} distribution, got one on a "
                     f"{g.observable.value} grid"
                 )
-    n_pos = sum(g.n_dims for g in position)
-    n_mom = sum(g.n_dims for g in momentum)
+    n_pos = sum(g.n_dims for g in pos_grids)
+    n_mom = sum(g.n_dims for g in mom_grids)
     if n_pos != n_mom:
         raise DimensionMismatchError(
             f"position covers {n_pos} dimension(s) but momentum covers {n_mom}"
@@ -206,8 +209,8 @@ def _margin_kernel(
         log_base = math.log(base)
         terms = []
         for party in ("A", "B"):
-            extents_x = [e for g in position for e in g.extents(party)]
-            extents_k = [e for g in momentum for e in g.extents(party)]
+            extents_x = [e for g in pos_grids for e in g.extents(party)]
+            extents_k = [e for g in mom_grids for e in g.extents(party)]
             nats = sum(
                 math.log(lx) + math.log(lk) - math.log(PI_E)
                 for lx, lk in zip(extents_x, extents_k)
@@ -216,14 +219,14 @@ def _margin_kernel(
         bound = max(terms)
     else:
         steered: Party = "B" if direction is Direction.B_GIVEN_A else "A"
-        widths_x = [w for g in position for w in g.widths(steered)]
-        widths_k = [w for g in momentum for w in g.widths(steered)]
+        widths_x = [w for g in pos_grids for w in g.widths(steered)]
+        widths_k = [w for g in mom_grids for w in g.widths(steered)]
         terms = [per_dim_bound(wx, wk, base) for wx, wk in zip(widths_x, widths_k)]
         bound = sum(terms)
     return _MarginKernel(
         direction=direction,
         base=base,
-        mode="independent-axes" if max(len(position), len(momentum)) > 1 else "full-joint",
+        mode="independent-axes" if max(len(pos_grids), len(mom_grids)) > 1 else "full-joint",
         n_dims=n_pos,
         bound=bound,
         bound_terms=tuple(terms),
@@ -248,8 +251,4 @@ def evaluate(
     counts are scored as they are: the same score, within roundoff, as its
     ``normalize()``, and bit for bit the ``point`` of its bootstrap.
     """
-    direction = Direction(direction)
-    base = _check_base(base)
-    pos = _blocks(position, (Histogram, JointDistribution), "position")
-    mom = _blocks(momentum, (Histogram, JointDistribution), "momentum")
-    return _margin_kernel(pos, mom, direction, base).point()
+    return _margin_kernel(position, momentum, direction, base, (Histogram, JointDistribution)).point()

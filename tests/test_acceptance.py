@@ -16,6 +16,7 @@ from eprsteering import (
     DoubleGaussianParams,
     GridSpec,
     Observable,
+    SteeringError,
     conditional_entropy,
     connection_check,
     continuous_conditional_entropy,
@@ -356,3 +357,44 @@ def test_11_boundary_null_never_fires(boundary_null, record_criterion):
             significances.append(report.significance)
     record_criterion("detail", f"max significance {max(significances):+.1f} sigma over 20 runs")
     assert max(significances) < 3.0
+
+
+def _certifies(run) -> bool:
+    """Whether ``run()`` certifies steering; a refusal (any ``SteeringError``) certifies nothing."""
+    try:
+        return run()
+    except SteeringError:
+        return False
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 15: on a viewing area below pi*e the witness fires whatever the data",
+)
+def test_12_small_viewing_areas_never_certify(record_criterion):
+    # L_x * L_k = 4 < pi*e: the conditional margin is at least log(pi*e/4) =
+    # 1.094 bit on any data, and so is the symmetric one once both parties'
+    # areas are below pi*e; the state is separable, so no run may certify it
+    record_criterion("criterion", "small-aperture null test: separable state, 8x8, L_x*L_k = 4 < pi*e, 1e5 events")
+
+    def state():
+        return make_synthetic_state(
+            DoubleGaussianParams(1.0, 1.0), n_windows=8, extent_x=2.0, extent_k=2.0, clip_tol=0.5
+        )
+
+    def exact(direction):
+        s = state()
+        return evaluate(s.position, s.momentum, direction=direction).violated
+
+    def sampled(direction):
+        pos, mom = sample_histograms(state(), total=100_000, seed=0)
+        return witness_significance(pos, mom, direction=direction, n_boot=200, seed=0).significance >= 3.0
+
+    fired = [
+        f"{direction.value} {run.__name__}"
+        for direction in Direction
+        for run in (exact, sampled)
+        if _certifies(lambda: run(direction))
+    ]
+    record_criterion("detail", f"{len(fired)} of 6 runs certified: {', '.join(fired) or 'none'}")
+    assert not fired

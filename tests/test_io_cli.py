@@ -570,6 +570,32 @@ def test_data_errors_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--boot", "100"],
+        ["map", "--boot", "100", "--res-a", "24", "--res-b", "24"],
+        ["curve"],
+    ],
+)
+def test_a_draw_without_events_exits_two(argv, capsys):
+    # one expected event per observable: seed 5 draws none, which no
+    # subcommand can score
+    assert run_cli(argv[0], "--synthetic", "--total", "1", "--seed", "5", *argv[1:]) == 2
+    assert capsys.readouterr().err == "data error: count tensor holds zero events\n"
+
+
+def test_a_counts_file_without_events_exits_two(tmp_path, capsys):
+    assert run_cli("synth", "--n-windows", "4", "--total", "10000", "--out-dir", str(tmp_path)) == 0
+    counts = tmp_path / "momentum.csv"
+    counts.write_text("0,0,0,0\n" * 4)
+    capsys.readouterr()
+    files = ["--position", str(tmp_path / "position.csv"), "--momentum", str(counts)]
+    for argv in (["witness", "--boot", "100"], ["map", "--boot", "100"], ["curve"]):
+        assert run_cli(*argv, *files, "--output", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"data error: {counts}: count tensor holds zero events\n"
+
+
+@pytest.mark.parametrize(
     "argv", [["witness", "--direction", "sym"], ["witness", "--direction", "ba"], ["map"], ["curve"]]
 )
 def test_a_grid_whose_extent_overflows_exits_two(argv, tmp_path, capsys):
@@ -586,13 +612,50 @@ def test_a_grid_whose_extent_overflows_exits_two(argv, tmp_path, capsys):
         warnings.simplefilter("always")
         assert run_cli(*argv, *files, "--output", str(tmp_path / "out")) == 2
     assert not caught
-    assert str(sidecar) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(sidecar) in err
+    assert "extent n_windows * window_width = 4 * 1e+308 overflows" in err
+
+
+@pytest.mark.parametrize("n_windows", ["3", "7", "24"])
+def test_an_extent_flag_that_overflows_across_its_windows_exits_three(n_windows, capsys):
+    # the flag's extent is finite, but n_windows * (extent / n_windows) rounds
+    # past the float range: the message names that product, not the flag
+    argv = ["--extent-x", "1.7976931348623157e308", "--n-windows", n_windows, "--boot", "100"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("witness", "--synthetic", *argv) == 3
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical error: extent n_windows * window_width = {n_windows} * ")
+    assert err.endswith(" overflows\n")
 
 
 def test_numerical_errors_exit_three(capsys):
     code = run_cli("witness", "--synthetic", "--clip-tol", "1e-4", "--boot", "100")
     assert code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--synthetic", "--n-windows", "1"],
+        ["witness", "--synthetic", "--n-windows", "1", "--direction", "sym"],
+        ["map", "--synthetic", "--n-windows", "12", "--total", "100000", "--res-a", "1", "--res-b", "12",
+         "--direction", "sym"],
+        ["witness", "--synthetic", "--sigma-plus", "1", "--sigma-minus", "1", "--extent-x", "2",
+         "--extent-k", "2", "--n-windows", "1", "--clip-tol", "0.5"],
+    ],
+    ids=["witness-ba", "witness-sym", "map-sym", "witness-separable"],
+)
+def test_margins_constant_up_to_roundoff_exit_three(argv, tmp_path, capsys):
+    # each margin is the bound up to its last bits; at the last bits' spread
+    # these runs reported -2.7e15, -4.1e15, -1.7e15 and +4.9e15 sigma
+    assert run_cli(*argv, "--boot", "100", "--output", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: the bootstrap margins are constant up to roundoff")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("extent", ["300", "1e300"])
