@@ -69,6 +69,9 @@ SeedLike = Union[int, Sequence[int], np.ndarray]
 #: Fewer replicates than this gives a uselessly noisy significance estimate.
 MIN_REPLICATES = 100
 
+#: At most this many replicates, so every replicate index fits in one 32-bit SeedSequence word.
+MAX_REPLICATES = 2**32
+
 _MAX_REDRAWS = 1000
 
 #: Margins whose sample std is at most this fraction of their largest magnitude
@@ -94,6 +97,14 @@ _MASK32 = 0xFFFFFFFF
 def _check_seed(seed) -> int:
     """The seed rule: a non-negative integer; bools, floats and strings are refused."""
     return _check_int(seed, "seed", 0)
+
+
+def _check_n_boot(n_boot) -> int:
+    """The replicate count rule: an integer from ``MIN_REPLICATES`` to ``MAX_REPLICATES``."""
+    n_boot = _check_int(n_boot, "n_boot", MIN_REPLICATES)
+    if n_boot > MAX_REPLICATES:
+        raise UsageError(f"n_boot must be <= {MAX_REPLICATES}, got {n_boot}")
+    return n_boot
 
 
 def _seed_key(seed: SeedLike) -> tuple[int, ...]:
@@ -181,22 +192,17 @@ def _seed_sequence_keys(words: np.ndarray) -> np.ndarray:
 
 
 def _philox_keys(key: tuple[int, ...], index: np.ndarray, attempt: int) -> np.ndarray:
-    """Philox key of ``replicate_rng(key, i, attempt)`` for each ``i`` in ``index``, as ``(rows, 2)`` uint64."""
-    index = np.asarray(index, dtype=np.uint64)
+    """Philox key of ``replicate_rng(key, i, attempt)`` for each ``i`` in ``index``, as ``(rows, 2)`` uint64.
+
+    Every ``i`` is below ``MAX_REPLICATES``, so it is one 32-bit word.
+    """
     prefix = [w for k in key for w in _uint32_words(k)]
     suffix = _uint32_words(attempt)
-    keys = np.empty((index.size, 2), dtype=np.uint64)
-    wide = index > _MASK32
-    for rows, n_own in ((~wide, 1), (wide, 2)):  # an index of 2^32 or more takes two words
-        if rows.any():
-            own = index[rows]
-            words = np.empty((len(own), len(prefix) + n_own + len(suffix)), np.uint32)
-            words[:, : len(prefix)] = prefix
-            for j in range(n_own):
-                words[:, len(prefix) + j] = own >> np.uint64(32 * j) & np.uint64(_MASK32)
-            words[:, len(prefix) + n_own :] = suffix
-            keys[rows] = _seed_sequence_keys(words)
-    return keys
+    words = np.empty((len(index), len(prefix) + 1 + len(suffix)), np.uint32)
+    words[:, : len(prefix)] = prefix
+    words[:, len(prefix)] = index
+    words[:, len(prefix) + 1 :] = suffix
+    return _seed_sequence_keys(words)
 
 
 def _check_poisson_means(lam: np.ndarray, error: type[Exception] = DataError) -> np.ndarray:
@@ -328,7 +334,7 @@ def witness_significance(
     up to roundoff (``ROUNDOFF_SPREAD``) raise :class:`DegenerateBootstrapError`.
     """
     key = _seed_key(seed)
-    n_boot = _check_int(n_boot, "n_boot", MIN_REPLICATES)
+    n_boot = _check_n_boot(n_boot)
     kernel = _margin_kernel(position, momentum, direction, base, (Histogram,))
     margins, rejected = _replicate_margins(kernel, key, n_boot)
 

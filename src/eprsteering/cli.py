@@ -87,7 +87,7 @@ def _add_common(p: argparse.ArgumentParser, *, boot: bool = True) -> None:
     )
     p.add_argument("--base", choices=sorted(_BASES), default="2", help="log base (default 2)")
     if boot:
-        p.add_argument("--boot", type=int, default=1000, help="bootstrap replicates (default 1000)")
+        p.add_argument("--boot", type=int, default=1000, help="bootstrap replicates, 100 to 2**32 (default 1000)")
     p.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
     p.add_argument("--output", default="-", help="output path, '-' for stdout (default)")
 
@@ -291,14 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser("map", help="asymmetric resolution sweep as CSV")
     _add_inputs(p_map)
     _add_common(p_map)
-    p_map.add_argument("--res-a", type=_int_list, default=None, help="party-A window counts, comma-separated (default: every divisor of the base grid)")
-    p_map.add_argument("--res-b", type=_int_list, default=None, help="party-B window counts (default: every divisor of the base grid)")
+    p_map.add_argument("--res-a", type=_int_list, default=None, help="party-A window counts, comma-separated divisors >= 2 of the base grid (default: all of them)")
+    p_map.add_argument("--res-b", type=_int_list, default=None, help="party-B window counts (default: every divisor >= 2 of the base grid)")
     p_map.set_defaults(func=_cmd_map)
 
     p_curve = sub.add_parser("curve", help="symmetric resolution curve as CSV")
     _add_inputs(p_curve)
     _add_common(p_curve, boot=False)
-    p_curve.add_argument("--resolutions", type=_int_list, default=None, help="window counts (default: every divisor of the base grid)")
+    p_curve.add_argument("--resolutions", type=_int_list, default=None, help="window counts, divisors >= 2 of the base grid (default: all of them); a row's margin is the one map and witness give on the same cell, bit for bit")
     # curves are not bootstrapped, so --boot is refused and --seed only
     # samples --synthetic; config_hash still records the defaults, so curve
     # hashes match across versions

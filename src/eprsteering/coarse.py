@@ -29,9 +29,9 @@ __all__ = [
 ]
 
 
-def _divisor(value: int, size: int, what: str) -> int:
-    """``value`` as a positive integer that divides ``size``."""
-    value = _check_int(value, what)
+def _divisor(value: int, size: int, what: str, minimum: int = 1) -> int:
+    """``value`` as an integer >= ``minimum`` that divides ``size``."""
+    value = _check_int(value, what, minimum)
     if size % value != 0:
         raise NonDivisibleFactorError(f"{what} must divide {size}, got {value}")
     return value
@@ -82,21 +82,31 @@ def downsample(data: Histogram | JointDistribution, factor_a: int, factor_b: int
     return type(data)(coarse, _coarser_grid(data.grid, int(factor_a), int(factor_b)))
 
 
-def _base_resolution(*grids: GridSpec) -> int:
-    counts = {ax.n_windows for g in grids for ax in g.axes_a + g.axes_b}
+def _sweep_inputs(position, momentum, kinds: tuple[type, ...], direction: Direction) -> tuple[Direction, int]:
+    """A sweep's direction, and the window count ``n0`` its two blocks of ``kinds`` share on every axis."""
+    direction = Direction(direction)
+    for name, block in (("position", position), ("momentum", momentum)):
+        if not isinstance(block, kinds):
+            names = " or ".join(k.__name__ for k in kinds)
+            raise UsageError(f"{name} must be a {names}, got {type(block).__name__}")
+    counts = {ax.n_windows for g in (position.grid, momentum.grid) for ax in g.axes_a + g.axes_b}
     if len(counts) != 1:
         raise UsageError(
             f"resolution sweeps need the same window count on every axis, got {sorted(counts)}"
         )
-    return counts.pop()
+    return direction, counts.pop()
 
 
 def _resolutions(requested: Sequence[int] | None, n0: int) -> tuple[int, ...]:
-    """A sweep's distinct window counts on an ``n0``-window grid; ``None`` means every divisor >= 2."""
+    """A sweep's distinct window counts on an ``n0``-window grid, each a divisor >= 2; ``None`` means all of them.
+
+    At one window a party tests no steering: the witness is constant (if the
+    party is steered, or the witness symmetric) or conditions on nothing.
+    """
     if requested is None:
         resolutions = tuple(d for d in range(2, n0 + 1) if n0 % d == 0)
     else:
-        resolutions = tuple(_divisor(r, n0, "resolution") for r in requested)
+        resolutions = tuple(_divisor(r, n0, "resolution", 2) for r in requested)
     if not resolutions:
         raise UsageError(f"a resolution sweep needs a resolution >= 2 that divides {n0}")
     if len(set(resolutions)) != len(resolutions):
@@ -120,12 +130,6 @@ class CurvePoint:
     margin: float
 
 
-def _probabilities(data: Histogram | JointDistribution, name: str) -> JointDistribution:
-    if not isinstance(data, (Histogram, JointDistribution)):
-        raise UsageError(f"{name} must be a Histogram or JointDistribution, got {type(data).__name__}")
-    return data.normalize() if isinstance(data, Histogram) else data
-
-
 def resolution_curve(
     position: Histogram | JointDistribution,
     momentum: Histogram | JointDistribution,
@@ -136,13 +140,11 @@ def resolution_curve(
     """Point-estimate witness margins across symmetric coarse-grainings.
 
     Both parties are downsampled together, so the sweep walks square
-    resolutions ``r`` that divide the (square) base grid.  Defaults to every
-    divisor >= 2 in increasing order.
+    resolutions ``r >= 2`` that divide the (square) base grid, by default all
+    of them in increasing order.  Each point is :func:`evaluate` on the
+    downsampled blocks: on histograms, :func:`asymmetry_map`'s ``(r, r)`` cell.
     """
-    direction = Direction(direction)
-    position = _probabilities(position, "position")
-    momentum = _probabilities(momentum, "momentum")
-    n0 = _base_resolution(position.grid, momentum.grid)
+    direction, n0 = _sweep_inputs(position, momentum, (Histogram, JointDistribution), direction)
     steered = "A" if direction is Direction.A_GIVEN_B else "B"
     points = []
     for r in _resolutions(resolutions, n0):
@@ -219,12 +221,8 @@ def asymmetry_map(
     significance.  Cell randomness is keyed by ``(seed, res_a, res_b)``, so
     results do not depend on sweep order.
     """
-    direction = Direction(direction)
-    for name, h in (("position", position), ("momentum", momentum)):
-        if not isinstance(h, Histogram):
-            raise UsageError(f"{name} must be a Histogram (counts are needed for the bootstrap)")
+    direction, n0 = _sweep_inputs(position, momentum, (Histogram,), direction)
     seed = _check_seed(seed)
-    n0 = _base_resolution(position.grid, momentum.grid)
     res_a = _resolutions(resolutions_a, n0)
     res_b = _resolutions(resolutions_b, n0)
     cells = []

@@ -17,7 +17,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import UsageError
-from .grids import JointDistribution, Party, _checked_probs
+from .grids import JointDistribution, Party, _checked_probs, _real
 
 __all__ = [
     "entropy",
@@ -33,10 +33,10 @@ DistLike = Union[JointDistribution, np.ndarray]
 
 
 def _check_base(base: float) -> float:
-    base = float(base)
-    if not math.isfinite(base) or base <= 1.0:
+    number = _real(base, "log base")
+    if not math.isfinite(number) or number <= 1.0:
         raise UsageError(f"log base must be finite and > 1, got {base!r}")
-    return base
+    return number
 
 
 def _plogp(p: np.ndarray) -> np.ndarray:

@@ -53,20 +53,34 @@ def _check_int(value, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
-def _positive(value, name: str, error: type[SteeringError] = UsageError) -> float:
-    """``value`` as a finite float > 0, or ``error`` naming it; :class:`UsageError` if it is no number."""
+def _real(value, name: str) -> float:
+    """``value`` as a float, NaN if it overflows one; :class:`UsageError` if it is no number."""
     try:
-        number = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise UsageError(f"{name} must be a real number, got {type(value).__name__}") from None
     except OverflowError:
-        number = math.nan
+        return math.nan
+
+
+def _positive(value, name: str, error: type[SteeringError] = UsageError) -> float:
+    """``value`` as a finite float > 0, or ``error`` naming it; :class:`UsageError` if it is no number."""
+    number = _real(value, name)
     if not math.isfinite(number) or number <= 0.0:
         raise error(f"{name} must be finite and > 0, got {value!r}")
     return number
 
 
-class Observable(str, Enum):
+class _Choice(str, Enum):
+    """A string enum that refuses an unknown value with a :class:`UsageError` naming the valid ones."""
+
+    @classmethod
+    def _missing_(cls, value):
+        valid = ", ".join(repr(member.value) for member in cls)
+        raise UsageError(f"{cls.__name__.lower()} must be one of {valid}, got {value!r}")
+
+
+class Observable(_Choice):
     """Which conjugate observable a grid discretizes."""
 
     POSITION = "position"
@@ -91,9 +105,9 @@ class AxisGrid:
         object.__setattr__(self, "window_width", width)
         if math.isinf(self.extent):
             raise NonpositiveExtentError(f"extent n_windows * window_width = {self.n_windows} * {width!r} overflows")
-        origin = float(self.origin)
+        origin = _real(self.origin, "origin")
         if not math.isfinite(origin):
-            raise UsageError(f"origin must be finite, got {origin!r}")
+            raise UsageError(f"origin must be finite, got {self.origin!r}")
         object.__setattr__(self, "origin", origin)
 
     @classmethod

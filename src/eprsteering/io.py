@@ -24,7 +24,7 @@ from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .bootstrap import MIN_REPLICATES, BootstrapReport, _check_poisson_means, _check_seed
+from .bootstrap import BootstrapReport, _check_n_boot, _check_poisson_means, _check_seed
 from .coarse import ResolutionSweep, CurvePoint
 from .entropy import _check_base
 from .errors import (
@@ -290,7 +290,7 @@ class RunConfig:
         object.__setattr__(self, "direction", Direction(self.direction))
         object.__setattr__(self, "base", _check_base(self.base))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        object.__setattr__(self, "n_boot", _check_int(self.n_boot, "n_boot", MIN_REPLICATES))
+        object.__setattr__(self, "n_boot", _check_n_boot(self.n_boot))
         for name in ("position_counts", "position_grids", "momentum_counts", "momentum_grids"):
             object.__setattr__(self, name, tuple(str(p) for p in getattr(self, name)))
         has_files = bool(self.position_counts or self.momentum_counts)

@@ -100,16 +100,14 @@ def _check_continuum_dominates(_: np.random.Generator) -> str:
 
 
 def _check_philox_keys(rng: np.random.Generator) -> str:
-    # the first seed word and the last three indices each take two 32-bit words
+    # the first seed word takes two 32-bit words; an index, below MAX_REPLICATES, takes one
     seed = (int(rng.integers(2**32, 2**63)), int(rng.integers(2**32)))
-    index = np.concatenate(
-        [rng.integers(2**32, size=3, dtype=np.uint64), rng.integers(2**32, 2**64, size=3, dtype=np.uint64)]
-    )
+    index = rng.integers(2**32, size=3, dtype=np.uint64)
     attempt = int(rng.integers(1000))
     for i, key in zip(index.tolist(), _philox_keys(seed, index, attempt)):
         want = np.random.SeedSequence(seed + (i, attempt)).generate_state(2, np.uint64)
         _require(np.array_equal(key, want), f"key of replicate {i} differs from SeedSequence's")
-    return f"{index.size} replicate keys equal SeedSequence's hash, three of them past 2^32"
+    return f"{index.size} replicate keys equal SeedSequence's hash, on a seed past 2^32"
 
 
 def _check_philox_reset(rng: np.random.Generator) -> str:

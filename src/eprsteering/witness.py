@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence, Union
 
 import numpy as np
@@ -32,7 +31,7 @@ from .errors import (
     NonpositiveWindowError,
     UsageError,
 )
-from .grids import Histogram, JointDistribution, Observable, Party, _positive
+from .grids import Histogram, JointDistribution, Observable, Party, _Choice, _positive
 
 __all__ = [
     "PI_E",
@@ -51,7 +50,7 @@ Block = Union[Histogram, JointDistribution]
 ObservableInput = Union[Block, Sequence[Block]]
 
 
-class Direction(str, Enum):
+class Direction(_Choice):
     """Steering direction a witness certifies."""
 
     B_GIVEN_A = "B_given_A"

@@ -94,6 +94,11 @@ def test_downsample_asymmetric_factors():
     assert coarse.grid.widths("B") == (2.0,)
 
 
+def test_downsample_refuses_a_plain_sequence():
+    with pytest.raises(UsageError, match="^downsample expects Histogram or JointDistribution, got list$"):
+        downsample([[1, 2], [3, 4]], 1, 1)
+
+
 def test_downsample_distribution_stays_normalized():
     grid = square_grid(4, 1.0)
     rng = np.random.default_rng(0)
@@ -220,6 +225,28 @@ def test_resolution_curve_rejects_non_square_grid():
     mom = JointDistribution(probs, mom_grid)
     with pytest.raises(UsageError):
         resolution_curve(dist, mom)
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_curve_rows_equal_evaluate_and_the_map_cell_bit_for_bit(direction):
+    # counts are scored as counts at every resolution, as witness and map
+    # score them; a probability curve is evaluate on the downsampled state
+    state = make_synthetic_state(n_windows=8)
+    pos, mom = sample_histograms(state, total=50_000, seed=1)
+
+    def downsampled_evaluate(position, momentum, r):
+        return evaluate(downsample(position, 8 // r, 8 // r), downsample(momentum, 8 // r, 8 // r), direction=direction)
+
+    for p in resolution_curve(pos, mom, direction=direction):
+        want = downsampled_evaluate(pos, mom, p.resolution)
+        cell = asymmetry_map(pos, mom, [p.resolution], [p.resolution], direction=direction, n_boot=100).cells[0]
+        assert (p.lhs, p.bound, p.margin) == (want.lhs, want.bound, want.margin)
+        assert cell.result == want
+    exact = resolution_curve(state.position, state.momentum, direction=direction)
+    assert [p.resolution for p in exact] == [2, 4, 8]
+    for p in exact:
+        want = downsampled_evaluate(state.position, state.momentum, p.resolution)
+        assert (p.lhs, p.bound, p.margin) == (want.lhs, want.bound, want.margin)
 
 
 # ------------------------------------------------------------ asymmetry map

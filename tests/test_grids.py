@@ -86,7 +86,21 @@ def test_axis_grid_rejects_an_extent_that_overflows():
         AxisGrid(n_windows=4, window_width=1e308)
 
 
+def test_axis_grid_refuses_a_width_past_the_float_range():
+    with pytest.raises(NonpositiveWindowError, match=f"^window_width must be finite and > 0, got {10**400}$"):
+        AxisGrid(n_windows=2, window_width=10**400)
+
+
 # ---------------------------------------------------------------- GridSpec
+
+
+@pytest.mark.parametrize(
+    "axes_a, message",
+    [((), "party A needs at least one axis"), (((2, 1.0),), "party A axes must be AxisGrid, got tuple")],
+)
+def test_grid_spec_refuses_missing_or_foreign_axes(axes_a, message):
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        GridSpec(Observable.POSITION, axes_a, (AxisGrid(2, 1.0),))
 
 
 def test_grid_spec_accessors():

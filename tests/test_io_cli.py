@@ -69,6 +69,14 @@ def test_counts_csv_round_trip_holds_large_values(tmp_path):
     np.testing.assert_array_equal(read_counts_csv(path).counts, big)
 
 
+def test_counts_csv_refuses_a_four_index_histogram(tmp_path):
+    ax = AxisGrid(2, 1.0)
+    hist = Histogram(np.ones((2, 2, 2, 2), dtype=np.int64), GridSpec(Observable.POSITION, (ax, ax), (ax, ax)))
+    with pytest.raises(UsageError, match=r"^counts CSV holds one transverse axis \(a 2-D matrix\), got rank 4$"):
+        write_counts_csv(hist, tmp_path / "c.csv")
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_counts_csv_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "counts.csv"
     path.write_text("# header\n\n1,2\n# mid comment\n3,4\n\n")
@@ -176,6 +184,11 @@ def test_run_config_takes_the_bootstrap_replicate_minimum():
     assert RunConfig(synthetic=SyntheticConfig(), n_boot=100).n_boot == 100
     with pytest.raises(UsageError, match="n_boot must be >= 100"):
         RunConfig(synthetic=SyntheticConfig(), n_boot=99)
+
+
+def test_run_config_refuses_files_for_one_observable():
+    with pytest.raises(UsageError, match="^counts files are needed for both observables$"):
+        RunConfig(position_counts=("p.csv",))
 
 
 def test_config_hash_stable_and_sensitive():
@@ -411,6 +424,48 @@ def test_curve_command_writes_rows(synth_dir, tmp_path):
     assert len(rows) == 4  # header plus one row per resolution
 
 
+def test_witness_writes_to_stdout_with_output_dash(synth_dir, tmp_path, capsys):
+    files = ["--position", str(synth_dir / "position.csv"), "--momentum", str(synth_dir / "momentum.csv")]
+    out = tmp_path / "witness.json"
+    assert run_cli("witness", *files, "--boot", "100", "--output", str(out)) == 0
+    assert run_cli("witness", *files, "--boot", "100", "--output", "-") == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+def test_witness_with_grid_flags_hashes_the_grid_files(synth_dir, monkeypatch, capsys):
+    monkeypatch.chdir(synth_dir)
+    flags = ["--position-grid", "position.grid.json", "--momentum-grid", "momentum.grid.json"]
+    assert run_cli("witness", "--position", "position.csv", "--momentum", "momentum.csv", *flags, "--boot", "100") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["position_grids"] == ["position.grid.json"]
+    assert doc["config"]["momentum_grids"] == ["momentum.grid.json"]
+    assert doc["config_hash"] == "6861ea43cf8f"
+
+
+@pytest.mark.parametrize(
+    "value, message", [("x", "expected comma-separated integers, got 'x'"), (",", "expected at least one integer")]
+)
+def test_a_resolution_list_that_is_no_integers_exits_one(value, message, capsys):
+    assert run_cli("map", "--synthetic", "--res-a", value) == 1
+    assert capsys.readouterr().err == f"usage error: argument --res-a: {message}\n"
+
+
+@pytest.mark.parametrize("command, sweep", [("map", "resolution maps"), ("curve", "resolution curves")])
+def test_sweeps_with_two_counts_files_per_observable_exit_one(synth_dir, command, sweep, capsys):
+    pos, mom = str(synth_dir / "position.csv"), str(synth_dir / "momentum.csv")
+    assert run_cli(command, "--position", pos, pos, "--momentum", mom, mom) == 1
+    assert capsys.readouterr().err == f"usage error: {sweep} need exactly one counts file per observable\n"
+
+
+def test_a_grid_sidecar_that_is_a_json_array_exits_two(synth_dir, tmp_path, capsys):
+    (tmp_path / "position.csv").write_bytes((synth_dir / "position.csv").read_bytes())
+    sidecar = tmp_path / "position.grid.json"
+    sidecar.write_text("[1, 2]")
+    argv = ["--position", str(tmp_path / "position.csv"), "--momentum", str(synth_dir / "momentum.csv")]
+    assert run_cli("witness", *argv, "--boot", "100") == 2
+    assert capsys.readouterr().err == f"data error: {sidecar}: grid document must be a JSON object\n"
+
+
 def test_selftest_command_passes(capsys):
     assert run_cli("selftest") == 0
     out = capsys.readouterr().out
@@ -507,6 +562,17 @@ def test_too_few_replicates_exit_one_before_any_work(synth_dir, monkeypatch, cap
         assert "n_boot must be >= 100" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("boot", ["9223372036854775807", "9223372036854775808"])
+def test_more_replicates_than_two_to_the_32_exit_one_before_any_work(synth_dir, boot, monkeypatch, capsys):
+    # numpy refused these sizes itself, with a traceback, when it allocated the margins
+    monkeypatch.setattr("eprsteering.cli.make_synthetic_state", _never)
+    monkeypatch.setattr("eprsteering.cli.load_histogram", _never)
+    files = ["--position", str(synth_dir / "position.csv"), "--momentum", str(synth_dir / "momentum.csv")]
+    for argv in (["witness", "--synthetic"], ["witness", *files], ["map", *files], ["map", "--synthetic"]):
+        assert run_cli(*argv, "--boot", boot) == 1
+        assert capsys.readouterr().err == f"usage error: n_boot must be <= 4294967296, got {boot}\n"
+
+
 @pytest.mark.parametrize("boot", ["5", "100", "200"])
 def test_curve_refuses_boot_before_any_work(synth_dir, boot, monkeypatch, capsys):
     # a curve is not bootstrapped: any --boot is refused, not hashed
@@ -548,7 +614,7 @@ def test_curve_on_files_keeps_its_rows_and_config_hash(synth_dir, tmp_path, monk
     config = RunConfig(position_counts=("position.csv",), momentum_counts=("momentum.csv",))
     assert lines[1] == f"# config_hash={config_hash(config)}"
     rows = "".join(line + "\n" for line in lines if not line.startswith("#"))
-    assert hashlib.sha256(rows.encode()).hexdigest() == "a6a142613240bf9b917e36a7dde4c6180f24a0757cad1847c534569251f91108"
+    assert hashlib.sha256(rows.encode()).hexdigest() == "71e66078d9a5f5d1d3b4754801aeb46dcacf22d231fca583fd78603b2559023a"
     with_seed = tmp_path / "seeded.csv"
     assert run_cli("curve", "--synthetic", "--n-windows", "8", "--total", "100000", "--seed", "3", "--output", str(with_seed)) == 0
     assert [l for l in with_seed.read_text().splitlines() if not l.startswith("#")] == rows.splitlines()
@@ -642,20 +708,38 @@ def test_numerical_errors_exit_three(capsys):
     [
         ["witness", "--synthetic", "--n-windows", "1"],
         ["witness", "--synthetic", "--n-windows", "1", "--direction", "sym"],
-        ["map", "--synthetic", "--n-windows", "12", "--total", "100000", "--res-a", "1", "--res-b", "12",
-         "--direction", "sym"],
         ["witness", "--synthetic", "--sigma-plus", "1", "--sigma-minus", "1", "--extent-x", "2",
          "--extent-k", "2", "--n-windows", "1", "--clip-tol", "0.5"],
     ],
-    ids=["witness-ba", "witness-sym", "map-sym", "witness-separable"],
+    ids=["witness-ba", "witness-sym", "witness-separable"],
 )
 def test_margins_constant_up_to_roundoff_exit_three(argv, tmp_path, capsys):
     # each margin is the bound up to its last bits; at the last bits' spread
-    # these runs reported -2.7e15, -4.1e15, -1.7e15 and +4.9e15 sigma
+    # these runs reported -2.7e15, -4.1e15 and +4.9e15 sigma
     assert run_cli(*argv, "--boot", "100", "--output", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical error: the bootstrap margins are constant up to roundoff")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map", "--res-a", "1", "--res-b", "12", "--boot", "100", "--direction", "sym"],
+        ["map", "--res-a", "12", "--res-b", "2,1", "--boot", "100"],
+        ["curve", "--resolutions", "12,1"],
+    ],
+    ids=["map-sym", "map-ba", "curve"],
+)
+def test_a_resolution_of_one_exits_one_before_any_cell(argv, tmp_path, monkeypatch, capsys):
+    # a party at one window tests no steering; the map-sym run once bootstrapped
+    # its other cells, then exited 3 at the constant ones and wrote no CSV
+    monkeypatch.setattr("eprsteering.coarse.downsample", _never)
+    out = tmp_path / "out"
+    flags = ["--synthetic", "--n-windows", "12", "--total", "100000", "--output", str(out)]
+    assert run_cli(argv[0], *flags, *argv[1:]) == 1
+    assert capsys.readouterr().err == "usage error: resolution must be >= 2, got 1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extent", ["300", "1e300"])

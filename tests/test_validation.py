@@ -8,6 +8,7 @@ exit code 2, a message that names the faulty file, and no escaping exception.
 import contextlib
 import io as stdio
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,15 @@ from eprsteering import (
     asymmetry_map,
     conditional_entropy,
     entropy,
+    evaluate,
     make_synthetic_state,
+    resolution_curve,
     sample_histograms,
     save_histogram,
+    viewing_grid,
     witness_significance,
 )
+from eprsteering.bootstrap import MAX_REPLICATES
 from eprsteering.cli import main
 from eprsteering.grids import NORMALIZATION_TOL
 
@@ -59,6 +64,56 @@ SEED_ENTRY_POINTS = {
 def test_bad_seeds_are_refused_not_truncated(small_state, entry, seed):
     with pytest.raises(UsageError):
         SEED_ENTRY_POINTS[entry](small_state, seed)
+
+
+# ------------------------------------------------------- argument values
+
+_DIRECTION_MESSAGE = "direction must be one of 'B_given_A', 'A_given_B', 'symmetric', got 'sideways'"
+_OBSERVABLE_MESSAGE = "observable must be one of 'position', 'momentum', got 'spin'"
+_AXIS = AxisGrid(2, 1.0)
+
+BAD_ARGUMENTS = {
+    "evaluate direction": (lambda s: evaluate(*s[1], direction="sideways"), _DIRECTION_MESSAGE),
+    "witness_significance direction": (
+        lambda s: witness_significance(*s[1], direction="sideways", n_boot=100),
+        _DIRECTION_MESSAGE,
+    ),
+    "asymmetry_map direction": (
+        lambda s: asymmetry_map(*s[1], [2], [2], direction="sideways", n_boot=100),
+        _DIRECTION_MESSAGE,
+    ),
+    "resolution_curve direction": (lambda s: resolution_curve(*s[1], direction="sideways"), _DIRECTION_MESSAGE),
+    "RunConfig direction": (
+        lambda s: RunConfig(synthetic=SyntheticConfig(), direction="sideways"),
+        _DIRECTION_MESSAGE,
+    ),
+    "GridSpec observable": (lambda s: GridSpec("spin", (_AXIS,), (_AXIS,)), _OBSERVABLE_MESSAGE),
+    "viewing_grid observable": (lambda s: viewing_grid("spin"), _OBSERVABLE_MESSAGE),
+    "evaluate base text": (lambda s: evaluate(*s[1], base="two"), "log base must be a real number, got str"),
+    "evaluate base None": (lambda s: evaluate(*s[1], base=None), "log base must be a real number, got NoneType"),
+    "AxisGrid origin": (lambda s: AxisGrid(2, 1.0, "x"), "origin must be a real number, got str"),
+    "witness_significance n_boot": (
+        lambda s: witness_significance(*s[1], n_boot=2**32 + 1),
+        "n_boot must be <= 4294967296, got 4294967297",
+    ),
+    "RunConfig n_boot": (
+        lambda s: RunConfig(synthetic=SyntheticConfig(), n_boot=2**63),
+        "n_boot must be <= 4294967296, got 9223372036854775808",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BAD_ARGUMENTS))
+def test_bad_argument_values_raise_usage_errors(small_state, entry):
+    # every one of these raised a ValueError or TypeError, or was accepted
+    call, message = BAD_ARGUMENTS[entry]
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        call(small_state)
+
+
+def test_the_replicate_ceiling_is_two_to_the_32():
+    # every replicate index then fits in one 32-bit SeedSequence word
+    assert RunConfig(synthetic=SyntheticConfig(), n_boot=MAX_REPLICATES).n_boot == MAX_REPLICATES == 2**32
 
 
 # -------------------------------------------------------------- tolerance

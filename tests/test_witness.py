@@ -148,15 +148,16 @@ def test_uniform_product_state_cannot_fire():
 
 
 def test_direction_selects_steered_party():
-    # b is a deterministic function of a, so H(B|A)=0 while H(A|B)=1 bit
-    probs = np.zeros((4, 2))
+    # b is a deterministic function of a, so H(B|A)=0 while H(A|B)=1 bit;
+    # empty windows widen each party's viewing area past pi*e
+    probs = np.zeros((9, 3))
     for a in range(4):
         probs[a, a // 2] = 0.25
     pos_grid = GridSpec(
-        Observable.POSITION, (AxisGrid(4, 0.5),), (AxisGrid(2, 1.0),)
+        Observable.POSITION, (AxisGrid(9, 0.5),), (AxisGrid(3, 1.0),)
     )
     mom_grid = GridSpec(
-        Observable.MOMENTUM, (AxisGrid(4, 0.25),), (AxisGrid(2, 2.0),)
+        Observable.MOMENTUM, (AxisGrid(9, 0.25),), (AxisGrid(3, 2.0),)
     )
     pos = JointDistribution(probs, pos_grid)
     mom = JointDistribution(probs, mom_grid)
@@ -217,16 +218,16 @@ def test_symmetric_uniform_product_is_silent():
 def test_symmetric_bound_takes_worse_party():
     probs = np.full((4, 4), 1 / 16)
     pos_grid = GridSpec(
-        Observable.POSITION, (AxisGrid(4, 0.5),), (AxisGrid(4, 0.5),)
+        Observable.POSITION, (AxisGrid(4, 1.0),), (AxisGrid(4, 1.0),)
     )
     mom_grid = GridSpec(
-        Observable.MOMENTUM, (AxisGrid(4, 0.25),), (AxisGrid(4, 1.0),)
+        Observable.MOMENTUM, (AxisGrid(4, 0.75),), (AxisGrid(4, 1.5),)
     )
     result = evaluate(
         JointDistribution(probs, pos_grid), JointDistribution(probs, mom_grid), Direction.SYMMETRIC
     )
-    bound_a = math.log2(2.0 * 1.0 / PI_E)
-    bound_b = math.log2(2.0 * 4.0 / PI_E)
+    bound_a = math.log2(4.0 * 3.0 / PI_E)
+    bound_b = math.log2(4.0 * 6.0 / PI_E)
     assert result.bound_terms == pytest.approx((bound_a, bound_b), abs=1e-12)
     assert result.bound == pytest.approx(max(bound_a, bound_b), abs=1e-12)
 
@@ -237,7 +238,7 @@ def test_evaluate_dispatch_by_direction_value():
     cond = evaluate(pos, mom, direction="A_given_B")
     assert sym.direction is Direction.SYMMETRIC
     assert cond.direction is Direction.A_GIVEN_B
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="direction must be one of"):
         evaluate(pos, mom, direction="sideways")
 
 
@@ -256,7 +257,8 @@ def two_axis_inputs():
         g2 = GridSpec(observable, (AxisGrid(4, w2),), (AxisGrid(4, w2),))
         return [JointDistribution(p1, g1), JointDistribution(p2, g2)]
 
-    pos = blocks(Observable.POSITION, 0.3, 0.2)
+    # extents 1.8 and 1.6 against 6: each area exceeds pi*e
+    pos = blocks(Observable.POSITION, 0.6, 0.4)
     mom = blocks(Observable.MOMENTUM, 2.0, 1.5)
 
     def full(observable, w1, w2):
@@ -268,7 +270,7 @@ def two_axis_inputs():
         )
         return JointDistribution(joint, grid)
 
-    return pos, mom, full(Observable.POSITION, 0.3, 0.2), full(
+    return pos, mom, full(Observable.POSITION, 0.6, 0.4), full(
         Observable.MOMENTUM, 2.0, 1.5
     )
 
