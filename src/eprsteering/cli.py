@@ -16,6 +16,8 @@ not fit in memory.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import sys
 from dataclasses import fields
@@ -131,29 +133,23 @@ def _model_flags(args: argparse.Namespace) -> dict:
     return {name: value for name, value in given.items() if value is not None}
 
 
-def _run_config(args: argparse.Namespace, *, direction: Direction) -> RunConfig:
+def _run_config(args: argparse.Namespace) -> RunConfig:
     flags = _model_flags(args)
     if flags and not args.synthetic:
         flag = next(iter(flags)).replace("_", "-")
         raise UsageError(f"--{flag} only makes sense with --synthetic")
     synthetic = SyntheticConfig(**flags) if args.synthetic else None
     return RunConfig(
-        direction=direction,
+        direction=_DIRECTIONS[args.direction],
         base=_BASES[args.base],
         n_boot=args.boot,
         seed=args.seed,
         position_counts=tuple(args.position),
-        position_grids=tuple(getattr(args, "position_grid")),
+        position_grids=tuple(args.position_grid),
         momentum_counts=tuple(args.momentum),
-        momentum_grids=tuple(getattr(args, "momentum_grid")),
+        momentum_grids=tuple(args.momentum_grid),
         synthetic=synthetic,
     )
-
-
-def _load_blocks(counts: Sequence[str], grids: Sequence[str]) -> list[Histogram]:
-    paths = list(counts)
-    grid_paths: list[str | None] = list(grids) if grids else [None] * len(paths)
-    return [load_histogram(c, g) for c, g in zip(paths, grid_paths)]
 
 
 def _sample_synthetic(syn: SyntheticConfig, seed: int) -> tuple[Histogram, Histogram, dict[str, float]]:
@@ -174,13 +170,22 @@ def _gather(config: RunConfig) -> tuple[list[Histogram], list[Histogram], dict[s
     if config.synthetic is not None:
         pos, mom, clipped = _sample_synthetic(config.synthetic, config.seed)
         return [pos], [mom], clipped
-    pos = _load_blocks(config.position_counts, config.position_grids)
-    mom = _load_blocks(config.momentum_counts, config.momentum_grids)
+    # RunConfig holds no grid files or one per counts file; None takes the default sidecar
+    pos = [load_histogram(c, g) for c, g in itertools.zip_longest(config.position_counts, config.position_grids)]
+    mom = [load_histogram(c, g) for c, g in itertools.zip_longest(config.momentum_counts, config.momentum_grids)]
     return pos, mom, None
 
 
+def _sweep_blocks(config: RunConfig, sweep: str) -> tuple[Histogram, Histogram]:
+    """A sweep's one position and one momentum block; more counts files are refused before any is read."""
+    if len(config.position_counts) > 1:
+        raise UsageError(f"{sweep} need exactly one counts file per observable")
+    pos, mom, _ = _gather(config)
+    return pos[0], mom[0]
+
+
 def _cmd_witness(args: argparse.Namespace) -> int:
-    config = _run_config(args, direction=_DIRECTIONS[args.direction])
+    config = _run_config(args)
     pos, mom, clipped = _gather(config)
     boot = witness_significance(
         pos, mom, direction=config.direction, n_boot=config.n_boot, seed=config.seed, base=config.base
@@ -196,19 +201,11 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    config = _run_config(args, direction=_DIRECTIONS[args.direction])
-    pos, mom, _ = _gather(config)
-    if len(pos) != 1 or len(mom) != 1:
-        raise UsageError("resolution maps need exactly one counts file per observable")
+    config = _run_config(args)
+    pos, mom = _sweep_blocks(config, "resolution maps")
     sweep = asymmetry_map(
-        pos[0],
-        mom[0],
-        args.res_a,
-        args.res_b,
-        direction=config.direction,
-        n_boot=config.n_boot,
-        seed=config.seed,
-        base=config.base,
+        pos, mom, args.res_a, args.res_b,
+        direction=config.direction, n_boot=config.n_boot, seed=config.seed, base=config.base,
     )
     write_map_csv(sweep, args.output, extra_meta={"config_hash": config_hash(config)})
     return 0
@@ -218,28 +215,18 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     if args.seed is not None and not args.synthetic:
         raise UsageError("--seed only makes sense with --synthetic")
     args.seed = RunConfig.seed if args.seed is None else args.seed
-    config = _run_config(args, direction=_DIRECTIONS[args.direction])
+    config = _run_config(args)
     if config.direction is Direction.SYMMETRIC:
         raise UsageError("curves are for the directed witness; pick ba or ab")
-    pos, mom, _ = _gather(config)
-    if len(pos) != 1 or len(mom) != 1:
-        raise UsageError("resolution curves need exactly one counts file per observable")
-    points = resolution_curve(
-        pos[0],
-        mom[0],
-        resolutions=args.resolutions,
-        direction=config.direction,
-        base=config.base,
-    )
+    pos, mom = _sweep_blocks(config, "resolution curves")
+    points = resolution_curve(pos, mom, resolutions=args.resolutions, direction=config.direction, base=config.base)
     write_curve_csv(points, args.output, extra_meta={"config_hash": config_hash(config)})
     return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     syn = SyntheticConfig(**_model_flags(args))
-    config = RunConfig(
-        direction=Direction.B_GIVEN_A, base=2.0, n_boot=100, seed=args.seed, synthetic=syn
-    )
+    config = RunConfig(n_boot=100, seed=args.seed, synthetic=syn)
     pos, mom, clipped = _sample_synthetic(syn, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -278,12 +265,14 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``eprsteer`` parser, built once per process and shared by every call, so it holds no per-call state."""
     parser = _Parser(prog="eprsteer", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_wit = sub.add_parser("witness", help="evaluate one steering witness", parents=[])
+    p_wit = sub.add_parser("witness", help="evaluate one steering witness")
     _add_inputs(p_wit)
     _add_common(p_wit)
     p_wit.set_defaults(func=_cmd_witness)

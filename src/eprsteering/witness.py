@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatchError,
     NonpositiveExtentError,
     NonpositiveWindowError,
+    NumericalError,
     UsageError,
 )
 from .grids import Histogram, JointDistribution, Observable, Party, _Choice, _positive
@@ -204,20 +205,34 @@ def _margin_kernel(
     if n_pos > 2:
         raise UsageError(f"at most 2 transverse dimensions supported, got {n_pos}")
 
+    # each party's sum over dimensions of log(L_x*L_k/(pi*e)), in nats: the
+    # conditional margin is at least minus the steered party's sum, and the
+    # symmetric one at least minus the larger sum, whatever the data
+    extents = {
+        party: list(zip([e for g in pos_grids for e in g.extents(party)], [e for g in mom_grids for e in g.extents(party)]))
+        for party in ("A", "B")
+    }
+    area_nats = {
+        party: sum(math.log(lx) + math.log(lk) - math.log(PI_E) for lx, lk in pairs)
+        for party, pairs in extents.items()
+    }
+    steered: Party = "B" if direction is Direction.B_GIVEN_A else "A"
+    parties: tuple[Party, ...] = ("A", "B") if direction is Direction.SYMMETRIC else (steered,)
+    if max(area_nats[p] for p in parties) <= 0.0:
+        pi_e = "pi*e" if n_pos == 1 else f"(pi*e)^{n_pos}"
+        small = "; ".join(
+            f"party {p}'s viewing area L_x*L_k = {' * '.join(f'{lx * lk:.6g}' for lx, lk in extents[p])} "
+            f"is at most {pi_e} = {PI_E ** n_pos:.6g}"
+            for p in parties
+        )
+        raise NumericalError(
+            f"{small}, so the {direction.value} margin is >= 0 on any data: the witness cannot fail there"
+        )
+
     if direction is Direction.SYMMETRIC:
-        log_base = math.log(base)
-        terms = []
-        for party in ("A", "B"):
-            extents_x = [e for g in pos_grids for e in g.extents(party)]
-            extents_k = [e for g in mom_grids for e in g.extents(party)]
-            nats = sum(
-                math.log(lx) + math.log(lk) - math.log(PI_E)
-                for lx, lk in zip(extents_x, extents_k)
-            )
-            terms.append(nats / log_base)
+        terms = [area_nats[party] / math.log(base) for party in ("A", "B")]
         bound = max(terms)
     else:
-        steered: Party = "B" if direction is Direction.B_GIVEN_A else "A"
         widths_x = [w for g in pos_grids for w in g.widths(steered)]
         widths_k = [w for g in mom_grids for w in g.widths(steered)]
         terms = [per_dim_bound(wx, wk, base) for wx, wk in zip(widths_x, widths_k)]

@@ -38,6 +38,7 @@ from eprsteering.spdc import (
     momentum_covariance,
     position_covariance,
 )
+from eprsteering.witness import PI_E
 
 EXTENT_X = 1.04e-3
 EXTENT_K = 1.00e5
@@ -359,6 +360,40 @@ def test_11_boundary_null_never_fires(boundary_null, record_criterion):
     assert max(significances) < 3.0
 
 
+@pytest.fixture(scope="module")
+def symmetric_boundary_null():
+    """ROADMAP item 13's symmetric boundary null: viewing area 1.2*pi*e, a symmetric margin just below zero."""
+    return make_synthetic_state(
+        DoubleGaussianParams(1.0, 0.5996144), n_windows=24, extent_x=2.5, extent_k=1.2 * PI_E / 2.5, clip_tol=0.1
+    )
+
+
+def test_symmetric_boundary_null_margin_is_just_below_zero(symmetric_boundary_null, record_criterion):
+    record_criterion("criterion", "symmetric boundary null state: exact symmetric margin -0.005 bit")
+    state = symmetric_boundary_null
+    margin = evaluate(state.position, state.momentum, direction=Direction.SYMMETRIC).margin
+    record_criterion("detail", f"margin {margin:+.8f} bit")
+    assert margin == pytest.approx(-0.005, abs=1e-6)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the plug-in bootstrap certifies a state whose exact symmetric margin is -0.005 bit",
+)
+def test_13_symmetric_boundary_null_never_fires(symmetric_boundary_null, record_criterion):
+    record_criterion(
+        "criterion", "symmetric boundary null test: exact margin -0.005 bit, 24x24, 300 and 1e3 events"
+    )
+    significances = []
+    for total in (300, 1_000):
+        for seed in range(10):
+            pos, mom = sample_histograms(symmetric_boundary_null, total=total, seed=seed)
+            report = witness_significance(pos, mom, direction=Direction.SYMMETRIC, n_boot=200, seed=seed)
+            significances.append(report.significance)
+    record_criterion("detail", f"max significance {max(significances):+.1f} sigma over 20 runs")
+    assert max(significances) < 3.0
+
+
 def _certifies(run) -> bool:
     """Whether ``run()`` certifies steering; a refusal (any ``SteeringError``) certifies nothing."""
     try:
@@ -367,10 +402,6 @@ def _certifies(run) -> bool:
         return False
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 15: on a viewing area below pi*e the witness fires whatever the data",
-)
 def test_12_small_viewing_areas_never_certify(record_criterion):
     # L_x * L_k = 4 < pi*e: the conditional margin is at least log(pi*e/4) =
     # 1.094 bit on any data, and so is the symmetric one once both parties'

@@ -36,7 +36,7 @@ from eprsteering import (
     write_grid_json,
     write_map_csv,
 )
-from eprsteering import selftest
+from eprsteering import cli, selftest
 from eprsteering.bootstrap import _philox_keys, replicate_rng
 from eprsteering.cli import main
 from eprsteering.coarse import resolution_curve
@@ -451,7 +451,9 @@ def test_a_resolution_list_that_is_no_integers_exits_one(value, message, capsys)
 
 
 @pytest.mark.parametrize("command, sweep", [("map", "resolution maps"), ("curve", "resolution curves")])
-def test_sweeps_with_two_counts_files_per_observable_exit_one(synth_dir, command, sweep, capsys):
+def test_sweeps_with_two_counts_files_per_observable_exit_one(synth_dir, command, sweep, monkeypatch, capsys):
+    # the run config alone shows the request is wrong, so no file is read
+    monkeypatch.setattr("eprsteering.cli.load_histogram", _never)
     pos, mom = str(synth_dir / "position.csv"), str(synth_dir / "momentum.csv")
     assert run_cli(command, "--position", pos, pos, "--momentum", mom, mom) == 1
     assert capsys.readouterr().err == f"usage error: {sweep} need exactly one counts file per observable\n"
@@ -464,6 +466,14 @@ def test_a_grid_sidecar_that_is_a_json_array_exits_two(synth_dir, tmp_path, caps
     argv = ["--position", str(tmp_path / "position.csv"), "--momentum", str(synth_dir / "momentum.csv")]
     assert run_cli("witness", *argv, "--boot", "100") == 2
     assert capsys.readouterr().err == f"data error: {sidecar}: grid document must be a JSON object\n"
+
+
+def test_main_builds_its_parser_once_per_process():
+    cli.build_parser.cache_clear()
+    assert run_cli("witness") == 1
+    assert run_cli("selftest", "--seed", "-1") == 1
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser.cache_info().hits == 1
 
 
 def test_selftest_command_passes(capsys):
@@ -708,17 +718,28 @@ def test_numerical_errors_exit_three(capsys):
     [
         ["witness", "--synthetic", "--n-windows", "1"],
         ["witness", "--synthetic", "--n-windows", "1", "--direction", "sym"],
-        ["witness", "--synthetic", "--sigma-plus", "1", "--sigma-minus", "1", "--extent-x", "2",
-         "--extent-k", "2", "--n-windows", "1", "--clip-tol", "0.5"],
     ],
-    ids=["witness-ba", "witness-sym", "witness-separable"],
+    ids=["witness-ba", "witness-sym"],
 )
 def test_margins_constant_up_to_roundoff_exit_three(argv, tmp_path, capsys):
     # each margin is the bound up to its last bits; at the last bits' spread
-    # these runs reported -2.7e15, -4.1e15 and +4.9e15 sigma
+    # these runs reported -2.7e15 and -4.1e15 sigma
     assert run_cli(*argv, "--boot", "100", "--output", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical error: the bootstrap margins are constant up to roundoff")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("direction", ["ba", "ab", "sym"])
+def test_a_viewing_area_below_pi_e_exits_three(direction, tmp_path, capsys):
+    # L_x * L_k = 4 < pi*e: every margin is at least log2(pi*e/4) = 1.094 bit
+    # whatever the data; this separable state once certified at +4.9e15 sigma
+    argv = ["witness", "--synthetic", "--sigma-plus", "1", "--sigma-minus", "1", "--extent-x", "2",
+            "--extent-k", "2", "--n-windows", "1", "--clip-tol", "0.5", "--direction", direction]
+    assert run_cli(*argv, "--boot", "100", "--output", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: party ")
+    assert "viewing area L_x*L_k = 4 is at most pi*e = 8.53973" in err
     assert not (tmp_path / "out").exists()
 
 

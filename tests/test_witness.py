@@ -10,14 +10,21 @@ from eprsteering import (
     DimensionMismatchError,
     Direction,
     GridSpec,
+    DoubleGaussianParams,
     JointDistribution,
     NonpositiveExtentError,
     NonpositiveWindowError,
+    NumericalError,
     Observable,
     UsageError,
+    asymmetry_map,
     evaluate,
+    make_synthetic_state,
     min_resolution,
     per_dim_bound,
+    resolution_curve,
+    sample_histograms,
+    witness_significance,
 )
 
 PI_E = math.pi * math.e
@@ -303,3 +310,65 @@ def test_more_than_two_axes_rejected():
     pos_blocks, mom_blocks, _, _ = two_axis_inputs()
     with pytest.raises(UsageError):
         evaluate(pos_blocks + pos_blocks[:1], mom_blocks + mom_blocks[:1])
+
+
+# ------------------------------------------------ viewing areas at most pi*e
+
+
+@pytest.fixture(scope="module")
+def small_aperture():
+    """A separable state sampled on L_x * L_k = 4 < pi*e: every margin is >= 1.094 bit on any data."""
+    state = make_synthetic_state(
+        DoubleGaussianParams(1.0, 1.0), n_windows=8, extent_x=2.0, extent_k=2.0, clip_tol=0.5
+    )
+    return sample_histograms(state, total=100_000, seed=0)
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a bootstrap draw was keyed")
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda pos, mom, d: evaluate(pos, mom, direction=d),
+        lambda pos, mom, d: witness_significance(pos, mom, direction=d, n_boot=100),
+        lambda pos, mom, d: asymmetry_map(pos, mom, direction=d, n_boot=100),
+        lambda pos, mom, d: resolution_curve(pos, mom, direction=d),
+    ],
+    ids=["evaluate", "witness_significance", "asymmetry_map", "resolution_curve"],
+)
+def test_a_viewing_area_below_pi_e_is_refused_before_any_draw(small_aperture, run, direction, monkeypatch):
+    monkeypatch.setattr("eprsteering.bootstrap._philox_keys", _no_draw)
+    with pytest.raises(NumericalError, match=r"viewing area L_x\*L_k = 4 is at most pi\*e = 8\.53973"):
+        run(*small_aperture, direction)
+
+
+def area_blocks(areas_a, areas_b):
+    """One 3x3 block per dimension, position extent 1 for both parties, so each momentum extent is an area."""
+    probs = np.random.default_rng(3).random((3, 3))
+    probs /= probs.sum()
+
+    def block(observable, extent_a, extent_b):
+        grid = GridSpec(observable, (AxisGrid.centered(3, extent_a),), (AxisGrid.centered(3, extent_b),))
+        return JointDistribution(probs, grid)
+
+    pos = [block(Observable.POSITION, 1.0, 1.0) for _ in areas_a]
+    mom = [block(Observable.MOMENTUM, a, b) for a, b in zip(areas_a, areas_b)]
+    return pos, mom
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_a_one_dimensional_area_is_refused_up_to_pi_e(direction):
+    with pytest.raises(NumericalError, match=r"pi\*e"):
+        evaluate(*area_blocks([0.99 * PI_E], [0.99 * PI_E]), direction=direction)
+    assert evaluate(*area_blocks([1.01 * PI_E], [1.01 * PI_E]), direction=direction).n_dims == 1
+
+
+def test_the_area_rule_sums_over_dimensions():
+    # B|A reads party B alone: 4 * 20 = 80 exceeds (pi*e)^2 = 72.9, 4 * 15 = 60
+    # does not, whatever party A's areas (here 4 and 15)
+    assert evaluate(*area_blocks([4.0, 15.0], [4.0, 20.0])).n_dims == 2
+    with pytest.raises(NumericalError, match=r"party B's viewing area L_x\*L_k = 4 \* 15 is at most \(pi\*e\)\^2"):
+        evaluate(*area_blocks([4.0, 15.0], [4.0, 15.0]))
