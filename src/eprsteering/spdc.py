@@ -23,8 +23,9 @@ Discretization routes:
   (marginal times conditional CDF difference), which stays accurate at any
   mode ratio.  Use this one for model states.
 
-:func:`connection_check` holds the Gauss-Legendre rule against the closed-form
-``integral -p log p`` of a Gaussian window.  Nothing here needs more than numpy.
+The 16-point rule is stored as constants equal to numpy's ``leggauss(16)``.
+:func:`connection_check` holds it against the closed-form ``integral -p log p``
+of a Gaussian window.  Nothing here needs more than numpy.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .bootstrap import _check_seed, _keyed_rng, sample_counts
 from .entropy import ZERO_FLOOR, _check_base, _plogp, conditional_entropy
@@ -188,8 +188,22 @@ def continuous_margin(params: DoubleGaussianParams, base: float = 2.0) -> float:
     return nats / math.log(base)
 
 
-#: The one quadrature rule, applied per window (per panel in the exact route).
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
+#: The one quadrature rule, applied per window (per panel in the exact route):
+#: the 16-point Gauss-Legendre nodes and weights, stored as the values
+#: ``numpy.polynomial.legendre.leggauss(16)`` returns, so no process imports
+#: ``numpy.polynomial`` or runs LAPACK for them.
+_GL_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GL_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
 
 
 def _cell_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

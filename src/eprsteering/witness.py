@@ -95,17 +95,29 @@ def per_dim_bound(width_x: float, width_k: float, base: float = 2.0) -> float:
     return (math.log(PI_E) - math.log(width_x) - math.log(width_k)) / math.log(base)
 
 
+def _area_nats(extent_x: float, extent_k: float) -> float:
+    """log(L_x * L_k / (pi*e)) in nats; no witness over an area where it is <= 0 can fail."""
+    return math.log(extent_x) + math.log(extent_k) - math.log(PI_E)
+
+
 def min_resolution(extent_x: float, extent_k: float) -> int:
     """Smallest per-axis window count that makes the conditional bound positive.
 
     For square grids over fixed extents the bound per dimension is
     log(N^2 * pi*e / (L_x * L_k)); it must be strictly positive, so exact ties
-    resolve upward.
+    resolve upward.  An area of at most pi*e, which :func:`evaluate` refuses
+    on any grid, raises :class:`NumericalError`; past it one window never
+    suffices.
     """
     extent_x = _positive(extent_x, "extent_x", NonpositiveExtentError)
     extent_k = _positive(extent_k, "extent_k", NonpositiveExtentError)
+    if _area_nats(extent_x, extent_k) <= 0.0:
+        raise NumericalError(
+            f"viewing area L_x*L_k = {extent_x * extent_k:.6g} is at most pi*e = {PI_E:.6g}, "
+            "so no grid over it makes the conditional bound positive"
+        )
     ratio = extent_x * extent_k / PI_E
-    return int(math.floor(math.sqrt(ratio))) + 1
+    return max(2, int(math.floor(math.sqrt(ratio))) + 1)
 
 
 def _blocks(obj, kinds: tuple[type, ...], name: str) -> tuple:
@@ -213,7 +225,7 @@ def _margin_kernel(
         for party in ("A", "B")
     }
     area_nats = {
-        party: sum(math.log(lx) + math.log(lk) - math.log(PI_E) for lx, lk in pairs)
+        party: sum(_area_nats(lx, lk) for lx, lk in pairs)
         for party, pairs in extents.items()
     }
     steered: Party = "B" if direction is Direction.B_GIVEN_A else "A"

@@ -106,20 +106,27 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
     )
 
 
+# the package needs numpy alone at run time, and scipy is a test oracle; the
+# quadrature rule is stored, so numpy.polynomial stays unloaded too unless
+# numpy itself imports it (NumPy 1.x does)
+_UNUSED_MODULES = (
+    "import sys, numpy\n"
+    "before = set(sys.modules)\n"
+    "def unused():\n"
+    "    return sorted(m for m in set(sys.modules) - before if m.startswith(('scipy', 'numpy.polynomial')))\n"
+)
+
+
 def test_cli_import_leaves_scipy_unloaded():
-    # the package needs numpy alone at run time; scipy is a test oracle
-    code = (
-        "import sys, eprsteering.cli, eprsteering.selftest\n"
-        "print(any(m.startswith('scipy') for m in sys.modules))"
-    )
-    assert _run_python(code).stdout.strip() == "False"
+    code = _UNUSED_MODULES + "import eprsteering.cli, eprsteering.selftest\nprint(unused())"
+    assert _run_python(code).stdout.strip() == "[]"
 
 
 def test_synthetic_state_leaves_scipy_unloaded():
-    code = (
-        "import sys, eprsteering as ep\n"
+    code = _UNUSED_MODULES + (
+        "import eprsteering as ep\n"
         "ep.sample_histograms(ep.make_synthetic_state(), seed=0)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "print(unused())"
     )
     assert _run_python(code).stdout.strip() == "[]"
 

@@ -437,6 +437,18 @@ def test_sample_histograms_rejects_bad_seed():
 # ---------------------------------------------- continuum-discrete bridges
 
 
+def test_quadrature_rule_is_numpys_leggauss_16():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = spdc._GL_NODES, spdc._GL_WEIGHTS
+    np.testing.assert_array_equal(nodes, -nodes[::-1])
+    np.testing.assert_array_equal(weights, weights[::-1])
+    assert math.fsum(weights) == pytest.approx(2.0, abs=1e-15)
+    ref_nodes, ref_weights = leggauss(16)
+    np.testing.assert_array_max_ulp(nodes, ref_nodes, maxulp=2)
+    np.testing.assert_array_max_ulp(weights, ref_weights, maxulp=2)
+
+
 def test_connection_identity_gaussian():
     assert connection_check(1.0, AxisGrid.centered(16, 12.0)) <= 1e-12
 

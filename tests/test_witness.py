@@ -89,8 +89,14 @@ def test_per_dim_bound_rejects_nonpositive_widths(bad):
 
 def test_min_resolution_frozen_values():
     assert min_resolution(EXTENT_X, EXTENT_K) == 4
-    assert min_resolution(PI_E, 1.0) == 2
-    assert min_resolution(0.1, 1.0) == 1
+    # past pi*e by the rule evaluate refuses by, though L_x * L_k / (pi*e)
+    # rounds to just below 1: one window still cannot fire
+    lx, lk = 0.12277505667624512, 69.55593793935391
+    assert math.log(lx) + math.log(lk) - math.log(PI_E) > 0.0 > lx * lk / PI_E - 1.0
+    assert min_resolution(lx, lk) == 2
+    for area in (PI_E, 0.1):
+        with pytest.raises(NumericalError, match=r"viewing area L_x\*L_k = .* is at most pi\*e = 8\.53973"):
+            min_resolution(area, 1.0)
 
 
 def test_min_resolution_rejects_nonpositive_extent():
@@ -104,10 +110,14 @@ def test_min_resolution_rejects_nonpositive_extent():
 )
 @settings(max_examples=120, deadline=None)
 def test_min_resolution_is_threshold(lx, lk):
+    # the area rule of evaluate's refusal splits the domain
+    if math.log(lx) + math.log(lk) - math.log(PI_E) <= 0.0:
+        with pytest.raises(NumericalError, match=r"pi\*e"):
+            min_resolution(lx, lk)
+        return
     n = min_resolution(lx, lk)
     assert per_dim_bound(lx / n, lk / n) > 0.0
-    if n > 1:
-        assert per_dim_bound(lx / (n - 1), lk / (n - 1)) <= 1e-12
+    assert per_dim_bound(lx / (n - 1), lk / (n - 1)) <= 1e-12
 
 
 @given(
