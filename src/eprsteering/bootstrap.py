@@ -27,18 +27,9 @@ fixed by its 128-bit key, and ``replicate_rng`` takes that key from
 the same hash for a whole chunk of replicates in one pass of uint32
 arithmetic, and each replicate is drawn by resetting the key of one reused
 ``Philox``.  The streams, and so every draw, are those of ``replicate_rng``,
-which stays the definition of the stream.  On a 2-vCPU x86-64 host (Python
-3.11, numpy 2.4; ranges span the host's speed shifts) the key reset takes
-~0.5-0.7 us and the hash ~1 us per replicate in a call of 100 (80-140 us
-per call) and ~0.2 us in a call of 1,000, where building a generator takes
-~13-22 us.  The draw takes ~6-10 us per call plus ~40 ns per non-zero cell:
-~19-32 us for the 319 non-zero cells of the default state's two 24x24
-histograms, against ~5-7 us per replicate to score them and ~30-50 us per
-call for the point estimate.  Part of the draw is numpy's:
-``Generator.poisson`` re-checks its means on every call (two ``np.all`` per
-draw, 3.3 s of the 9.4 s spent drawing in acceptance test 6), although they
-were checked once before the first draw.  That is the floor under this
-stream contract; it is not worked around with a private numpy API.
+which stays the definition of the stream.  numpy's Poisson draw is the floor
+of a replicate's time under this contract; it is not worked around with a
+private numpy API.
 
 The contract rests on three facts of the installed numpy: ``_philox_keys``
 reproduces ``SeedSequence``'s hash, a reset Philox starts the keyed stream,
@@ -60,7 +51,6 @@ __all__ = [
     "BootstrapReport",
     "replicate_rng",
     "poisson_resample",
-    "sample_counts",
     "witness_significance",
 ]
 
@@ -132,8 +122,8 @@ def _keyed_rng(key: tuple[int, ...]) -> np.random.Generator:
 
 
 def replicate_rng(seed: SeedLike, index: int, attempt: int = 0) -> np.random.Generator:
-    """Independent generator for one bootstrap replicate."""
-    return _keyed_rng(_seed_key(seed) + (int(index), int(attempt)))
+    """Independent generator for one bootstrap replicate; ``index`` and ``attempt`` are integers >= 0."""
+    return _keyed_rng(_seed_key(seed) + (_check_int(index, "index", 0), _check_int(attempt, "attempt", 0)))
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -205,11 +195,11 @@ def _philox_keys(key: tuple[int, ...], index: np.ndarray, attempt: int) -> np.nd
     return _seed_sequence_keys(words)
 
 
-def _check_poisson_means(lam: np.ndarray, error: type[Exception] = DataError) -> np.ndarray:
-    """``lam`` as float64 Poisson means; ``error`` if one exceeds ``POISSON_MEAN_MAX``."""
+def _check_poisson_means(lam: np.ndarray) -> np.ndarray:
+    """``lam`` as float64 Poisson means; :class:`DataError` if one exceeds ``POISSON_MEAN_MAX``."""
     lam = np.asarray(lam, dtype=np.float64)
     if lam.size and lam.max() > POISSON_MEAN_MAX:
-        raise error(
+        raise DataError(
             f"a cell mean of {lam.max():.6g} exceeds {POISSON_MEAN_MAX:.6g}, "
             "the largest Poisson mean that can be drawn"
         )
@@ -219,14 +209,6 @@ def _check_poisson_means(lam: np.ndarray, error: type[Exception] = DataError) ->
 def poisson_resample(counts: CountTensor, rng: np.random.Generator) -> CountTensor:
     """Redraw each cell as Poisson with the observed count as mean."""
     return CountTensor(rng.poisson(lam=_check_poisson_means(counts.counts)))
-
-
-def sample_counts(means: np.ndarray, rng: np.random.Generator) -> CountTensor:
-    """Poisson counts around arbitrary non-negative expected values."""
-    lam = np.asarray(means, dtype=np.float64)
-    if (lam < 0).any() or not np.isfinite(lam).all():
-        raise UsageError("expected counts must be finite and non-negative")
-    return CountTensor(rng.poisson(lam=_check_poisson_means(lam, UsageError)))
 
 
 def _philox_drawer(lam: np.ndarray) -> Callable[[list[int]], np.ndarray]:

@@ -13,15 +13,11 @@ Everything downstream (densities, covariances, conditional entropies) follows
 in closed form, which is what makes this model a useful oracle: discretized
 witnesses can be checked against analytic continuous-variable values.
 
-Discretization routes:
-
-* :func:`discretize` integrates an arbitrary smooth density with the fixed
-  16-point Gauss-Legendre rule per cell.  Fine for gentle densities; it visibly
-  under-resolves the correlation ridge once the mode ratio grows past ~20 on
-  coarse grids, and the mass gate will catch that.
-* :func:`discretize_state` uses the exact bivariate-normal cell decomposition
-  (marginal times conditional CDF difference), which stays accurate at any
-  mode ratio.  Use this one for model states.
+The package windows the model state by one route, :func:`discretize_state`:
+the exact bivariate-normal cell decomposition (marginal times conditional CDF
+difference), which stays accurate at any mode ratio.  The generic per-cell
+Gauss-Legendre route for arbitrary densities, and the paper's windowed bound
+on ``h(b|a)``, live in the test suite as oracles for it.
 
 The 16-point rule is stored as constants equal to numpy's ``leggauss(16)``.
 :func:`connection_check` holds it against the closed-form ``integral -p log p``
@@ -32,33 +28,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .bootstrap import _check_seed, _keyed_rng, sample_counts
-from .entropy import ZERO_FLOOR, _check_base, _plogp, conditional_entropy
+from .bootstrap import POISSON_MEAN_MAX, _check_poisson_means, _check_seed, _keyed_rng
+from .entropy import _check_base, _plogp
 from .errors import NumericalError, TruncationError, UsageError
 from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, Observable, _positive
 
 __all__ = [
     "DoubleGaussianParams",
     "default_params",
-    "position_density",
-    "momentum_density",
     "position_covariance",
     "momentum_covariance",
     "conditional_variance",
     "continuous_conditional_entropy",
     "continuous_margin",
-    "discretize",
     "discretize_state",
     "viewing_grid",
     "SyntheticState",
     "make_synthetic_state",
     "sample_histograms",
     "connection_check",
-    "windowed_conditional_rhs",
 ]
 
 # Defaults calibrated so that, on the default viewing area and grid, the
@@ -71,7 +62,7 @@ DEFAULT_EXTENT_K = 1.00e5
 DEFAULT_RESOLUTION = 24
 DEFAULT_TOTAL_EVENTS = 2_000_000
 
-#: Mass a grid may miss before :func:`discretize` refuses to renormalize.
+#: Mass a grid may miss before :func:`discretize_state` refuses to renormalize.
 STRICT_TAIL_TOL = 1e-6
 
 #: The synthetic preset clips the state at the viewing-area edge on purpose,
@@ -116,26 +107,6 @@ class DoubleGaussianParams:
 
 def default_params() -> DoubleGaussianParams:
     return DoubleGaussianParams(DEFAULT_SIGMA_PLUS, DEFAULT_SIGMA_MINUS)
-
-
-def position_density(params: DoubleGaussianParams, x_a, x_b) -> np.ndarray | float:
-    """Joint position density of the model axis."""
-    sp, sm = params.sigma_plus, params.sigma_minus
-    x_a = np.asarray(x_a, dtype=np.float64)
-    x_b = np.asarray(x_b, dtype=np.float64)
-    out = np.exp(-((x_a + x_b) ** 2) / (2 * sp**2) - ((x_a - x_b) ** 2) / (2 * sm**2))
-    out /= math.pi * sp * sm
-    return out if out.ndim else float(out)
-
-
-def momentum_density(params: DoubleGaussianParams, k_a, k_b) -> np.ndarray | float:
-    """Joint momentum density; the sum/difference mode widths invert."""
-    sp, sm = params.sigma_plus, params.sigma_minus
-    k_a = np.asarray(k_a, dtype=np.float64)
-    k_b = np.asarray(k_b, dtype=np.float64)
-    out = np.exp(-((k_a + k_b) ** 2) * sp**2 / 2 - ((k_a - k_b) ** 2) * sm**2 / 2)
-    out *= sp * sm / math.pi
-    return out if out.ndim else float(out)
 
 
 def position_covariance(params: DoubleGaussianParams) -> tuple[float, float, float]:
@@ -216,21 +187,6 @@ def _cell_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _single_axis(grid: GridSpec, name: str) -> None:
-    if grid.n_dims != 1:
-        raise UsageError(f"{name} handles one transverse axis at a time")
-
-
-def _cell_values(
-    pdf: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``vals[l, g, m, h]``: ``pdf`` at node g of A-window l and node h of B-window m."""
-    xa, wa = _cell_nodes(grid.axes_a[0].edges())
-    xb, wb = _cell_nodes(grid.axes_b[0].edges())
-    vals = np.asarray(pdf(xa[:, :, None, None], xb[None, None, :, :]), dtype=np.float64)
-    return vals, wa, wb
-
-
 def _windowed(
     cells: np.ndarray, grid: GridSpec, tail_tol: float
 ) -> tuple[JointDistribution, float]:
@@ -249,26 +205,6 @@ def _windowed(
             f"(tol {tail_tol:g})"
         )
     return JointDistribution(probs=np.maximum(cells, 0.0) / mass, grid=grid), deficit
-
-
-def discretize(
-    pdf: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    grid: GridSpec,
-    *,
-    tail_tol: float = STRICT_TAIL_TOL,
-) -> tuple[JointDistribution, float]:
-    """Window an arbitrary joint density with per-cell Gauss-Legendre quadrature.
-
-    ``pdf(x_a, x_b)`` must broadcast over arrays.  Only single-axis grids are
-    handled here; discretize higher-dimensional states one axis at a time.
-    Returns the renormalized distribution and the mass deficit ``1 - mass``.
-    Raises :class:`TruncationError` when ``|1 - mass| > tail_tol``, which
-    catches both grids that miss real probability and quadrature that cannot
-    resolve the density.
-    """
-    _single_axis(grid, "discretize")
-    vals, wa, wb = _cell_values(pdf, grid)
-    return _windowed(np.einsum("agbh,ag,bh->ab", vals, wa, wb), grid, tail_tol)
 
 
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
@@ -340,10 +276,14 @@ def discretize_state(
 ) -> tuple[JointDistribution, float]:
     """Window the model state through the exact Gaussian route.
 
-    Same contract as :func:`discretize`; here the deficit really is tail mass
-    outside the viewing area, since the cell integrals are exact to roundoff.
+    Only single-axis grids are handled; a 2-D state is windowed one axis at
+    a time.  Returns the renormalized distribution and the mass deficit
+    ``1 - mass``, the tail mass outside the viewing area, since the cell
+    integrals are exact to roundoff.  Raises :class:`TruncationError` when
+    ``|1 - mass| > tail_tol``.
     """
-    _single_axis(grid, "discretize_state")
+    if grid.n_dims != 1:
+        raise UsageError("discretize_state handles one transverse axis at a time")
     if Observable(grid.observable) is Observable.POSITION:
         var_a, var_b, cov = position_covariance(params)
     else:
@@ -414,14 +354,22 @@ def sample_histograms(
 
     Position is drawn from the stream keyed ``(seed, 0)`` and momentum from
     ``(seed, 1)``; a draw with no events raises :class:`ZeroTotalError`.
+    A ``total`` above ``POISSON_MEAN_MAX``, the largest Poisson mean numpy
+    draws, raises :class:`UsageError` before any draw; a cell mean above it
+    (a probability rounded just past 1) raises :class:`DataError`.
     """
     seed = _check_seed(seed)
     total = _positive(total, "total")
-    pos_counts = sample_counts(state.position.probs * total, _keyed_rng((seed, 0)))
-    mom_counts = sample_counts(state.momentum.probs * total, _keyed_rng((seed, 1)))
+    if total > POISSON_MEAN_MAX:
+        raise UsageError(
+            f"total must be <= {POISSON_MEAN_MAX:.6g}, the largest Poisson mean that can be drawn, "
+            f"got {total:.6g}"
+        )
+    pos_lam = _check_poisson_means(state.position.probs * total)
+    mom_lam = _check_poisson_means(state.momentum.probs * total)
     return (
-        Histogram(counts=pos_counts, grid=state.position.grid),
-        Histogram(counts=mom_counts, grid=state.momentum.grid),
+        Histogram(counts=_keyed_rng((seed, 0)).poisson(pos_lam), grid=state.position.grid),
+        Histogram(counts=_keyed_rng((seed, 1)).poisson(mom_lam), grid=state.momentum.grid),
     )
 
 
@@ -449,26 +397,3 @@ def connection_check(sigma: float, axis: AxisGrid) -> float:
     exact = (math.log(norm) + 0.5) * np.diff(_ndtr(t)) - np.diff(t_phi) / 2.0
     return float(np.abs(quadrature - exact).max())
 
-
-def windowed_conditional_rhs(
-    pdf: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: GridSpec
-) -> float:
-    """Windowed upper bound on the conditional differential entropy h(b|a), nats.
-
-    Assembles  sum_lm P_lm * h_lm(b|a)  +  H(B|A)  from per-cell quadrature,
-    where h_lm is the in-cell conditional differential entropy.  Windowing
-    discards information, so this dominates the true h(b|a) up to quadrature
-    error; the margin shrinks to zero for uncorrelated densities.  Raises
-    :class:`TruncationError` under the same mass gate as :func:`discretize`.
-    """
-    _single_axis(grid, "windowed_conditional_rhs")
-    vals, wa, wb = _cell_values(pdf, grid)
-    cell_p = np.einsum("agbh,ag,bh->ab", vals, wa, wb)
-    cell_plogp = np.einsum("agbh,ag,bh->ab", _plogp(vals), wa, wb)
-    # in-cell marginal over b at each a-node, then its entropy integral
-    marg_plogp = np.einsum("agb,ag->ab", _plogp(np.einsum("agbh,bh->agb", vals, wb)), wa)
-    # P_lm * [h_lm(joint) - h_lm(a marginal)]; the cell_p * log(cell_p) terms cancel
-    weighted = float((marg_plogp - cell_plogp)[cell_p > ZERO_FLOOR].sum())
-
-    dist, _ = _windowed(cell_p, grid, STRICT_TAIL_TOL)
-    return weighted + conditional_entropy(dist, given="A", base=math.e)

@@ -13,6 +13,7 @@ from eprsteering import (
     Direction,
     GridSpec,
     Histogram,
+    JointDistribution,
     Observable,
     UsageError,
     ZeroTotalError,
@@ -20,12 +21,13 @@ from eprsteering import (
     evaluate,
     make_synthetic_state,
     poisson_resample,
+    SyntheticState,
+    default_params,
     replicate_rng,
-    sample_counts,
     sample_histograms,
     witness_significance,
 )
-from eprsteering import bootstrap
+from eprsteering import bootstrap, spdc
 from eprsteering.bootstrap import MIN_REPLICATES, POISSON_MEAN_MAX, _philox_keys
 from eprsteering.witness import _margin_kernel, _MarginKernel
 
@@ -192,8 +194,8 @@ def test_sampling_and_replicate_streams_never_share_a_key():
     # (5 * 2**32 + 7, 0) and (7, 5, 0) are both the words [7, 5, 0]
     state = make_synthetic_state(n_windows=4)
     pos, _ = sample_histograms(state, total=1_000, seed=5 * 2**32 + 7)
-    replicate = sample_counts(state.position.probs * 1_000, replicate_rng(7, 5, 0))
-    assert not np.array_equal(pos.counts.counts, replicate.counts)
+    replicate = replicate_rng(7, 5, 0).poisson(state.position.probs * 1_000)
+    assert not np.array_equal(pos.counts.counts, replicate)
 
 
 def test_seed_validation():
@@ -205,6 +207,22 @@ def test_seed_validation():
         replicate_rng("seed", 0)
     with pytest.raises(UsageError):
         replicate_rng([], 0)
+
+
+@pytest.mark.parametrize(
+    "index, attempt, message",
+    [
+        (1.5, 0, "index must be an integer, got 1.5"),
+        (True, 0, "index must be an integer, got True"),
+        (-1, 0, "index must be >= 0, got -1"),
+        (0, 0.0, "attempt must be an integer, got 0.0"),
+        (0, -1, "attempt must be >= 0, got -1"),
+    ],
+)
+def test_replicate_rng_refuses_a_bad_index_or_attempt(index, attempt, message):
+    # a fractional index used to be truncated to another replicate's stream
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        replicate_rng(0, index, attempt)
 
 
 @pytest.mark.parametrize(
@@ -254,17 +272,22 @@ def test_poisson_mean_limit_is_numpys():
 def test_counts_above_the_poisson_limit_are_refused_before_any_draw(monkeypatch):
     counts = np.array([[9_300_000_000_000_000_000, 1], [1, 1]], dtype=np.uint64)
     pos, mom = tiny_pair(counts)
+    # a hand-built state whose one probability is rounded just past 1 takes a
+    # cell mean past the limit at the largest total sample_histograms accepts
+    past_one = JointDistribution(np.array([[1 + 5e-13, 0.0], [0.0, 0.0]]), pos.grid)
+    state = SyntheticState(default_params(), past_one, mom.normalize(), 0.0, 0.0)
 
     def no_draw(*args):
         raise AssertionError("drew before checking the means")
 
     monkeypatch.setattr(bootstrap, "_philox_keys", no_draw)
+    monkeypatch.setattr(spdc, "_keyed_rng", no_draw)
     with pytest.raises(DataError, match="largest Poisson mean"):
         witness_significance(pos, mom, n_boot=100, seed=0)
     with pytest.raises(DataError, match="largest Poisson mean"):
         poisson_resample(pos.counts, replicate_rng(0, 0))
-    with pytest.raises(UsageError, match="largest Poisson mean"):
-        sample_counts(np.array([1.0, 1e19]), replicate_rng(0, 0))
+    with pytest.raises(DataError, match="largest Poisson mean"):
+        sample_histograms(state, total=POISSON_MEAN_MAX)
 
 
 def test_poisson_resample_shape_and_mean():
@@ -276,14 +299,6 @@ def test_poisson_resample_shape_and_mean():
     assert abs(out.counts.mean() - 400) < 5.0
     zero = poisson_resample(CountTensor(np.zeros((3, 3), dtype=np.int64)), replicate_rng(0, 1))
     assert zero.total == 0
-
-
-def test_sample_counts_rejects_bad_means():
-    rng = replicate_rng(0, 0)
-    with pytest.raises(UsageError):
-        sample_counts(np.array([1.0, -2.0]), rng)
-    with pytest.raises(UsageError):
-        sample_counts(np.array([float("nan")]), rng)
 
 
 # ------------------------------------------------------------ significance

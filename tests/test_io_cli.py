@@ -583,6 +583,21 @@ def test_more_replicates_than_two_to_the_32_exit_one_before_any_work(synth_dir, 
         assert capsys.readouterr().err == f"usage error: n_boot must be <= 4294967296, got {boot}\n"
 
 
+@pytest.mark.parametrize("total", ["2e19", "1e20", "5e20"])
+def test_a_total_past_the_poisson_limit_exits_one_before_any_draw(total, tmp_path, monkeypatch, capsys):
+    # 2e19 and 1e20 used to exit 2 on the drawn counts' 64-bit total, 5e20 exit 1
+    # on a cell mean, and neither message named the flag
+    monkeypatch.setattr("eprsteering.spdc._keyed_rng", _never)
+    small = ["--n-windows", "8", "--total", total]
+    for argv in (["witness", "--synthetic", *small, "--boot", "100"], ["synth", *small, "--out-dir", str(tmp_path)]):
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == (
+            "usage error: total must be <= 9.22337e+18, the largest Poisson mean that can be drawn, "
+            f"got {float(total):.6g}\n"
+        )
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("boot", ["5", "100", "200"])
 def test_curve_refuses_boot_before_any_work(synth_dir, boot, monkeypatch, capsys):
     # a curve is not bootstrapped: any --boot is refused, not hashed

@@ -53,7 +53,6 @@ PUBLIC_NAMES = {
     "continuous_conditional_entropy",
     "continuous_margin",
     "default_params",
-    "discretize",
     "discretize_state",
     "downsample",
     "dump_json",
@@ -63,23 +62,19 @@ PUBLIC_NAMES = {
     "make_synthetic_state",
     "min_resolution",
     "momentum_covariance",
-    "momentum_density",
     "mutual_information",
     "per_dim_bound",
     "poisson_resample",
     "position_covariance",
-    "position_density",
     "read_counts_csv",
     "read_grid_json",
     "replicate_rng",
     "resolution_curve",
-    "sample_counts",
     "sample_histograms",
     "save_histogram",
     "sidecar_path",
     "units_name",
     "viewing_grid",
-    "windowed_conditional_rhs",
     "witness_report",
     "witness_significance",
     "write_counts_csv",
@@ -91,7 +86,7 @@ PUBLIC_NAMES = {
 
 def test_public_names_are_pinned():
     assert set(eprsteering.__all__) == PUBLIC_NAMES
-    assert len(eprsteering.__all__) == len(PUBLIC_NAMES) == 76
+    assert len(eprsteering.__all__) == len(PUBLIC_NAMES) == 71
     for name in eprsteering.__all__:
         assert hasattr(eprsteering, name), name
 

@@ -20,20 +20,18 @@ from eprsteering import (
     evaluate,
     make_synthetic_state,
     momentum_covariance,
-    momentum_density,
     position_covariance,
-    position_density,
     sample_histograms,
     viewing_grid,
-    windowed_conditional_rhs,
 )
 from eprsteering import spdc
+from eprsteering.bootstrap import POISSON_MEAN_MAX
 from eprsteering.spdc import (
     DEFAULT_CLIP_TOL,
     DoubleGaussianParams,
-    discretize,
     discretize_state,
 )
+from oracles import discretize, momentum_density, position_density, windowed_conditional_rhs
 
 # Fractions of the default state falling outside the default viewing area.
 CLIP_POSITION = 0.003713278556560784
@@ -394,6 +392,20 @@ def test_sample_histograms_rejects_a_nonpositive_total():
     state = make_synthetic_state(n_windows=8)
     for total in (0.0, -1.0, math.inf, math.nan, "many"):
         with pytest.raises(UsageError, match="total"):
+            sample_histograms(state, total=total)
+
+
+def test_sample_histograms_refuses_a_total_past_the_poisson_limit(monkeypatch):
+    state = make_synthetic_state(n_windows=8)
+    pos, mom = sample_histograms(state, total=POISSON_MEAN_MAX)
+    assert pos.total > 0 and mom.total > 0
+
+    def no_draw(*args):
+        raise AssertionError("drew before checking the total")
+
+    monkeypatch.setattr(spdc, "_keyed_rng", no_draw)
+    for total in (np.nextafter(POISSON_MEAN_MAX, math.inf), 2e19):
+        with pytest.raises(UsageError, match="^total must be <= 9.22337e[+]18, the largest Poisson mean"):
             sample_histograms(state, total=total)
 
 
