@@ -142,6 +142,12 @@ def _hash_chain(init: int, mult: int, n: int) -> np.ndarray:
     return np.array(chain, dtype=np.uint32)[:, None]
 
 
+# the constants a key of up to six words hashes with (a map cell's key has
+# five), and those of the output words; longer keys extend the chain per call
+_CHAIN_A = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + 2 * _POOL_SIZE)
+_CHAIN_B = _hash_chain(_INIT_B, _MULT_B, _POOL_SIZE)
+
+
 def _hashmix(value: np.ndarray, chain: np.ndarray) -> np.ndarray:
     """``SeedSequence``'s hashmix of each row of ``value`` with successive constants of ``chain``."""
     value = value ^ chain[:-1]
@@ -165,7 +171,8 @@ def _seed_sequence_keys(words: np.ndarray) -> np.ndarray:
     """
     words = words.T
     n = _POOL_SIZE
-    chain = _hash_chain(_INIT_A, _MULT_A, n * n + n * max(0, len(words) - n))
+    length = n * n + n * max(0, len(words) - n)
+    chain = _CHAIN_A if length < len(_CHAIN_A) else _hash_chain(_INIT_A, _MULT_A, length)
     pool = np.zeros((n, words.shape[1]), dtype=np.uint32)
     pool[: len(words)] = words[:n]
     pool = _hashmix(pool, chain[: n + 1])
@@ -177,8 +184,9 @@ def _seed_sequence_keys(words: np.ndarray) -> np.ndarray:
     for word in words[n:]:
         pool = _mix(pool, _hashmix(word, chain[k : k + n + 1]))
         k += n
-    state = _hashmix(pool, _hash_chain(_INIT_B, _MULT_B, n)).astype(np.uint64)
-    return np.stack([state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)], axis=1)
+    # each pair of little-endian 32-bit words, low word first, is one 64-bit key word
+    state = _hashmix(pool, _CHAIN_B)
+    return np.ascontiguousarray(state.T).astype("<u4", copy=False).view("<u8")
 
 
 def _philox_keys(key: tuple[int, ...], index: np.ndarray, attempt: int) -> np.ndarray:
@@ -211,8 +219,8 @@ def poisson_resample(counts: CountTensor, rng: np.random.Generator) -> CountTens
     return CountTensor(rng.poisson(lam=_check_poisson_means(counts.counts)))
 
 
-def _philox_drawer(lam: np.ndarray) -> Callable[[list[int]], np.ndarray]:
-    """``draw(philox_key)``: ``rng.poisson(lam)`` on the Philox stream of that key.
+def _philox_drawer(lam: np.ndarray) -> Callable[[list[list[int]], list[int], np.ndarray], None]:
+    """``draw(philox_keys, rows, out)``: ``out[r] = rng.poisson(lam)`` on the Philox stream of each key, row by row.
 
     One ``Philox`` is reused: each draw sets the new key on a fresh
     generator's state (counter 0, empty buffer), the state ``replicate_rng``
@@ -222,13 +230,15 @@ def _philox_drawer(lam: np.ndarray) -> Callable[[list[int]], np.ndarray]:
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
-    state["state"]["counter"] = state["state"]["counter"].tolist()
+    philox = state["state"]
+    philox["counter"] = philox["counter"].tolist()
     state["buffer"] = state["buffer"].tolist()
 
-    def draw(philox_key: list[int]) -> np.ndarray:
-        state["state"]["key"] = philox_key
-        bitgen.state = state
-        return rng.poisson(lam)
+    def draw(philox_keys: list[list[int]], rows: list[int], out: np.ndarray) -> None:
+        for r, philox_key in zip(rows, philox_keys):
+            philox["key"] = philox_key
+            bitgen.state = state
+            out[r] = rng.poisson(lam)
 
     return draw
 
@@ -282,9 +292,7 @@ def _replicate_margins(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int)
         totals = totals_buf[: len(chunk)]
         pending = np.arange(len(chunk))
         for attempt in range(_MAX_REDRAWS):
-            philox_keys = _philox_keys(key, start + pending, attempt)
-            for r, philox_key in zip(pending.tolist(), philox_keys.tolist()):
-                chunk[r] = draw(philox_key)
+            draw(_philox_keys(key, start + pending, attempt).tolist(), pending.tolist(), chunk)
             np.add.reduceat(chunk, layout.starts, axis=1, out=totals)
             pending = pending[(totals[pending] == 0).any(axis=1)]
             if not pending.size:

@@ -72,42 +72,43 @@ class _Layout:
     :func:`_layout` builds it once from one tensor per block.  ``weights``
     and ``totals`` are those tensors' own weights on the columns and each
     block's total ``N``; ``starts`` is the first column of each block and
-    ``blocks`` the block of each column.  ``a_bins`` and ``b_bins`` map each
-    column to its party-A and party-B marginal bin, among ``n_a`` and
-    ``n_b`` bins laid out block by block, and ``bin_blocks`` maps the A
-    bins, then the B bins, to the marginal entropy each adds to.
+    ``blocks`` the block of each column.  ``bins`` maps each column to its
+    marginal bin of party ``"A"`` and of party ``"B"``, bins laid out block
+    by block, and ``bin_blocks`` maps the bins of ``"A"``, ``"B"`` and
+    ``"AB"`` (A's bins, then B's) to the marginal entropy each adds to.
     """
 
     weights: np.ndarray
     totals: np.ndarray
     starts: np.ndarray
     blocks: np.ndarray
-    a_bins: np.ndarray
-    b_bins: np.ndarray
-    n_a: int
-    n_b: int
-    bin_blocks: np.ndarray
+    bins: dict[str, np.ndarray]
+    bin_blocks: dict[str, np.ndarray]
 
-    def nats(self, weights: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Joint, party-A and party-B entropies in nats of each block of each row, each ``(batch, blocks)``.
+    def nats(self, weights: np.ndarray, totals: np.ndarray, parties: str = "AB") -> tuple[np.ndarray, ...]:
+        """Joint entropy in nats of each block of each row, then that of each party in ``parties``, each ``(batch, blocks)``.
 
         ``weights`` is a C-contiguous ``(batch, columns)`` array of rows on
         this layout, and ``totals`` the ``(batch, blocks)`` total of each
-        row's blocks.  Each marginal bin sums its cells in column order.
+        row's blocks.  ``parties`` is ``"A"``, ``"B"`` or ``"AB"``; the other
+        party's marginal is not computed.  Each marginal bin sums its cells
+        in column order either way.
         """
         batch, blocks = totals.shape
         rows = np.arange(batch)[:, None]
-        index = np.empty(weights.shape, dtype=np.intp)
-        marginals = np.empty((batch, self.n_a + self.n_b))
-        for bins, n, lo in ((self.a_bins, self.n_a, 0), (self.b_bins, self.n_b, self.n_a)):
-            np.add(bins, n * rows, out=index)
-            sums = np.bincount(index.ravel(), weights.ravel(), batch * n)
-            marginals[:, lo : lo + n] = sums.reshape(batch, n)
-        np.add(self.blocks, blocks * rows, out=index)
+        index = np.add(self.blocks, blocks * rows)
         h = _nats(weights, index.ravel(), totals)
-        both = np.concatenate((totals, totals), axis=1)
-        h_ab = _nats(marginals, (self.bin_blocks + 2 * blocks * rows).ravel(), both)
-        return h, h_ab[:, :blocks], h_ab[:, blocks:]
+        groups = self.bin_blocks[parties]
+        marginals = np.empty((batch, groups.size))
+        lo = 0
+        for party in parties:
+            n = self.bin_blocks[party].size
+            np.add(self.bins[party], n * rows, out=index)
+            marginals[:, lo : lo + n] = np.bincount(index.ravel(), weights.ravel(), batch * n).reshape(batch, n)
+            lo += n
+        m = len(parties)
+        h_m = _nats(marginals, (groups + m * blocks * rows).ravel(), np.concatenate((totals,) * m, axis=1))
+        return (h, *(h_m[:, k * blocks : (k + 1) * blocks] for k in range(m)))
 
 
 def _layout(tensors: Sequence[np.ndarray], totals: Sequence[float]) -> _Layout:
@@ -123,16 +124,14 @@ def _layout(tensors: Sequence[np.ndarray], totals: Sequence[float]) -> _Layout:
         b_bins.append(b + start_b)
     widths = [c.size for c in cells]
     index = np.arange(len(tensors))
+    a_blocks, b_blocks = np.repeat(index, sizes_a), np.repeat(index, sizes_b)
     return _Layout(
         weights=np.concatenate([t.ravel()[c] for t, c in zip(tensors, cells)]).astype(np.float64, copy=False),
         totals=np.array(totals, dtype=np.float64),
         starts=np.array([0, *accumulate(widths[:-1])]),
         blocks=np.repeat(index, widths),
-        a_bins=np.concatenate(a_bins),
-        b_bins=np.concatenate(b_bins),
-        n_a=sum(sizes_a),
-        n_b=sum(sizes_b),
-        bin_blocks=np.concatenate([np.repeat(index, sizes_a), np.repeat(index + len(index), sizes_b)]),
+        bins={"A": np.concatenate(a_bins), "B": np.concatenate(b_bins)},
+        bin_blocks={"A": a_blocks, "B": b_blocks, "AB": np.concatenate([a_blocks, b_blocks + len(index)])},
     )
 
 

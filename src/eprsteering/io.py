@@ -46,6 +46,7 @@ from .spdc import (
     DEFAULT_SIGMA_MINUS,
     DEFAULT_SIGMA_PLUS,
     DEFAULT_TOTAL_EVENTS,
+    _check_total,
     _mass_tol,
 )
 from .witness import Direction
@@ -101,39 +102,49 @@ def write_counts_csv(hist: Histogram, path: str | Path) -> None:
 def read_counts_csv(path: str | Path) -> CountTensor:
     """Parse a counts CSV written by :func:`write_counts_csv` (or by hand)."""
     path = Path(path)
-    rows: list[list[int]] = []
-    first_row_line = 0
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split(",")
-        row = []
-        for tok in tokens:
-            tok = tok.strip()
-            try:
-                # int() alone also takes 1_0 and non-ASCII digits such as ١٢
-                if not tok.isascii() or "_" in tok:
-                    raise ValueError(tok)
-                value = int(tok)
-            except ValueError:
-                raise ParseError(f"not an integer count: {tok!r}", str(path), lineno) from None
-            if value < 0:
-                raise NegativeCountError(f"{path}:{lineno}: negative count {value}")
-            row.append(value)
-        if rows and len(row) != len(rows[0]):
-            raise ParseError(
-                f"row has {len(row)} columns, expected {len(rows[0])} (as on line {first_row_line})",
-                str(path),
-                lineno,
-            )
-        if not rows:
-            first_row_line = lineno
-        rows.append(row)
-    if not rows:
+    text = _read_text(path)
+    lines = [
+        (lineno, line)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    ]
+    if not lines:
         raise ParseError("no count rows found", str(path))
+    # int() alone also takes 1_0 and non-ASCII digits such as ١٢.  On ASCII
+    # rows with no _ it reads each token as the checked loop below does, so
+    # only rows it refuses, ragged rows or a negative count run that loop,
+    # which stops at the first fault in file order
+    width = lines[0][1].count(",") + 1
+    data = ",".join([line for _, line in lines])
+    values = None
+    if data.isascii() and "_" not in data and all(line.count(",") + 1 == width for _, line in lines):
+        try:
+            values = list(map(int, data.split(",")))
+        except ValueError:
+            pass
+    if values is None or min(values) < 0:
+        values = []
+        for lineno, line in lines:
+            tokens = line.split(",")
+            for tok in tokens:
+                tok = tok.strip()
+                try:
+                    if not tok.isascii() or "_" in tok:
+                        raise ValueError(tok)
+                    value = int(tok)
+                except ValueError:
+                    raise ParseError(f"not an integer count: {tok!r}", str(path), lineno) from None
+                if value < 0:
+                    raise NegativeCountError(f"{path}:{lineno}: negative count {value}")
+                values.append(value)
+            if len(tokens) != width:
+                raise ParseError(
+                    f"row has {len(tokens)} columns, expected {width} (as on line {lines[0][0]})",
+                    str(path),
+                    lineno,
+                )
     try:
-        return CountTensor(np.array(rows, dtype=np.uint64))
+        return CountTensor(np.array(values, dtype=np.uint64).reshape(len(lines), width))
     except OverflowError:
         raise ParseError("count exceeds the unsigned 64-bit range", str(path)) from None
     except DataError as exc:
@@ -266,6 +277,7 @@ class SyntheticConfig:
         object.__setattr__(self, "clip_tol", _mass_tol(self.clip_tol, "clip_tol"))
         for name in ("n_windows", "total"):
             object.__setattr__(self, name, _check_int(getattr(self, name), name))
+        _check_total(self.total)
 
 
 @dataclass(frozen=True)

@@ -113,12 +113,12 @@ def _check_philox_keys(rng: np.random.Generator) -> str:
 def _check_philox_reset(rng: np.random.Generator) -> str:
     lam = 0.5 + rng.exponential(20.0, size=32)
     seed = int(rng.integers(2**63))
-    draw = _philox_drawer(lam)
     indices = rng.integers(2**32, size=4).tolist()
-    for index in indices:
-        stream = replicate_rng(seed, index)
-        got = draw(stream.bit_generator.state["state"]["key"].tolist())
-        _require(np.array_equal(got, stream.poisson(lam)), f"replicate {index}: the reset Philox drew another stream")
+    streams = [replicate_rng(seed, index) for index in indices]
+    got = np.empty((len(indices), lam.size))
+    _philox_drawer(lam)([s.bit_generator.state["state"]["key"].tolist() for s in streams], range(len(indices)), got)
+    for index, stream, row in zip(indices, streams, got):
+        _require(np.array_equal(row, stream.poisson(lam)), f"replicate {index}: the reset Philox drew another stream")
     return f"{len(indices)} draws on one reset Philox equal replicate_rng's"
 
 

@@ -345,6 +345,17 @@ def make_synthetic_state(
     )
 
 
+def _check_total(total) -> float:
+    """The ``total`` rule: finite, > 0 and at most ``POISSON_MEAN_MAX``, the largest Poisson mean numpy draws."""
+    number = _positive(total, "total")
+    if number > POISSON_MEAN_MAX:
+        raise UsageError(
+            f"total must be <= {POISSON_MEAN_MAX:.6g}, the largest Poisson mean that can be drawn, "
+            f"got {number:.6g}"
+        )
+    return number
+
+
 def sample_histograms(
     state: SyntheticState,
     total: float = DEFAULT_TOTAL_EVENTS,
@@ -359,12 +370,7 @@ def sample_histograms(
     (a probability rounded just past 1) raises :class:`DataError`.
     """
     seed = _check_seed(seed)
-    total = _positive(total, "total")
-    if total > POISSON_MEAN_MAX:
-        raise UsageError(
-            f"total must be <= {POISSON_MEAN_MAX:.6g}, the largest Poisson mean that can be drawn, "
-            f"got {total:.6g}"
-        )
+    total = _check_total(total)
     pos_lam = _check_poisson_means(state.position.probs * total)
     mom_lam = _check_poisson_means(state.momentum.probs * total)
     return (

@@ -156,11 +156,13 @@ class _MarginKernel:
     layout: _Layout
 
     def __call__(self, weights: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h, h_a, h_b = self.layout.nats(weights, totals)
+        # each direction reads the joint entropy and only the marginals it needs
         if self.direction is Direction.SYMMETRIC:
+            h, h_a, h_b = self.layout.nats(weights, totals, "AB")
             nats = h_a + h_b - h
         else:
-            nats = h - (h_a if self.direction is Direction.B_GIVEN_A else h_b)
+            h, h_given = self.layout.nats(weights, totals, "A" if self.direction is Direction.B_GIVEN_A else "B")
+            nats = h - h_given
         lhs = sum(nats.T / math.log(self.base))
         if self.direction is Direction.SYMMETRIC:
             return lhs, lhs - self.bound

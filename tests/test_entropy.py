@@ -18,6 +18,7 @@ from eprsteering import (
     entropy,
     mutual_information,
 )
+from eprsteering.entropy import _layout
 
 # Joint distribution used across the frozen-value tests:
 #   [[1/2, 1/4], [1/8, 1/8]]
@@ -197,3 +198,23 @@ def test_large_support_entropy_adds_within_roundoff_of_an_exact_sum():
     assert nonzero.size > 10_000
     exact = -math.fsum((nonzero * np.log(nonzero)).tolist())
     assert abs(entropy(probs, base=math.e) - exact) <= 1e-11
+
+
+def test_layout_scores_only_the_parties_asked_for_with_the_same_bits():
+    # a 1-D block and a 2-D block with empty cells, batched with drawn counts
+    rng = np.random.default_rng(4)
+    one = rng.integers(0, 5, size=(3, 5))
+    two = rng.integers(0, 5, size=(2, 3, 2, 4))
+    layout = _layout([one, two], [one.sum(), two.sum()])
+    weights = rng.poisson(layout.weights, size=(6, layout.weights.size)).astype(float) + 1.0
+    totals = np.add.reduceat(weights, layout.starts, axis=1)
+    h, h_a, h_b = layout.nats(weights, totals)
+    for parties, want in (("A", (h, h_a)), ("B", (h, h_b)), ("AB", (h, h_a, h_b))):
+        got = layout.nats(weights, totals, parties)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+    # the party-A entropy of each block is the entropy of its row marginal
+    first = weights[:, : layout.starts[1]]
+    rows = np.bincount(layout.bins["A"][: layout.starts[1]], first[0], 3)
+    assert h_a[0, 0] == pytest.approx(-np.sum(rows / totals[0, 0] * np.log(rows / totals[0, 0])), rel=1e-12)

@@ -108,6 +108,62 @@ def test_counts_csv_negative_count_rejected(tmp_path):
     assert "neg.csv:2" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "row, error, message",
+    [
+        ("3,1_0", ParseError, "not an integer count: '1_0'"),
+        ("3,１２", ParseError, "not an integer count: '１２'"),
+        ("3,١٢", ParseError, "not an integer count: '١٢'"),
+        ("3,-3", NegativeCountError, "negative count -3"),
+        ("-1,-3", NegativeCountError, "negative count -1"),
+        ("-3,x", NegativeCountError, "negative count -3"),
+        ("x,-3", ParseError, "not an integer count: 'x'"),
+        ("3,", ParseError, "not an integer count: ''"),
+        ("3,3.0", ParseError, "not an integer count: '3.0'"),
+        ("3,1e3", ParseError, "not an integer count: '1e3'"),
+        ("3,4,5", ParseError, "row has 3 columns, expected 2 (as on line 2)"),
+    ],
+)
+def test_counts_csv_refuses_a_row_with_its_error_and_line(row, error, message, tmp_path):
+    # the first bad token in a row is the one reported, as a token-by-token read finds it
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# comment\n1,2\n{row}\n", encoding="utf-8")
+    with pytest.raises(error) as err:
+        read_counts_csv(path)
+    assert type(err.value) is error
+    assert str(err.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ("1,2,3\n1_0,2\n", ParseError, "3: row has 3 columns, expected 2 (as on line 2)"),
+        ("1_0,2\n1,2,3\n", ParseError, "3: not an integer count: '1_0'"),
+        ("1,2\n3,-4\n5,x\n", NegativeCountError, "4: negative count -4"),
+    ],
+)
+def test_counts_csv_reports_the_first_fault_in_file_order(rows, error, message, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# comment\n1,2\n{rows}", encoding="utf-8")
+    with pytest.raises(error) as err:
+        read_counts_csv(path)
+    assert type(err.value) is error
+    assert str(err.value) == f"{path}:{message}"
+
+
+def test_counts_csv_comments_may_hold_any_text(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text("# run_id=α_1\n1,2\n# ١٢\n3,4\n", encoding="utf-8")
+    np.testing.assert_array_equal(read_counts_csv(path).counts, [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("token, value", [(" 7 ", 7), ("+5", 5), ("\t8", 8), ("-0", 0), ("007", 7)])
+def test_counts_csv_accepts_what_int_reads_from_ascii(token, value, tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text(f"1,2\n3,{token}\n")
+    np.testing.assert_array_equal(read_counts_csv(path).counts, [[1, 2], [3, value]])
+
+
 def test_counts_csv_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# nothing here\n")
@@ -495,11 +551,12 @@ def _stale_drawer(lam):
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
 
-    def draw(philox_key):
-        state = bitgen.state
-        state["state"]["key"] = philox_key
-        bitgen.state = state
-        return rng.poisson(lam)
+    def draw(philox_keys, rows, out):
+        for r, philox_key in zip(rows, philox_keys):
+            state = bitgen.state
+            state["state"]["key"] = philox_key
+            bitgen.state = state
+            out[r] = rng.poisson(lam)
 
     return draw
 
@@ -555,7 +612,7 @@ def test_usage_errors_exit_one(synth_dir, capsys):
 
 
 def _never(*args, **kwargs):
-    raise AssertionError("reached before the --boot check")
+    raise AssertionError("reached before the run was refused")
 
 
 def test_too_few_replicates_exit_one_before_any_work(synth_dir, monkeypatch, capsys):
@@ -596,6 +653,35 @@ def test_a_total_past_the_poisson_limit_exits_one_before_any_draw(total, tmp_pat
             f"got {float(total):.6g}\n"
         )
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--synthetic", "--boot", "100"],
+        ["map", "--synthetic", "--boot", "100"],
+        ["curve", "--synthetic"],
+        ["synth"],
+    ],
+)
+def test_a_total_past_the_poisson_limit_exits_one_before_the_state_is_built(argv, tmp_path, monkeypatch, capsys):
+    # a 600-window state takes seconds to build, and the refusal used to wait for it
+    monkeypatch.setattr("eprsteering.cli.make_synthetic_state", _never)
+    out = ["--out-dir", str(tmp_path)] if argv[0] == "synth" else ["--output", str(tmp_path / "out")]
+    assert run_cli(*argv, "--n-windows", "600", "--total", "2e19", *out) == 1
+    assert capsys.readouterr().err == (
+        "usage error: total must be <= 9.22337e+18, the largest Poisson mean that can be drawn, got 2e+19\n"
+    )
+    assert not any(tmp_path.iterdir())
+
+
+def test_synthetic_config_and_sampling_share_one_total_rule():
+    with pytest.raises(UsageError) as config_err:
+        SyntheticConfig(total=20_000_000_000_000_000_000)
+    with pytest.raises(UsageError) as sample_err:
+        sample_histograms(make_synthetic_state(n_windows=4), total=2e19)
+    assert str(config_err.value) == str(sample_err.value)
+    assert "total must be <= 9.22337e+18" in str(config_err.value)
 
 
 @pytest.mark.parametrize("boot", ["5", "100", "200"])
@@ -643,6 +729,31 @@ def test_curve_on_files_keeps_its_rows_and_config_hash(synth_dir, tmp_path, monk
     with_seed = tmp_path / "seeded.csv"
     assert run_cli("curve", "--synthetic", "--n-windows", "8", "--total", "100000", "--seed", "3", "--output", str(with_seed)) == 0
     assert [l for l in with_seed.read_text().splitlines() if not l.startswith("#")] == rows.splitlines()
+
+
+@pytest.fixture(scope="module")
+def default_synth_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("default-synth")
+    assert main(["synth", "--out-dir", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["witness", "--direction", "ba"], "31a4b2357a68c87dde00be35daad085575bf8bf143d3c662e86b3c819c65c38a"),
+        (["witness", "--direction", "ab"], "c2d886971d165aad9db0b2c9313bdaeb682e7920a61c4bad45f9af42627bc1a9"),
+        (["witness", "--direction", "sym"], "135a5f871c38db2f250493dd580932b08907efd4008918a6c3205585c064bcb9"),
+        (["map"], "8b6178675613b169e92bcd10b450f8522b9b99b317fcfe5ae2e0b44417ef285f"),
+    ],
+)
+def test_reports_on_the_default_synth_files_keep_their_bytes(default_synth_dir, argv, digest, tmp_path, monkeypatch):
+    # relative paths keep the directory out of the config hash each report carries
+    monkeypatch.chdir(default_synth_dir)
+    out = tmp_path / "report"
+    files = ["--position", "position.csv", "--momentum", "momentum.csv"]
+    assert run_cli(*argv, *files, "--boot", "100", "--output", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_data_errors_exit_two(tmp_path, capsys):

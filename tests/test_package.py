@@ -103,17 +103,22 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 
 # the package needs numpy alone at run time, and scipy is a test oracle; the
 # quadrature rule is stored, so numpy.polynomial stays unloaded too unless
-# numpy itself imports it (NumPy 1.x does)
+# numpy itself imports it (NumPy 1.x does); importing the CLI also loads no
+# random-number, thread or process machinery, which only a run needs
 _UNUSED_MODULES = (
     "import sys, numpy\n"
     "before = set(sys.modules)\n"
-    "def unused():\n"
-    "    return sorted(m for m in set(sys.modules) - before if m.startswith(('scipy', 'numpy.polynomial')))\n"
+    "def unused(*more):\n"
+    "    names = ('scipy', 'numpy.polynomial', *more)\n"
+    "    return sorted(m for m in set(sys.modules) - before if m.startswith(names))\n"
 )
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    code = _UNUSED_MODULES + "import eprsteering.cli, eprsteering.selftest\nprint(unused())"
+    code = _UNUSED_MODULES + (
+        "import eprsteering.cli, eprsteering.selftest\n"
+        "print(unused('numpy.random', 'concurrent', 'multiprocessing', 'queue'))"
+    )
     assert _run_python(code).stdout.strip() == "[]"
 
 
