@@ -11,7 +11,10 @@ observed counts of the position blocks, then the momentum blocks,
 concatenated in the order given.  This is the same stream as one call per
 block over every cell in that order: numpy's Poisson sampler returns 0 for
 a zero mean without reading the stream, so leaving the zero cells out skips
-no variate, and they stay 0 in every replicate.
+no variate, and they stay 0 in every replicate.  Up to
+``_SCALAR_DRAW_COLUMNS`` cells are drawn one scalar call per cell instead:
+the array call runs the same sampler once per cell in order, so the draws
+are the same, and a draw that small skips the array call's fixed cost.
 
 A replicate keeps one layout from draw to score: each block's non-zero
 observed cells, the columns of the witness module's margin kernel.  The
@@ -19,7 +22,8 @@ drawn counts are scored as they are, never divided by their totals: each
 block's entropy is ``log N - sum(c log c) / N`` with ``N`` its event total,
 and the kernel's sums add in column order.  A zero cell adds nothing, so a
 margin equals, bit for bit, ``evaluate`` on the replicate's histograms, and
-the report's point estimate is ``evaluate`` on the observed ones.
+the report's point estimate, the observed counts scored as row 0 of a chunk,
+is ``evaluate`` on the observed histograms.
 
 The bootstrap does not build a generator per replicate.  A Philox stream is
 fixed by its 128-bit key, and ``replicate_rng`` takes that key from
@@ -31,9 +35,10 @@ which stays the definition of the stream.  numpy's Poisson draw is the floor
 of a replicate's time under this contract; it is not worked around with a
 private numpy API.
 
-The contract rests on three facts of the installed numpy: ``_philox_keys``
+The contract rests on four facts of the installed numpy: ``_philox_keys``
 reproduces ``SeedSequence``'s hash, a reset Philox starts the keyed stream,
-and a zero Poisson mean reads no stream.  ``eprsteer selftest`` checks each.
+a zero Poisson mean reads no stream, and scalar Poisson draws, cell by cell,
+equal the array draw.  ``eprsteer selftest`` checks each.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import DataError, DegenerateBootstrapError, UsageError
-from .grids import CountTensor, Histogram, _check_int
+from .grids import CountTensor, Histogram, _check_int, _shown
 from .witness import Direction, WitnessResult, _margin_kernel, _MarginKernel
 
 __all__ = [
@@ -73,6 +78,11 @@ ROUNDOFF_SPREAD = 1e-12
 #: Bytes of replicate counts scored per kernel call; a chunk holds at least one replicate.
 _CHUNK_BYTES = 4 << 20
 
+#: Draws of at most this many means make one scalar ``rng.poisson`` call per mean.  Per row, key reset
+#: included (2 vCPU, numpy 2.4.6, min of 15 x 500 rows), one array call costs ~7.6 + 0.045 us per mean
+#: (7.8 us at 8 means, 8.4 us at 20), scalar calls ~1.0 + 0.46 us (4.7 us at 8, 10.3 us at 20): equal at ~16.
+_SCALAR_DRAW_COLUMNS = 16
+
 #: Largest mean ``Generator.poisson`` accepts: int64 max minus ten of its square roots.
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
@@ -93,7 +103,7 @@ def _check_n_boot(n_boot) -> int:
     """The replicate count rule: an integer from ``MIN_REPLICATES`` to ``MAX_REPLICATES``."""
     n_boot = _check_int(n_boot, "n_boot", MIN_REPLICATES)
     if n_boot > MAX_REPLICATES:
-        raise UsageError(f"n_boot must be <= {MAX_REPLICATES}, got {n_boot}")
+        raise UsageError(f"n_boot must be <= {MAX_REPLICATES}, got {_shown(n_boot)}")
     return n_boot
 
 
@@ -225,20 +235,22 @@ def _philox_drawer(lam: np.ndarray) -> Callable[[list[list[int]], list[int], np.
     One ``Philox`` is reused: each draw sets the new key on a fresh
     generator's state (counter 0, empty buffer), the state ``replicate_rng``
     starts from, held as Python ints, which the state setter reads faster
-    than numpy scalars.
+    than numpy scalars.  A ``lam`` of at most ``_SCALAR_DRAW_COLUMNS`` means
+    is drawn one scalar call per mean, in order.
     """
     bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
+    poisson = np.random.Generator(bitgen).poisson
     state = bitgen.state
     philox = state["state"]
     philox["counter"] = philox["counter"].tolist()
     state["buffer"] = state["buffer"].tolist()
+    means = lam.tolist() if lam.size <= _SCALAR_DRAW_COLUMNS else None
 
     def draw(philox_keys: list[list[int]], rows: list[int], out: np.ndarray) -> None:
         for r, philox_key in zip(rows, philox_keys):
             philox["key"] = philox_key
             bitgen.state = state
-            out[r] = rng.poisson(lam)
+            out[r] = poisson(lam) if means is None else list(map(poisson, means))
 
     return draw
 
@@ -265,8 +277,8 @@ class BootstrapReport:
     point: WitnessResult
 
 
-def _replicate_margins(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int) -> tuple[np.ndarray, int]:
-    """Margin of every replicate, and the number of draws rejected as empty.
+def _replicate_margins(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int) -> tuple[WitnessResult, np.ndarray, int]:
+    """The witness on the observed counts, the margin of every replicate, and the number of draws rejected as empty.
 
     Each draw comes from the stream of ``replicate_rng(key, replicate,
     attempt)``, set by resetting the key of one reused ``Philox``, and covers
@@ -276,21 +288,23 @@ def _replicate_margins(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int)
     which finds the empty blocks to redraw and is the ``N`` the kernel
     scores the drawn counts with, undivided, in one call per chunk.  Sums of
     integer-valued floats below 2**53 are exact, so the totals equal those
-    of a dense draw.
+    of a dense draw.  Row 0 of the buffer holds the observed counts and is
+    scored with each chunk, so the kernel call also gives the point estimate.
     """
     layout = kernel.layout
     lam = _check_poisson_means(layout.weights)
     rows = max(1, min(n_boot, _CHUNK_BYTES // lam.nbytes))
-    buf = np.empty((rows, lam.size))
-    totals_buf = np.empty((rows, layout.starts.size))
+    buf = np.empty((1 + rows, lam.size))
+    totals_buf = np.empty((1 + rows, layout.starts.size))
+    buf[0], totals_buf[0] = lam, layout.totals
     draw = _philox_drawer(lam)
 
     margins = np.empty(n_boot)
     rejected = 0
     for start in range(0, n_boot, rows):
-        chunk = buf[: min(rows, n_boot - start)]
-        totals = totals_buf[: len(chunk)]
-        pending = np.arange(len(chunk))
+        n = min(rows, n_boot - start)
+        chunk, totals = buf[1 : 1 + n], totals_buf[1 : 1 + n]
+        pending = np.arange(n)
         for attempt in range(_MAX_REDRAWS):
             draw(_philox_keys(key, start + pending, attempt).tolist(), pending.tolist(), chunk)
             np.add.reduceat(chunk, layout.starts, axis=1, out=totals)
@@ -302,8 +316,9 @@ def _replicate_margins(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int)
             raise DegenerateBootstrapError(
                 f"replicate {start + pending[0]} stayed empty after {_MAX_REDRAWS} redraws"
             )
-        margins[start : start + len(chunk)] = kernel(chunk, totals)[1]
-    return margins, rejected
+        scored = kernel(buf[: 1 + n], totals_buf[: 1 + n])
+        margins[start : start + n] = scored[1][1:]
+    return kernel.point(scored), margins, rejected
 
 
 def witness_significance(
@@ -326,7 +341,7 @@ def witness_significance(
     key = _seed_key(seed)
     n_boot = _check_n_boot(n_boot)
     kernel = _margin_kernel(position, momentum, direction, base, (Histogram,))
-    margins, rejected = _replicate_margins(kernel, key, n_boot)
+    point, margins, rejected = _replicate_margins(kernel, key, n_boot)
 
     mean = float(margins.mean())
     std = float(margins.std(ddof=1))
@@ -334,7 +349,6 @@ def witness_significance(
         raise DegenerateBootstrapError(
             f"the bootstrap margins are constant up to roundoff (std {std:.3g}); no spread to report"
         )
-    point = kernel.point()
     return BootstrapReport(
         n_boot=n_boot,
         seed=key,

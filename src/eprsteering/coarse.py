@@ -15,7 +15,7 @@ import numpy as np
 
 from .bootstrap import BootstrapReport, _check_seed, witness_significance
 from .errors import NonDivisibleFactorError, UsageError
-from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, _check_int
+from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, _check_int, _shown
 from .witness import Direction, WitnessResult, evaluate
 
 __all__ = [
@@ -33,7 +33,7 @@ def _divisor(value: int, size: int, what: str, minimum: int = 1) -> int:
     """``value`` as an integer >= ``minimum`` that divides ``size``."""
     value = _check_int(value, what, minimum)
     if size % value != 0:
-        raise NonDivisibleFactorError(f"{what} must divide {size}, got {value}")
+        raise NonDivisibleFactorError(f"{what} must divide {size}, got {_shown(value)}")
     return value
 
 

@@ -17,7 +17,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import UsageError
-from .grids import JointDistribution, Party, _checked_probs, _real
+from .grids import JointDistribution, Party, _checked_probs, _real, _shown
 
 __all__ = [
     "entropy",
@@ -35,7 +35,7 @@ DistLike = Union[JointDistribution, np.ndarray]
 def _check_base(base: float) -> float:
     number = _real(base, "log base")
     if not math.isfinite(number) or number <= 1.0:
-        raise UsageError(f"log base must be finite and > 1, got {base!r}")
+        raise UsageError(f"log base must be finite and > 1, got {_shown(base)}")
     return number
 
 

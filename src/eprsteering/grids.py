@@ -8,7 +8,8 @@ party A's axes first, then party B's.  One transverse dimension gives a plain
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Literal
 
@@ -44,30 +45,47 @@ Party = Literal["A", "B"]
 NORMALIZATION_TOL = 1e-12
 
 
+def _shown(value) -> str:
+    """``value`` as a message echoes it: its repr, or an integer past the 64-bit range as ``%.6g`` shows a float."""
+    if isinstance(value, int) and abs(value) >= 2**64:
+        exponent = math.log10(abs(value))  # exact enough past the float range too
+        return f"{'-' if value < 0 else ''}{10 ** (exponent % 1):.6g}e+{int(exponent)}"
+    return repr(value)
+
+
 def _check_int(value, name: str, minimum: int = 1) -> int:
     """``value`` as an int >= ``minimum``; bools, floats and strings are refused."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise UsageError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise UsageError(f"{name} must be >= {minimum}, got {value}")
+        raise UsageError(f"{name} must be >= {minimum}, got {_shown(int(value))}")
     return int(value)
 
 
 def _real(value, name: str) -> float:
-    """``value`` as a float, NaN if it overflows one; :class:`UsageError` if it is no number."""
+    """``value`` as a float, an infinity if it is past the float range; :class:`UsageError` if it is no number."""
     try:
         return float(value)
     except (TypeError, ValueError):
         raise UsageError(f"{name} must be a real number, got {type(value).__name__}") from None
     except OverflowError:
-        return math.nan
+        return -math.inf if value < 0 else math.inf
 
 
-def _positive(value, name: str, error: type[SteeringError] = UsageError) -> float:
-    """``value`` as a finite float > 0, or ``error`` naming it; :class:`UsageError` if it is no number."""
+def _positive(
+    value, name: str, error: type[SteeringError] = UsageError, maximum=(sys.float_info.max, "the largest float")
+) -> float:
+    """``value`` as a float in (0, max], or ``error`` naming it; :class:`UsageError` if it is no number.
+
+    ``maximum`` is ``(max, what it is)``.  A number past it is too large, and
+    so is an integer past the float range: only an infinity is not finite.
+    """
     number = _real(value, name)
-    if not math.isfinite(number) or number <= 0.0:
-        raise error(f"{name} must be finite and > 0, got {value!r}")
+    if not number > 0.0 or value == math.inf:
+        raise error(f"{name} must be finite and > 0, got {_shown(value)}")
+    if number > maximum[0]:
+        shown = f"{number:.6g}" if number < math.inf else _shown(value)
+        raise error(f"{name} must be <= {maximum[0]:.6g}, {maximum[1]}, got {shown}")
     return number
 
 
@@ -103,11 +121,12 @@ class AxisGrid:
         object.__setattr__(self, "n_windows", _check_int(self.n_windows, "n_windows"))
         width = _positive(self.window_width, "window_width", NonpositiveWindowError)
         object.__setattr__(self, "window_width", width)
-        if math.isinf(self.extent):
-            raise NonpositiveExtentError(f"extent n_windows * window_width = {self.n_windows} * {width!r} overflows")
+        if self.n_windows > sys.float_info.max or math.isinf(self.extent):
+            extent = f"{_shown(self.n_windows)} * {width!r}"
+            raise NonpositiveExtentError(f"extent n_windows * window_width = {extent} overflows")
         origin = _real(self.origin, "origin")
         if not math.isfinite(origin):
-            raise UsageError(f"origin must be finite, got {self.origin!r}")
+            raise UsageError(f"origin must be a finite float, got {_shown(self.origin)}")
         object.__setattr__(self, "origin", origin)
 
     @classmethod
@@ -175,9 +194,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class CountTensor:
-    """Immutable non-negative integer event counts."""
+    """Immutable non-negative integer event counts, and their ``total``, summed once."""
 
     counts: np.ndarray
+    total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.counts)
@@ -188,19 +208,18 @@ class CountTensor:
         if np.issubdtype(arr.dtype, np.signedinteger) and (arr < 0).any():
             bad = int(arr.min())
             raise NegativeCountError(f"counts must be non-negative, found {bad}")
-        if arr.sum(dtype=np.float64) >= 2.0**64:
+        total = arr.sum(dtype=np.float64)
+        if total >= 2.0**64:
             raise DataError("total count exceeds the unsigned 64-bit range")
         counts = arr.astype(np.uint64)  # always a copy, so it can be made read-only in place
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
+        # the float sum is exact below 2**53, and reaches 2**53 only if the total does
+        object.__setattr__(self, "total", int(total) if total < 2.0**53 else int(counts.sum()))
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.counts.shape
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 def _checked_probs(probs, shape: tuple[int, ...] | None = None) -> np.ndarray:

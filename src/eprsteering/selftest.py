@@ -3,7 +3,7 @@
 Runs named checks whose outcome depends on the installed numerics and file
 I/O: frozen textbook entropy values, the Gauss-Legendre rule against the
 closed-form Gaussian window entropy, windowed margins below the continuous
-one, the three numpy facts the bootstrap's stream contract rests on,
+one, the four numpy facts the bootstrap's stream contract rests on,
 bootstrap replay, the default-state margins, and file round trips.  The
 algebra behind them is proved by the test suite; this battery checks that an
 install reproduces it.  Every check is deterministic given its seed.  The CLI
@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import _check_seed, _philox_drawer, _philox_keys, replicate_rng, witness_significance
+from .bootstrap import _SCALAR_DRAW_COLUMNS, _check_seed, _philox_drawer, _philox_keys, replicate_rng
+from .bootstrap import witness_significance
 from .coarse import downsample
 from .entropy import conditional_entropy, entropy, mutual_information
 from .grids import AxisGrid, Observable
@@ -110,16 +111,32 @@ def _check_philox_keys(rng: np.random.Generator) -> str:
     return f"{index.size} replicate keys equal SeedSequence's hash, on a seed past 2^32"
 
 
-def _check_philox_reset(rng: np.random.Generator) -> str:
-    lam = 0.5 + rng.exponential(20.0, size=32)
+def _drawn_like_replicate_rng(rng: np.random.Generator, columns: int, fault: str, one_drawer: bool) -> int:
+    """Rows of ``columns`` means drawn by ``_philox_drawer``, one drawer or one per row, checked on ``replicate_rng``."""
+    # means on both sides of 10, where numpy switches Poisson samplers
+    lam = 0.5 + rng.exponential(20.0, size=columns)
     seed = int(rng.integers(2**63))
     indices = rng.integers(2**32, size=4).tolist()
     streams = [replicate_rng(seed, index) for index in indices]
+    keys = [s.bit_generator.state["state"]["key"].tolist() for s in streams]
     got = np.empty((len(indices), lam.size))
-    _philox_drawer(lam)([s.bit_generator.state["state"]["key"].tolist() for s in streams], range(len(indices)), got)
+    for rows in [range(len(keys))] if one_drawer else [[r] for r in range(len(keys))]:
+        _philox_drawer(lam)([keys[r] for r in rows], rows, got)
     for index, stream, row in zip(indices, streams, got):
-        _require(np.array_equal(row, stream.poisson(lam)), f"replicate {index}: the reset Philox drew another stream")
-    return f"{len(indices)} draws on one reset Philox equal replicate_rng's"
+        _require(np.array_equal(row, stream.poisson(lam)), f"replicate {index}: {fault}")
+    return len(indices)
+
+
+def _check_philox_reset(rng: np.random.Generator) -> str:
+    # more means than _SCALAR_DRAW_COLUMNS: array calls
+    drawn = _drawn_like_replicate_rng(rng, 2 * _SCALAR_DRAW_COLUMNS, "the reset Philox drew another stream", True)
+    return f"{drawn} draws on one reset Philox equal replicate_rng's"
+
+
+def _check_poisson_scalar_draws(rng: np.random.Generator) -> str:
+    # one drawer per row, so that no key reset is under test
+    drawn = _drawn_like_replicate_rng(rng, _SCALAR_DRAW_COLUMNS, "scalar draws differ from the array draw", False)
+    return f"{drawn} rows of {_SCALAR_DRAW_COLUMNS} scalar draws equal the array draws"
 
 
 def _check_poisson_zero_means(rng: np.random.Generator) -> str:
@@ -203,6 +220,7 @@ _CHECKS = [
     ("philox-key-hash", _check_philox_keys),
     ("philox-key-reset", _check_philox_reset),
     ("poisson-zero-means", _check_poisson_zero_means),
+    ("poisson-scalar-draws", _check_poisson_scalar_draws),
     ("bootstrap-determinism", _check_bootstrap_determinism),
     ("default-state-margins", _check_default_state),
     ("file-roundtrip", _check_file_roundtrip),

@@ -34,7 +34,7 @@ import numpy as np
 from .bootstrap import POISSON_MEAN_MAX, _check_poisson_means, _check_seed, _keyed_rng
 from .entropy import _check_base, _plogp
 from .errors import NumericalError, TruncationError, UsageError
-from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, Observable, _positive
+from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, Observable, _positive, _shown
 
 __all__ = [
     "DoubleGaussianParams",
@@ -77,7 +77,7 @@ def _mass_tol(value, name: str) -> float:
     """
     tol = _positive(value, name)
     if tol >= 1.0:
-        raise UsageError(f"{name} must be < 1, got {value!r}")
+        raise UsageError(f"{name} must be < 1, got {_shown(value)}")
     return tol
 
 
@@ -347,13 +347,7 @@ def make_synthetic_state(
 
 def _check_total(total) -> float:
     """The ``total`` rule: finite, > 0 and at most ``POISSON_MEAN_MAX``, the largest Poisson mean numpy draws."""
-    number = _positive(total, "total")
-    if number > POISSON_MEAN_MAX:
-        raise UsageError(
-            f"total must be <= {POISSON_MEAN_MAX:.6g}, the largest Poisson mean that can be drawn, "
-            f"got {number:.6g}"
-        )
-    return number
+    return _positive(total, "total", UsageError, (POISSON_MEAN_MAX, "the largest Poisson mean that can be drawn"))
 
 
 def sample_histograms(

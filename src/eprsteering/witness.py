@@ -144,7 +144,8 @@ class _MarginKernel:
     are scored as they are, with their event totals; probabilities with
     totals of one.  :meth:`point` scores the blocks the kernel was built
     from and is the only place a :class:`WitnessResult` is built; the
-    bootstrap scores its replicates' draws in chunks through the same call.
+    bootstrap scores its replicates' draws in chunks through the same call,
+    each led by the observed row, which its ``point`` reads.
     """
 
     direction: Direction
@@ -168,9 +169,13 @@ class _MarginKernel:
             return lhs, lhs - self.bound
         return lhs, self.bound - lhs
 
-    def point(self) -> WitnessResult:
-        """The witness on the blocks the kernel was built from, scored as a batch of one."""
-        lhs, margin = self(self.layout.weights[None], self.layout.totals[None])
+    def point(self, scored: tuple[np.ndarray, np.ndarray] | None = None) -> WitnessResult:
+        """The witness on the blocks the kernel was built from, scored as a batch of one.
+
+        ``scored`` is the kernel's output on a batch whose row 0 is those
+        blocks; its row 0 is then read instead, with the same bits.
+        """
+        lhs, margin = scored or self(self.layout.weights[None], self.layout.totals[None])
         return WitnessResult(
             direction=self.direction,
             base=self.base,

@@ -74,7 +74,7 @@ def per_replicate_margins(pos_blocks, mom_blocks, direction, seed, n_boot):
 
 
 def kernel_margins(pos_blocks, mom_blocks, direction, seed, n_boot, chunks=None):
-    """The bootstrap's margins; ``chunks``, if given, collects the rows of each kernel call."""
+    """The bootstrap's point, margins and rejections; ``chunks``, if given, collects the rows of each kernel call."""
     kernel = _margin_kernel(pos_blocks, mom_blocks, direction, 2.0, (Histogram,))
     score = _MarginKernel.__call__
 
@@ -240,6 +240,28 @@ def test_philox_keys_match_seed_sequence(seed, attempt):
         np.testing.assert_array_equal(key, want)
         stream = replicate_rng(seed, i, attempt).bit_generator.state["state"]["key"]
         np.testing.assert_array_equal(key, stream)
+
+
+@pytest.mark.parametrize(
+    "columns", [1, 2, 8, bootstrap._SCALAR_DRAW_COLUMNS, bootstrap._SCALAR_DRAW_COLUMNS + 1, 64]
+)
+@pytest.mark.parametrize("low, high", [(0.5, 9.5), (10.0, 400.0), (0.5, 40.0)], ids=["below-10", "from-10", "mixed"])
+@pytest.mark.parametrize("attempt, rows", [(0, [0, 1, 2, 3]), (3, [1, 3])], ids=["draw", "redraw"])
+def test_drawer_matches_replicate_rng_row_by_row(columns, low, high, attempt, rows):
+    # up to _SCALAR_DRAW_COLUMNS means the drawer makes one scalar call per
+    # mean, past it one array call; either way each row it writes is the
+    # array draw of its replicate's stream, with numpy's multiplication
+    # sampler (means below 10), its rejection sampler (10 and up) or both,
+    # and a redraw writes only the rows of its empty replicates
+    lam = np.random.default_rng(columns).uniform(low, high, columns)
+    lam[0] = low
+    key, index = (7, 2**40 + 3), np.array([0, 5, 99, 2**32 - 1])[rows]
+    out = np.full((4, columns), -1.0)
+    bootstrap._philox_drawer(lam)(_philox_keys(key, index, attempt).tolist(), rows, out)
+    for r, i in zip(rows, index.tolist()):
+        np.testing.assert_array_equal(out[r], replicate_rng(key, i, attempt).poisson(lam))
+    untouched = np.setdiff1d(np.arange(4), rows)
+    assert (out[untouched] == -1.0).all()
 
 
 def _plain(state: dict) -> dict:
@@ -437,22 +459,23 @@ def test_report_matches_replicate_reconstruction(sampled_default):
 def test_chunked_kernel_matches_per_replicate_evaluate(
     inputs, direction, sampled_default, monkeypatch
 ):
-    # chunks of 7 rows split 100 replicates unevenly; the margins must not
-    # depend on which rows were scored together.  The bootstrap scores the
-    # observed non-zero cells, and the reference each replicate's own: the
-    # sparse inputs hold that equal across block edges, zero-cell rims and
-    # redraws
+    # chunks of 7 rows split 100 replicates unevenly, each led by the
+    # observed row; neither the margins nor the point may depend on which
+    # rows were scored together.  The bootstrap scores the observed non-zero
+    # cells, and the reference each replicate's own: the sparse inputs hold
+    # that equal across block edges, zero-cell rims and redraws
     pos, mom = named_inputs(inputs, sampled_default)
     monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 7 * 8 * support_size(pos + mom))
     chunks = []
-    chunked, rejected = kernel_margins(pos, mom, direction, 13, 100, chunks)
-    assert chunks == [7] * 14 + [2]
+    point, chunked, rejected = kernel_margins(pos, mom, direction, 13, 100, chunks)
+    assert chunks == [1 + 7] * 14 + [1 + 2]
+    assert point == evaluate(pos, mom, direction=direction)
     want, want_rejected = per_replicate_margins(pos, mom, direction, 13, 100)
     assert (want_rejected > 0) == inputs.startswith("sparse")
     assert rejected == want_rejected
     np.testing.assert_array_equal(chunked, want)
     monkeypatch.undo()
-    whole, _ = kernel_margins(pos, mom, direction, 13, 100)
+    _, whole, _ = kernel_margins(pos, mom, direction, 13, 100)
     np.testing.assert_array_equal(whole, want)
     report = witness_significance(pos, mom, direction=direction, n_boot=100, seed=13)
     assert report.point == evaluate(pos, mom, direction=direction)
@@ -488,8 +511,8 @@ def test_sparse_rejections_in_small_chunks_match_per_replicate_loop(monkeypatch)
     pos, mom = tiny_pair(counts)
     monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 7 * 8 * support_size([pos, mom]))
     chunks = []
-    chunked, rejected = kernel_margins([pos], [mom], Direction.SYMMETRIC, 3, 100, chunks)
-    assert chunks == [7] * 14 + [2]
+    _, chunked, rejected = kernel_margins([pos], [mom], Direction.SYMMETRIC, 3, 100, chunks)
+    assert chunks == [1 + 7] * 14 + [1 + 2]
     want, want_rejected = per_replicate_margins([pos], [mom], Direction.SYMMETRIC, 3, 100)
     assert want_rejected > 0
     assert rejected == want_rejected
@@ -497,8 +520,10 @@ def test_sparse_rejections_in_small_chunks_match_per_replicate_loop(monkeypatch)
 
 
 def test_sparse_rejections_match_per_replicate_loop():
+    # four columns: the redraws of empty blocks take the drawer's scalar path
     counts = np.array([[1, 0], [0, 1]], dtype=np.int64)
     pos, mom = tiny_pair(counts)
+    assert support_size([pos, mom]) <= bootstrap._SCALAR_DRAW_COLUMNS
     report = witness_significance(pos, mom, direction=Direction.SYMMETRIC, n_boot=100, seed=0)
     margins, rejected = per_replicate_margins([pos], [mom], Direction.SYMMETRIC, 0, 100)
     assert rejected > 0

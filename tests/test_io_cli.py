@@ -36,8 +36,8 @@ from eprsteering import (
     write_grid_json,
     write_map_csv,
 )
-from eprsteering import cli, selftest
-from eprsteering.bootstrap import _philox_keys, replicate_rng
+from eprsteering import bootstrap, cli, selftest
+from eprsteering.bootstrap import _philox_drawer, _philox_keys, replicate_rng
 from eprsteering.cli import main
 from eprsteering.coarse import resolution_curve
 
@@ -537,7 +537,7 @@ def test_selftest_command_passes(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert "[FAIL]" not in out
-    assert out.endswith("9/9 checks passed\n")
+    assert out.endswith("10/10 checks passed\n")
 
 
 def _flipped_keys(seed, index, attempt):
@@ -561,6 +561,19 @@ def _stale_drawer(lam):
     return draw
 
 
+def _reversed_scalar_drawer(lam):
+    # a small layout's scalar calls read the stream last mean first
+    if lam.size > bootstrap._SCALAR_DRAW_COLUMNS:
+        return _philox_drawer(lam)
+    draw = _philox_drawer(lam[::-1].copy())
+
+    def reversed_draw(philox_keys, rows, out):
+        draw(philox_keys, rows, out)
+        out[rows] = out[rows, ::-1]
+
+    return reversed_draw
+
+
 class _ZeroMeanReader(np.random.Generator):
     """A generator whose Poisson draw reads the stream once per zero mean."""
 
@@ -575,6 +588,7 @@ class _ZeroMeanReader(np.random.Generator):
     [
         ("_philox_keys", _flipped_keys, "philox-key-hash"),
         ("_philox_drawer", _stale_drawer, "philox-key-reset"),
+        ("_philox_drawer", _reversed_scalar_drawer, "poisson-scalar-draws"),
         ("replicate_rng", lambda *key: _ZeroMeanReader(replicate_rng(*key).bit_generator), "poisson-zero-means"),
     ],
 )

@@ -18,11 +18,16 @@ from hypothesis import strategies as st
 
 from eprsteering import (
     AxisGrid,
+    DoubleGaussianParams,
     GridSpec,
     JointDistribution,
+    NonDivisibleFactorError,
+    NonpositiveExtentError,
+    NonpositiveWindowError,
     NotNormalizedError,
     Observable,
     RunConfig,
+    SteeringError,
     SyntheticConfig,
     UsageError,
     asymmetry_map,
@@ -109,6 +114,51 @@ def test_bad_argument_values_raise_usage_errors(small_state, entry):
     call, message = BAD_ARGUMENTS[entry]
     with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
         call(small_state)
+
+
+_TOO_LARGE = "must be <= 1.79769e+308, the largest float, got 1e+400"
+_TOTAL_TOO_LARGE = "total must be <= 9.22337e+18, the largest Poisson mean that can be drawn, got 1e+400"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda s: SyntheticConfig(total=10**400), UsageError, _TOTAL_TOO_LARGE),
+        (lambda s: sample_histograms(s[0], total=10**400), UsageError, _TOTAL_TOO_LARGE),
+        (lambda s: AxisGrid(2, 10**400), NonpositiveWindowError, f"window_width {_TOO_LARGE}"),
+        (lambda s: DoubleGaussianParams(10**400, 1.0), UsageError, f"sigma_plus {_TOO_LARGE}"),
+        (
+            lambda s: AxisGrid(10**400, 1.0),
+            NonpositiveExtentError,
+            "extent n_windows * window_width = 1e+400 * 1.0 overflows",
+        ),
+        (lambda s: AxisGrid(2, 1.0, 10**400), UsageError, "origin must be a finite float, got 1e+400"),
+        (
+            lambda s: asymmetry_map(*s[1], [10**400], [2], n_boot=100),
+            NonDivisibleFactorError,
+            "resolution must divide 4, got 1e+400",
+        ),
+        (lambda s: SyntheticConfig(clip_tol=10**300), UsageError, "clip_tol must be < 1, got 1e+300"),
+    ],
+    ids=[
+        "SyntheticConfig",
+        "sample_histograms",
+        "AxisGrid",
+        "DoubleGaussianParams",
+        "n_windows",
+        "origin",
+        "resolution",
+        "clip_tol",
+    ],
+)
+def test_a_huge_integer_is_refused_without_echoing_its_digits(small_state, call, error, message):
+    # past the float range it used to read as a non-finite value and echo
+    # all 401 digits, or (as a window count) escape as an OverflowError;
+    # within it, other refusals echoed every digit
+    with pytest.raises(SteeringError) as err:
+        call(small_state)
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_the_replicate_ceiling_is_two_to_the_32():
