@@ -29,11 +29,13 @@ The bootstrap does not build a generator per replicate.  A Philox stream is
 fixed by its 128-bit key, and ``replicate_rng`` takes that key from
 ``SeedSequence(key).generate_state(2, np.uint64)``; ``_philox_keys`` computes
 the same hash for a whole chunk of replicates in one pass of uint32
-arithmetic, and each replicate is drawn by resetting the key of one reused
-``Philox``.  The streams, and so every draw, are those of ``replicate_rng``,
-which stays the definition of the stream.  numpy's Poisson draw is the floor
-of a replicate's time under this contract; it is not worked around with a
-private numpy API.
+arithmetic, and each replicate is drawn by resetting one ``Philox`` to the
+fresh state of its key.  Each thread makes that ``Philox`` once and reuses it
+in every call: a Philox stream depends only on its key, and every reset
+sets the whole state, so no call reads what another left.  The streams, and
+so every draw, are those of ``replicate_rng``, which stays the definition of
+the stream.  numpy's Poisson draw is the floor of a replicate's time under
+this contract; it is not worked around with a private numpy API.
 
 The contract rests on four facts of the installed numpy: ``_philox_keys``
 reproduces ``SeedSequence``'s hash, a reset Philox starts the keyed stream,
@@ -43,6 +45,7 @@ equal the array draw.  ``eprsteer selftest`` checks each.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -229,21 +232,31 @@ def poisson_resample(counts: CountTensor, rng: np.random.Generator) -> CountTens
     return CountTensor(rng.poisson(lam=_check_poisson_means(counts.counts)))
 
 
+#: Each thread's reused ``(Philox, its Generator's poisson, a fresh state)``, made by its first draw.
+_THREAD_PHILOX = threading.local()
+
+
 def _philox_drawer(lam: np.ndarray) -> Callable[[list[list[int]], list[int], np.ndarray], None]:
     """``draw(philox_keys, rows, out)``: ``out[r] = rng.poisson(lam)`` on the Philox stream of each key, row by row.
 
-    One ``Philox`` is reused: each draw sets the new key on a fresh
-    generator's state (counter 0, empty buffer), the state ``replicate_rng``
-    starts from, held as Python ints, which the state setter reads faster
-    than numpy scalars.  A ``lam`` of at most ``_SCALAR_DRAW_COLUMNS`` means
-    is drawn one scalar call per mean, in order.
+    Each thread reuses one ``Philox``, made on its first draw: each row
+    sets the new key on a fresh generator's state (counter 0, empty
+    buffer), the state ``replicate_rng`` starts from, held as Python ints,
+    which the state setter reads faster than numpy scalars.  The whole
+    state is set, so no row reads what an earlier one left.  A ``lam`` of
+    at most ``_SCALAR_DRAW_COLUMNS`` means is drawn one scalar call per
+    mean, in order.
     """
-    bitgen = np.random.Philox(0)
-    poisson = np.random.Generator(bitgen).poisson
-    state = bitgen.state
+    try:
+        bitgen, poisson, state = _THREAD_PHILOX.drawer
+    except AttributeError:
+        bitgen = np.random.Philox(0)
+        poisson = np.random.Generator(bitgen).poisson
+        state = bitgen.state
+        state["state"]["counter"] = state["state"]["counter"].tolist()
+        state["buffer"] = state["buffer"].tolist()
+        _THREAD_PHILOX.drawer = bitgen, poisson, state
     philox = state["state"]
-    philox["counter"] = philox["counter"].tolist()
-    state["buffer"] = state["buffer"].tolist()
     means = lam.tolist() if lam.size <= _SCALAR_DRAW_COLUMNS else None
 
     def draw(philox_keys: list[list[int]], rows: list[int], out: np.ndarray) -> None:
@@ -281,7 +294,7 @@ def _replicate_margins(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int)
     """The witness on the observed counts, the margin of every replicate, and the number of draws rejected as empty.
 
     Each draw comes from the stream of ``replicate_rng(key, replicate,
-    attempt)``, set by resetting the key of one reused ``Philox``, and covers
+    attempt)``, set by resetting the thread's reused ``Philox``, and covers
     the columns of ``kernel.layout``: each block's non-zero observed cells,
     blocks in order.  Draws fill a chunk buffer of at most ``_CHUNK_BYTES``;
     one ``np.add.reduceat`` per attempt gives each block's event total,
@@ -340,9 +353,12 @@ def witness_significance(
     """
     key = _seed_key(seed)
     n_boot = _check_n_boot(n_boot)
-    kernel = _margin_kernel(position, momentum, direction, base, (Histogram,))
-    point, margins, rejected = _replicate_margins(kernel, key, n_boot)
+    return _report(_margin_kernel(position, momentum, direction, base, (Histogram,)), key, n_boot)
 
+
+def _report(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int) -> BootstrapReport:
+    """The report of ``kernel``'s blocks on the replicate streams of ``key``: :func:`witness_significance` past its argument checks, and each map cell."""
+    point, margins, rejected = _replicate_margins(kernel, key, n_boot)
     mean = float(margins.mean())
     std = float(margins.std(ddof=1))
     if std <= ROUNDOFF_SPREAD * float(np.abs(margins).max()):

@@ -3,7 +3,11 @@
 Downsampling merges adjacent windows, which is exactly what re-binning the
 raw events onto the coarser grid would have produced; counts stay counts and
 probabilities stay normalized.  The sweep helpers re-evaluate witnesses at
-every reachable resolution of a square base grid.
+every reachable resolution of a square base grid.  A sweep checks its base
+blocks once and builds each cell's margin kernel straight from them: one
+block sum of the base weights, the base totals, and the widths and extents a
+coarse grid has.  No cell builds :func:`downsample`'s blocks, yet each
+scores, bit for bit, as the witness on them.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bootstrap import BootstrapReport, _check_seed, witness_significance
-from .errors import NonDivisibleFactorError, UsageError
+from .bootstrap import BootstrapReport, _check_n_boot, _check_seed, _report
+from .errors import DataError, NonDivisibleFactorError, UsageError
 from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, _check_int, _shown
-from .witness import Direction, WitnessResult, evaluate
+from .witness import Direction, WitnessResult, _checked_blocks, _kernel, _MarginKernel, _weights
 
 __all__ = [
     "block_sum",
@@ -37,16 +41,22 @@ def _divisor(value: int, size: int, what: str, minimum: int = 1) -> int:
     return value
 
 
+def _block_sums(arr: np.ndarray, factors: Sequence[int]) -> np.ndarray:
+    """``arr`` summed over contiguous blocks of ``factors``, one per axis, each a divisor of its axis."""
+    shape = [n for size, factor in zip(arr.shape, factors) for n in (size // factor, factor)]
+    return arr.reshape(shape).sum(axis=tuple(range(1, 2 * arr.ndim, 2)))
+
+
 def block_sum(arr: np.ndarray, factors: Sequence[int]) -> np.ndarray:
     """Aggregate an array over contiguous blocks, one factor per axis."""
     arr = np.asarray(arr)
     if len(factors) != arr.ndim:
         raise UsageError(f"need {arr.ndim} factors for a rank-{arr.ndim} tensor, got {len(factors)}")
-    interleaved: list[int] = []
-    for axis, (size, factor) in enumerate(zip(arr.shape, factors)):
-        factor = _divisor(factor, size, f"downsampling factor of axis {axis}")
-        interleaved += [size // factor, factor]
-    return arr.reshape(interleaved).sum(axis=tuple(range(1, 2 * arr.ndim, 2)))
+    factors = [
+        _divisor(factor, size, f"downsampling factor of axis {axis}")
+        for axis, (size, factor) in enumerate(zip(arr.shape, factors))
+    ]
+    return _block_sums(arr, factors)
 
 
 def _coarser_axis(ax: AxisGrid, factor: int) -> AxisGrid:
@@ -71,14 +81,10 @@ def downsample(data: Histogram | JointDistribution, factor_a: int, factor_b: int
     The factor applies to every axis of its party.  Returns the same type it
     was given, on the correspondingly coarser grid.
     """
-    if isinstance(data, Histogram):
-        arr = data.counts.counts
-    elif isinstance(data, JointDistribution):
-        arr = data.probs
-    else:
+    if not isinstance(data, (Histogram, JointDistribution)):
         raise UsageError(f"downsample expects Histogram or JointDistribution, got {type(data).__name__}")
     n = data.grid.n_dims
-    coarse = block_sum(arr, [factor_a] * n + [factor_b] * n)
+    coarse = block_sum(_weights(data), [factor_a] * n + [factor_b] * n)
     return type(data)(coarse, _coarser_grid(data.grid, int(factor_a), int(factor_b)))
 
 
@@ -95,6 +101,26 @@ def _sweep_inputs(position, momentum, kinds: tuple[type, ...], direction: Direct
             f"resolution sweeps need the same window count on every axis, got {sorted(counts)}"
         )
     return direction, counts.pop()
+
+
+def _cell_kernel(
+    direction: Direction,
+    base: float,
+    position: Histogram | JointDistribution,
+    momentum: Histogram | JointDistribution,
+    factor_a: int,
+    factor_b: int,
+) -> _MarginKernel:
+    """The margin kernel of checked base blocks downsampled by ``(factor_a, factor_b)``, which must divide their windows.
+
+    The same kernel, bit for bit, as one built on :func:`downsample`'s
+    blocks, without building them: the weights are one block sum of the
+    base, and the totals, widths and extents are the base's as the witness
+    module merges them.
+    """
+    factors = [factor_a] * position.grid.n_dims + [factor_b] * position.grid.n_dims
+    tensors = [_block_sums(_weights(b), factors) for b in (position, momentum)]
+    return _kernel(direction, base, (position,), (momentum,), tensors, {"A": factor_a, "B": factor_b})
 
 
 def _resolutions(requested: Sequence[int] | None, n0: int) -> tuple[int, ...]:
@@ -144,17 +170,18 @@ def resolution_curve(
     of them in increasing order.  Each point is :func:`evaluate` on the
     downsampled blocks: on histograms, :func:`asymmetry_map`'s ``(r, r)`` cell.
     """
-    direction, n0 = _sweep_inputs(position, momentum, (Histogram, JointDistribution), direction)
+    kinds = (Histogram, JointDistribution)
+    direction, n0 = _sweep_inputs(position, momentum, kinds, direction)
+    resolutions = _resolutions(resolutions, n0)
+    direction, base, _, _ = _checked_blocks(position, momentum, direction, base, kinds)
     steered = "A" if direction is Direction.A_GIVEN_B else "B"
     points = []
-    for r in _resolutions(resolutions, n0):
+    for r in resolutions:
         f = n0 // r
-        pos_r = downsample(position, f, f)
-        mom_r = downsample(momentum, f, f)
-        res = evaluate(pos_r, mom_r, direction=direction, base=base)
+        res = _cell_kernel(direction, base, position, momentum, f, f).point()
         inv = 1.0
-        for wx, wk in zip(pos_r.grid.widths(steered), mom_r.grid.widths(steered)):
-            inv /= wx * wk
+        for wx, wk in zip(position.grid.widths(steered), momentum.grid.widths(steered)):
+            inv /= (wx * f) * (wk * f)
         points.append(
             CurvePoint(resolution=r, inv_window_product=inv, lhs=res.lhs, bound=res.bound, margin=res.margin)
         )
@@ -216,29 +243,29 @@ def asymmetry_map(
 
     Each party's resolutions default to every divisor >= 2 of the base grid,
     as in :func:`resolution_curve`.  Each cell downsamples the two parties
-    independently and bootstraps the witness there; the report carries the
-    point estimate on the observed counts beside the Poisson-bootstrap
-    significance.  Cell randomness is keyed by ``(seed, res_a, res_b)``, so
-    results do not depend on sweep order.
+    independently and bootstraps the witness there: its report is
+    ``witness_significance`` on the :func:`downsample` blocks with the seed
+    ``[seed, res_a, res_b]``, the point estimate on the observed counts
+    beside the Poisson-bootstrap significance.  So cell randomness does not
+    depend on sweep order.  The base blocks are checked once; the checks
+    that depend on the cell run cell by cell: the viewing-area rule, the
+    largest Poisson mean (its :class:`DataError` names the cell),
+    empty-replicate redraws and the roundoff-spread refusal.
     """
     direction, n0 = _sweep_inputs(position, momentum, (Histogram,), direction)
     seed = _check_seed(seed)
     res_a = _resolutions(resolutions_a, n0)
     res_b = _resolutions(resolutions_b, n0)
+    n_boot = _check_n_boot(n_boot)
+    direction, checked_base, _, _ = _checked_blocks(position, momentum, direction, base, (Histogram,))
     cells = []
     for ra in res_a:
         for rb in res_b:
-            fa, fb = n0 // ra, n0 // rb
-            pos_rr = downsample(position, fa, fb)
-            mom_rr = downsample(momentum, fa, fb)
-            report = witness_significance(
-                pos_rr,
-                mom_rr,
-                direction=direction,
-                n_boot=n_boot,
-                seed=[seed, ra, rb],
-                base=base,
-            )
+            kernel = _cell_kernel(direction, checked_base, position, momentum, n0 // ra, n0 // rb)
+            try:
+                report = _report(kernel, (seed, ra, rb), n_boot)
+            except DataError as exc:
+                raise DataError(f"map cell ({ra}, {rb}): {exc}") from None
             cells.append(MapCell(resolution_a=ra, resolution_b=rb, result=report.point, report=report))
     return ResolutionSweep(
         direction=direction,

@@ -134,7 +134,7 @@ def _check_philox_reset(rng: np.random.Generator) -> str:
 
 
 def _check_poisson_scalar_draws(rng: np.random.Generator) -> str:
-    # one drawer per row, so that no key reset is under test
+    # one drawer call per row, so that no reset between rows of a call is under test
     drawn = _drawn_like_replicate_rng(rng, _SCALAR_DRAW_COLUMNS, "scalar draws differ from the array draw", False)
     return f"{drawn} rows of {_SCALAR_DRAW_COLUMNS} scalar draws equal the array draws"
 

@@ -188,6 +188,104 @@ class _MarginKernel:
         )
 
 
+def _weights(block: Block) -> np.ndarray:
+    """The tensor a block is scored on: a :class:`Histogram`'s counts, a :class:`JointDistribution`'s probabilities."""
+    return block.counts.counts if isinstance(block, Histogram) else block.probs
+
+
+def _checked_blocks(
+    position: ObservableInput,
+    momentum: ObservableInput,
+    direction: Direction,
+    base: float,
+    kinds: tuple[type, ...],
+) -> tuple[Direction, float, tuple, tuple]:
+    """A witness's checked direction, base, position blocks and momentum blocks, each one block of ``kinds`` or a sequence of them.
+
+    The blocks must sit on grids of their observable and cover the same
+    number of dimensions, at most 2.
+    """
+    direction = Direction(direction)
+    base = _check_base(base)
+    pos_blocks = _blocks(position, kinds, "position")
+    mom_blocks = _blocks(momentum, kinds, "momentum")
+    for blocks, observable in ((pos_blocks, Observable.POSITION), (mom_blocks, Observable.MOMENTUM)):
+        for b in blocks:
+            if b.grid.observable is not observable:
+                raise UsageError(
+                    f"expected a {observable.value} distribution, got one on a "
+                    f"{b.grid.observable.value} grid"
+                )
+    n_pos = sum(b.grid.n_dims for b in pos_blocks)
+    n_mom = sum(b.grid.n_dims for b in mom_blocks)
+    if n_pos != n_mom:
+        raise DimensionMismatchError(
+            f"position covers {n_pos} dimension(s) but momentum covers {n_mom}"
+        )
+    if n_pos > 2:
+        raise UsageError(f"at most 2 transverse dimensions supported, got {n_pos}")
+    return direction, base, pos_blocks, mom_blocks
+
+
+def _kernel(
+    direction: Direction,
+    base: float,
+    pos_blocks: tuple,
+    mom_blocks: tuple,
+    tensors: Sequence[np.ndarray],
+    factors: dict[Party, int],
+) -> _MarginKernel:
+    """The kernel of checked blocks with each party's windows merged in groups of ``factors[party]``: its bound, then its layout.
+
+    ``tensors`` holds each block's merged weights, position blocks first;
+    merging keeps a block's total.  A merged axis of ``n`` windows of width
+    ``w`` has the width ``w * f`` and the extent ``(n // f) * (w * f)`` that
+    a coarse :class:`AxisGrid` computes, so the bound has the bits of one
+    built on the coarse grid.  At factors of 1 these are the block's own.
+    """
+    def merged(blocks: tuple, party: Party) -> list[tuple[float, float]]:
+        f = factors[party]
+        return [(ax.n_windows // f * (ax.window_width * f), ax.window_width * f) for b in blocks for ax in b.grid.axes(party)]
+
+    # each party's ((L_x, width_x), (L_k, width_k)), dimension by dimension
+    axes = {party: list(zip(merged(pos_blocks, party), merged(mom_blocks, party))) for party in ("A", "B")}
+    n_dims = len(axes["A"])
+
+    # each party's sum over dimensions of log(L_x*L_k/(pi*e)), in nats: the
+    # conditional margin is at least minus the steered party's sum, and the
+    # symmetric one at least minus the larger sum, whatever the data
+    area_nats = {party: sum(_area_nats(lx, lk) for (lx, _), (lk, _) in pairs) for party, pairs in axes.items()}
+    steered: Party = "B" if direction is Direction.B_GIVEN_A else "A"
+    parties: tuple[Party, ...] = ("A", "B") if direction is Direction.SYMMETRIC else (steered,)
+    if max(area_nats[p] for p in parties) <= 0.0:
+        pi_e = "pi*e" if n_dims == 1 else f"(pi*e)^{n_dims}"
+        small = "; ".join(
+            f"party {p}'s viewing area L_x*L_k = {' * '.join(f'{lx * lk:.6g}' for (lx, _), (lk, _) in axes[p])} "
+            f"is at most {pi_e} = {PI_E ** n_dims:.6g}"
+            for p in parties
+        )
+        raise NumericalError(
+            f"{small}, so the {direction.value} margin is >= 0 on any data: the witness cannot fail there"
+        )
+
+    if direction is Direction.SYMMETRIC:
+        terms = [area_nats[party] / math.log(base) for party in ("A", "B")]
+        bound = max(terms)
+    else:
+        terms = [per_dim_bound(wx, wk, base) for (_, wx), (_, wk) in axes[steered]]
+        bound = sum(terms)
+    blocks = (*pos_blocks, *mom_blocks)
+    return _MarginKernel(
+        direction=direction,
+        base=base,
+        mode="independent-axes" if max(len(pos_blocks), len(mom_blocks)) > 1 else "full-joint",
+        n_dims=n_dims,
+        bound=bound,
+        bound_terms=tuple(terms),
+        layout=_layout(tensors, [b.total if isinstance(b, Histogram) else 1.0 for b in blocks]),
+    )
+
+
 def _margin_kernel(
     position: ObservableInput,
     momentum: ObservableInput,
@@ -202,72 +300,9 @@ def _margin_kernel(
     total, a :class:`JointDistribution` with its probabilities and a total
     of one.
     """
-    direction = Direction(direction)
-    base = _check_base(base)
-    pos_blocks = _blocks(position, kinds, "position")
-    mom_blocks = _blocks(momentum, kinds, "momentum")
-    pos_grids = [b.grid for b in pos_blocks]
-    mom_grids = [b.grid for b in mom_blocks]
-    for grids, observable in ((pos_grids, Observable.POSITION), (mom_grids, Observable.MOMENTUM)):
-        for g in grids:
-            if g.observable is not observable:
-                raise UsageError(
-                    f"expected a {observable.value} distribution, got one on a "
-                    f"{g.observable.value} grid"
-                )
-    n_pos = sum(g.n_dims for g in pos_grids)
-    n_mom = sum(g.n_dims for g in mom_grids)
-    if n_pos != n_mom:
-        raise DimensionMismatchError(
-            f"position covers {n_pos} dimension(s) but momentum covers {n_mom}"
-        )
-    if n_pos > 2:
-        raise UsageError(f"at most 2 transverse dimensions supported, got {n_pos}")
-
-    # each party's sum over dimensions of log(L_x*L_k/(pi*e)), in nats: the
-    # conditional margin is at least minus the steered party's sum, and the
-    # symmetric one at least minus the larger sum, whatever the data
-    extents = {
-        party: list(zip([e for g in pos_grids for e in g.extents(party)], [e for g in mom_grids for e in g.extents(party)]))
-        for party in ("A", "B")
-    }
-    area_nats = {
-        party: sum(_area_nats(lx, lk) for lx, lk in pairs)
-        for party, pairs in extents.items()
-    }
-    steered: Party = "B" if direction is Direction.B_GIVEN_A else "A"
-    parties: tuple[Party, ...] = ("A", "B") if direction is Direction.SYMMETRIC else (steered,)
-    if max(area_nats[p] for p in parties) <= 0.0:
-        pi_e = "pi*e" if n_pos == 1 else f"(pi*e)^{n_pos}"
-        small = "; ".join(
-            f"party {p}'s viewing area L_x*L_k = {' * '.join(f'{lx * lk:.6g}' for lx, lk in extents[p])} "
-            f"is at most {pi_e} = {PI_E ** n_pos:.6g}"
-            for p in parties
-        )
-        raise NumericalError(
-            f"{small}, so the {direction.value} margin is >= 0 on any data: the witness cannot fail there"
-        )
-
-    if direction is Direction.SYMMETRIC:
-        terms = [area_nats[party] / math.log(base) for party in ("A", "B")]
-        bound = max(terms)
-    else:
-        widths_x = [w for g in pos_grids for w in g.widths(steered)]
-        widths_k = [w for g in mom_grids for w in g.widths(steered)]
-        terms = [per_dim_bound(wx, wk, base) for wx, wk in zip(widths_x, widths_k)]
-        bound = sum(terms)
-    return _MarginKernel(
-        direction=direction,
-        base=base,
-        mode="independent-axes" if max(len(pos_grids), len(mom_grids)) > 1 else "full-joint",
-        n_dims=n_pos,
-        bound=bound,
-        bound_terms=tuple(terms),
-        layout=_layout(
-            [b.counts.counts if isinstance(b, Histogram) else b.probs for b in (*pos_blocks, *mom_blocks)],
-            [b.total if isinstance(b, Histogram) else 1.0 for b in (*pos_blocks, *mom_blocks)],
-        ),
-    )
+    direction, base, pos_blocks, mom_blocks = _checked_blocks(position, momentum, direction, base, kinds)
+    tensors = [_weights(b) for b in (*pos_blocks, *mom_blocks)]
+    return _kernel(direction, base, pos_blocks, mom_blocks, tensors, {"A": 1, "B": 1})
 
 
 def evaluate(

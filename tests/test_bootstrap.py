@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -262,6 +265,30 @@ def test_drawer_matches_replicate_rng_row_by_row(columns, low, high, attempt, ro
         np.testing.assert_array_equal(out[r], replicate_rng(key, i, attempt).poisson(lam))
     untouched = np.setdiff1d(np.arange(4), rows)
     assert (out[untouched] == -1.0).all()
+
+
+@pytest.mark.parametrize("factor", [1, 8], ids=["array-draws", "scalar-draws"])
+def test_threads_draw_the_reports_of_serial_calls(sampled_default, factor):
+    # each thread draws on its own reused Philox: two threads at once must
+    # give every report that one thread gives, seed by seed
+    pos, mom = (downsample(h, factor, factor) for h in sampled_default)
+    seeds = range(8)
+    serial = [witness_significance(pos, mom, n_boot=200, seed=s) for s in seeds]
+    start = threading.Barrier(2)
+
+    def run(s):
+        if s < 2:
+            start.wait(timeout=60)
+        return witness_significance(pos, mom, n_boot=200, seed=s)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a shared generator is caught between rows
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(run, seeds, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def _plain(state: dict) -> dict:

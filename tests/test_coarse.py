@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from eprsteering import (
     AxisGrid,
+    DataError,
     Direction,
     GridSpec,
     Histogram,
@@ -258,22 +259,52 @@ def sampled_12():
     return sample_histograms(state, total=200_000, seed=3)
 
 
-def test_asymmetry_map_cells_match_direct_evaluation(sampled_12):
+@pytest.fixture(scope="module")
+def off_centre_12(sampled_12):
+    # the sampled counts on grids with off-centre origins and unequal widths
+    # per party and observable, so no coarse width or extent is a round number
+    def grid(observable, a, b):
+        return GridSpec(observable, (AxisGrid(12, a[0], a[1]),), (AxisGrid(12, b[0], b[1]),))
+
     pos, mom = sampled_12
-    sweep = asymmetry_map(pos, mom, [3, 12], [3, 12], n_boot=100, seed=5)
-    assert sweep.margins().shape == (2, 2)
+    return (
+        Histogram(pos.counts, grid(Observable.POSITION, (0.1, -0.37), (0.07, 0.21))),
+        Histogram(mom.counts, grid(Observable.MOMENTUM, (9.0, -50.0), (11.0, 3.0))),
+    )
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("blocks", ["sampled_12", "off_centre_12"])
+def test_asymmetry_map_cells_match_direct_evaluation(blocks, direction, request):
+    # each cell is built from the base counts, not from downsample's blocks;
+    # its whole report must be the one witness_significance gives on them
+    pos, mom = request.getfixturevalue(blocks)
+    sweep = asymmetry_map(pos, mom, [2, 6], [3, 4, 12], direction=direction, n_boot=100, seed=5)
+    assert sweep.margins().shape == (2, 3)
     for cell in sweep.cells:
         fa = 12 // cell.resolution_a
         fb = 12 // cell.resolution_b
         pos_rr = downsample(pos, fa, fb)
         mom_rr = downsample(mom, fa, fb)
-        point = evaluate(pos_rr, mom_rr)
         boot = witness_significance(
-            pos_rr, mom_rr, n_boot=100, seed=[5, cell.resolution_a, cell.resolution_b]
+            pos_rr, mom_rr, direction=direction, n_boot=100, seed=[5, cell.resolution_a, cell.resolution_b]
         )
-        assert cell.result.margin == point.margin
-        assert cell.report.significance == boot.significance
-        assert cell.report.rejected_replicates == boot.rejected_replicates
+        assert cell.report == boot
+        assert cell.result == boot.point == evaluate(pos_rr, mom_rr, direction=direction)
+
+
+def test_a_map_cell_past_the_poisson_limit_is_named():
+    # each base cell can be drawn, but at party B's 2 windows the two 5e18
+    # cells of row 1 merge into one mean of 1e19; the message named no cell
+    counts = np.ones((4, 4), dtype=np.uint64)
+    counts[1, :2] = 5 * 10**18
+    pos = Histogram(counts, square_grid(4, 2.0))
+    mom = Histogram(counts, square_grid(4, 2.0, Observable.MOMENTUM))
+    with pytest.raises(DataError) as err:
+        asymmetry_map(pos, mom, [4], [2], n_boot=100)
+    assert str(err.value) == (
+        "map cell (4, 2): a cell mean of 1e+19 exceeds 9.22337e+18, the largest Poisson mean that can be drawn"
+    )
 
 
 def test_asymmetry_map_matrices_read_cells_in_row_major_order(sampled_12):

@@ -631,7 +631,7 @@ def _never(*args, **kwargs):
 
 def test_too_few_replicates_exit_one_before_any_work(synth_dir, monkeypatch, capsys):
     monkeypatch.setattr("eprsteering.cli.make_synthetic_state", _never)
-    monkeypatch.setattr("eprsteering.coarse.downsample", _never)
+    monkeypatch.setattr("eprsteering.coarse._cell_kernel", _never)
     files = ["--position", str(synth_dir / "position.csv"), "--momentum", str(synth_dir / "momentum.csv")]
     for argv in (
         ["witness", "--synthetic"],
@@ -702,7 +702,7 @@ def test_synthetic_config_and_sampling_share_one_total_rule():
 def test_curve_refuses_boot_before_any_work(synth_dir, boot, monkeypatch, capsys):
     # a curve is not bootstrapped: any --boot is refused, not hashed
     monkeypatch.setattr("eprsteering.cli.make_synthetic_state", _never)
-    monkeypatch.setattr("eprsteering.coarse.downsample", _never)
+    monkeypatch.setattr("eprsteering.coarse._cell_kernel", _never)
     files = ["--position", str(synth_dir / "position.csv"), "--momentum", str(synth_dir / "momentum.csv")]
     for source in (files, ["--synthetic"]):
         assert run_cli("curve", *source, "--boot", boot) == 1
@@ -723,7 +723,7 @@ def test_curve_config_hash_keeps_the_default_replicate_count(tmp_path):
 @pytest.mark.parametrize("seed", ["0", "5"])
 def test_curve_refuses_seed_without_synthetic(synth_dir, seed, monkeypatch, capsys):
     # on counts files a curve draws nothing, so a seed would only move config_hash
-    monkeypatch.setattr("eprsteering.coarse.downsample", _never)
+    monkeypatch.setattr("eprsteering.coarse._cell_kernel", _never)
     files = ["--position", str(synth_dir / "position.csv"), "--momentum", str(synth_dir / "momentum.csv")]
     assert run_cli("curve", *files, "--seed", seed) == 1
     assert capsys.readouterr().err == "usage error: --seed only makes sense with --synthetic\n"
@@ -759,6 +759,8 @@ def default_synth_dir(tmp_path_factory):
         (["witness", "--direction", "ab"], "c2d886971d165aad9db0b2c9313bdaeb682e7920a61c4bad45f9af42627bc1a9"),
         (["witness", "--direction", "sym"], "135a5f871c38db2f250493dd580932b08907efd4008918a6c3205585c064bcb9"),
         (["map"], "8b6178675613b169e92bcd10b450f8522b9b99b317fcfe5ae2e0b44417ef285f"),
+        (["map", "--direction", "ab"], "ced7dd14752c42a9db5b42876fb54009e1c22c105a44b979b83ef1a6a57449e0"),
+        (["map", "--direction", "sym"], "00ce04aa2b67510aa6e7e256018a4b82ac3a0936e6a1739d9decebec293ed2e0"),
     ],
 )
 def test_reports_on_the_default_synth_files_keep_their_bytes(default_synth_dir, argv, digest, tmp_path, monkeypatch):
@@ -895,7 +897,7 @@ def test_a_viewing_area_below_pi_e_exits_three(direction, tmp_path, capsys):
 def test_a_resolution_of_one_exits_one_before_any_cell(argv, tmp_path, monkeypatch, capsys):
     # a party at one window tests no steering; the map-sym run once bootstrapped
     # its other cells, then exited 3 at the constant ones and wrote no CSV
-    monkeypatch.setattr("eprsteering.coarse.downsample", _never)
+    monkeypatch.setattr("eprsteering.coarse._cell_kernel", _never)
     out = tmp_path / "out"
     flags = ["--synthetic", "--n-windows", "12", "--total", "100000", "--output", str(out)]
     assert run_cli(argv[0], *flags, *argv[1:]) == 1
