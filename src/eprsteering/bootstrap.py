@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import DataError, DegenerateBootstrapError, UsageError
 from .grids import CountTensor, Histogram, _check_int, _shown
-from .witness import Direction, WitnessResult, _margin_kernel, _MarginKernel
+from .witness import Direction, WitnessResult, _checked_blocks, _kernel, _MarginKernel
 
 __all__ = [
     "BootstrapReport",
@@ -353,7 +353,7 @@ def witness_significance(
     """
     key = _seed_key(seed)
     n_boot = _check_n_boot(n_boot)
-    return _report(_margin_kernel(position, momentum, direction, base, (Histogram,)), key, n_boot)
+    return _report(_kernel(*_checked_blocks(position, momentum, direction, base, (Histogram,))), key, n_boot)
 
 
 def _report(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int) -> BootstrapReport:

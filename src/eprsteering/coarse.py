@@ -4,10 +4,11 @@ Downsampling merges adjacent windows, which is exactly what re-binning the
 raw events onto the coarser grid would have produced; counts stay counts and
 probabilities stay normalized.  The sweep helpers re-evaluate witnesses at
 every reachable resolution of a square base grid.  A sweep checks its base
-blocks once and builds each cell's margin kernel straight from them: one
-block sum of the base weights, the base totals, and the widths and extents a
-coarse grid has.  No cell builds :func:`downsample`'s blocks, yet each
-scores, bit for bit, as the witness on them.
+blocks once and builds each cell's margin kernel straight from them, through
+the witness module's one kernel builder with the cell's merge factors.  No
+cell builds :func:`downsample`'s blocks, yet each scores, bit for bit, as
+the witness on them.  A map cell that is refused, by the viewing-area rule,
+the largest Poisson mean or the roundoff-spread rule, is named in the error.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .bootstrap import BootstrapReport, _check_n_boot, _check_seed, _report
-from .errors import DataError, NonDivisibleFactorError, UsageError
+from .errors import DataError, NonDivisibleFactorError, NumericalError, UsageError
 from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, _check_int, _shown
-from .witness import Direction, WitnessResult, _checked_blocks, _kernel, _MarginKernel, _weights
+from .witness import Direction, WitnessResult, _block_sums, _checked_blocks, _kernel, _weights
 
 __all__ = [
     "block_sum",
@@ -39,12 +40,6 @@ def _divisor(value: int, size: int, what: str, minimum: int = 1) -> int:
     if size % value != 0:
         raise NonDivisibleFactorError(f"{what} must divide {size}, got {_shown(value)}")
     return value
-
-
-def _block_sums(arr: np.ndarray, factors: Sequence[int]) -> np.ndarray:
-    """``arr`` summed over contiguous blocks of ``factors``, one per axis, each a divisor of its axis."""
-    shape = [n for size, factor in zip(arr.shape, factors) for n in (size // factor, factor)]
-    return arr.reshape(shape).sum(axis=tuple(range(1, 2 * arr.ndim, 2)))
 
 
 def block_sum(arr: np.ndarray, factors: Sequence[int]) -> np.ndarray:
@@ -103,26 +98,6 @@ def _sweep_inputs(position, momentum, kinds: tuple[type, ...], direction: Direct
     return direction, counts.pop()
 
 
-def _cell_kernel(
-    direction: Direction,
-    base: float,
-    position: Histogram | JointDistribution,
-    momentum: Histogram | JointDistribution,
-    factor_a: int,
-    factor_b: int,
-) -> _MarginKernel:
-    """The margin kernel of checked base blocks downsampled by ``(factor_a, factor_b)``, which must divide their windows.
-
-    The same kernel, bit for bit, as one built on :func:`downsample`'s
-    blocks, without building them: the weights are one block sum of the
-    base, and the totals, widths and extents are the base's as the witness
-    module merges them.
-    """
-    factors = [factor_a] * position.grid.n_dims + [factor_b] * position.grid.n_dims
-    tensors = [_block_sums(_weights(b), factors) for b in (position, momentum)]
-    return _kernel(direction, base, (position,), (momentum,), tensors, {"A": factor_a, "B": factor_b})
-
-
 def _resolutions(requested: Sequence[int] | None, n0: int) -> tuple[int, ...]:
     """A sweep's distinct window counts on an ``n0``-window grid, each a divisor >= 2; ``None`` means all of them.
 
@@ -178,7 +153,7 @@ def resolution_curve(
     points = []
     for r in resolutions:
         f = n0 // r
-        res = _cell_kernel(direction, base, position, momentum, f, f).point()
+        res = _kernel(direction, base, (position,), (momentum,), f, f).point()
         inv = 1.0
         for wx, wk in zip(position.grid.widths(steered), momentum.grid.widths(steered)):
             inv /= (wx * f) * (wk * f)
@@ -249,23 +224,24 @@ def asymmetry_map(
     beside the Poisson-bootstrap significance.  So cell randomness does not
     depend on sweep order.  The base blocks are checked once; the checks
     that depend on the cell run cell by cell: the viewing-area rule, the
-    largest Poisson mean (its :class:`DataError` names the cell),
-    empty-replicate redraws and the roundoff-spread refusal.
+    largest Poisson mean, empty-replicate redraws and the roundoff-spread
+    refusal.  Every refusal of a cell raises its own error type with a
+    message that starts ``map cell (res_a, res_b):``.
     """
     direction, n0 = _sweep_inputs(position, momentum, (Histogram,), direction)
     seed = _check_seed(seed)
     res_a = _resolutions(resolutions_a, n0)
     res_b = _resolutions(resolutions_b, n0)
     n_boot = _check_n_boot(n_boot)
-    direction, checked_base, _, _ = _checked_blocks(position, momentum, direction, base, (Histogram,))
+    direction, base, _, _ = _checked_blocks(position, momentum, direction, base, (Histogram,))
     cells = []
     for ra in res_a:
         for rb in res_b:
-            kernel = _cell_kernel(direction, checked_base, position, momentum, n0 // ra, n0 // rb)
             try:
+                kernel = _kernel(direction, base, (position,), (momentum,), n0 // ra, n0 // rb)
                 report = _report(kernel, (seed, ra, rb), n_boot)
-            except DataError as exc:
-                raise DataError(f"map cell ({ra}, {rb}): {exc}") from None
+            except (DataError, NumericalError) as exc:
+                raise type(exc)(f"map cell ({ra}, {rb}): {exc}") from None
             cells.append(MapCell(resolution_a=ra, resolution_b=rb, result=report.point, report=report))
     return ResolutionSweep(
         direction=direction,

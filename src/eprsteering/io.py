@@ -285,7 +285,8 @@ class RunConfig:
     """Everything that determines a witness run's numbers.
 
     Exactly one event source must be set: counts files for both observables,
-    or a synthetic state.
+    each with its grid file or none, or a synthetic state, which takes no
+    grid files.
     """
 
     direction: Direction = Direction.B_GIVEN_A
@@ -308,6 +309,8 @@ class RunConfig:
         has_files = bool(self.position_counts or self.momentum_counts)
         if has_files == (self.synthetic is not None):
             raise UsageError("give either counts files or a synthetic state, not both or neither")
+        if self.synthetic is not None and (self.position_grids or self.momentum_grids):
+            raise UsageError("grid files describe counts files; a synthetic state takes none")
         if has_files:
             np_, nm = len(self.position_counts), len(self.momentum_counts)
             if np_ == 0 or nm == 0:

@@ -193,6 +193,12 @@ def _weights(block: Block) -> np.ndarray:
     return block.counts.counts if isinstance(block, Histogram) else block.probs
 
 
+def _block_sums(arr: np.ndarray, factors: Sequence[int]) -> np.ndarray:
+    """``arr`` summed over contiguous blocks of ``factors``, one per axis, each a divisor of its axis."""
+    shape = [n for size, factor in zip(arr.shape, factors) for n in (size // factor, factor)]
+    return arr.reshape(shape).sum(axis=tuple(range(1, 2 * arr.ndim, 2)))
+
+
 def _checked_blocks(
     position: ObservableInput,
     momentum: ObservableInput,
@@ -232,17 +238,20 @@ def _kernel(
     base: float,
     pos_blocks: tuple,
     mom_blocks: tuple,
-    tensors: Sequence[np.ndarray],
-    factors: dict[Party, int],
+    factor_a: int = 1,
+    factor_b: int = 1,
 ) -> _MarginKernel:
-    """The kernel of checked blocks with each party's windows merged in groups of ``factors[party]``: its bound, then its layout.
+    """The kernel of checked blocks with party A's windows merged in groups of ``factor_a`` and B's of ``factor_b``: its bound, then its layout.
 
-    ``tensors`` holds each block's merged weights, position blocks first;
-    merging keeps a block's total.  A merged axis of ``n`` windows of width
-    ``w`` has the width ``w * f`` and the extent ``(n // f) * (w * f)`` that
-    a coarse :class:`AxisGrid` computes, so the bound has the bits of one
-    built on the coarse grid.  At factors of 1 these are the block's own.
+    The factors must divide every window count of their party.  Each
+    block's weights are summed over those groups, which keeps its total.  A
+    merged axis of ``n`` windows of width ``w`` has the width ``w * f`` and
+    the extent ``(n // f) * (w * f)`` that a coarse :class:`AxisGrid`
+    computes, so the kernel has the bits of one built on ``downsample``'s
+    blocks.  At factors of 1 these are the blocks' own.
     """
+    factors = {"A": factor_a, "B": factor_b}
+
     def merged(blocks: tuple, party: Party) -> list[tuple[float, float]]:
         f = factors[party]
         return [(ax.n_windows // f * (ax.window_width * f), ax.window_width * f) for b in blocks for ax in b.grid.axes(party)]
@@ -282,27 +291,11 @@ def _kernel(
         n_dims=n_dims,
         bound=bound,
         bound_terms=tuple(terms),
-        layout=_layout(tensors, [b.total if isinstance(b, Histogram) else 1.0 for b in blocks]),
+        layout=_layout(
+            [_block_sums(_weights(b), [factor_a] * b.grid.n_dims + [factor_b] * b.grid.n_dims) for b in blocks],
+            [b.total if isinstance(b, Histogram) else 1.0 for b in blocks],
+        ),
     )
-
-
-def _margin_kernel(
-    position: ObservableInput,
-    momentum: ObservableInput,
-    direction: Direction,
-    base: float,
-    kinds: tuple[type, ...],
-) -> _MarginKernel:
-    """The one front door to a witness: check its direction, base, blocks and grids, build its bound, lay out its cells.
-
-    ``position`` / ``momentum`` are one block of ``kinds`` or a sequence of
-    them.  A :class:`Histogram` block is laid out with its counts and event
-    total, a :class:`JointDistribution` with its probabilities and a total
-    of one.
-    """
-    direction, base, pos_blocks, mom_blocks = _checked_blocks(position, momentum, direction, base, kinds)
-    tensors = [_weights(b) for b in (*pos_blocks, *mom_blocks)]
-    return _kernel(direction, base, pos_blocks, mom_blocks, tensors, {"A": 1, "B": 1})
 
 
 def evaluate(
@@ -319,4 +312,4 @@ def evaluate(
     counts are scored as they are: the same score, within roundoff, as its
     ``normalize()``, and bit for bit the ``point`` of its bootstrap.
     """
-    return _margin_kernel(position, momentum, direction, base, (Histogram, JointDistribution)).point()
+    return _kernel(*_checked_blocks(position, momentum, direction, base, (Histogram, JointDistribution))).point()

@@ -32,7 +32,7 @@ from eprsteering import (
 )
 from eprsteering import bootstrap, spdc
 from eprsteering.bootstrap import MIN_REPLICATES, POISSON_MEAN_MAX, _philox_keys
-from eprsteering.witness import _margin_kernel, _MarginKernel
+from eprsteering.witness import _checked_blocks, _kernel, _MarginKernel
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,7 @@ def per_replicate_margins(pos_blocks, mom_blocks, direction, seed, n_boot):
 
 def kernel_margins(pos_blocks, mom_blocks, direction, seed, n_boot, chunks=None):
     """The bootstrap's point, margins and rejections; ``chunks``, if given, collects the rows of each kernel call."""
-    kernel = _margin_kernel(pos_blocks, mom_blocks, direction, 2.0, (Histogram,))
+    kernel = _kernel(*_checked_blocks(pos_blocks, mom_blocks, direction, 2.0, (Histogram,)))
     score = _MarginKernel.__call__
 
     def scored(self, weights, totals):

@@ -7,11 +7,13 @@ from hypothesis.extra import numpy as hnp
 from eprsteering import (
     AxisGrid,
     DataError,
+    DegenerateBootstrapError,
     Direction,
     GridSpec,
     Histogram,
     JointDistribution,
     NonDivisibleFactorError,
+    NumericalError,
     Observable,
     UsageError,
     asymmetry_map,
@@ -305,6 +307,69 @@ def test_a_map_cell_past_the_poisson_limit_is_named():
     assert str(err.value) == (
         "map cell (4, 2): a cell mean of 1e+19 exceeds 9.22337e+18, the largest Poisson mean that can be drawn"
     )
+
+
+@pytest.mark.parametrize(
+    "width, error, message",
+    [
+        # every replicate of cell (2, 2) scores one margin, up to roundoff
+        (2.0, DegenerateBootstrapError, "map cell (2, 2): the bootstrap margins are constant up to roundoff"),
+        # extent 2 on every axis: L_x * L_k = 4 is below pi*e at every cell
+        (0.5, NumericalError, "map cell (2, 2): party B's viewing area L_x*L_k = 4 is at most pi*e"),
+    ],
+)
+def test_a_map_cell_refused_as_numerical_is_named(width, error, message):
+    # neither refusal named the cell; the viewing-area rule was raised
+    # outside the cell's try, where the kernel was built
+    counts = np.zeros((4, 4), dtype=np.int64)
+    counts[0, 0] = 1000
+    pos = Histogram(counts, square_grid(4, width))
+    mom = Histogram(300 * np.eye(4, dtype=np.int64), square_grid(4, width, Observable.MOMENTUM))
+    with pytest.raises(error) as err:
+        asymmetry_map(pos, mom, [2, 4], [2, 4], direction=Direction.B_GIVEN_A, n_boot=100)
+    assert type(err.value) is error
+    assert str(err.value).startswith(message)
+
+
+@pytest.fixture(scope="module")
+def off_centre_2d():
+    # one full-joint (6, 6, 6, 6) block per observable, on grids with an
+    # off-centre origin and a width of its own on every axis
+    rng = np.random.default_rng(11)
+
+    def grid(observable, widths, origins):
+        axes = tuple(AxisGrid(6, w, o) for w, o in zip(widths, origins))
+        return GridSpec(observable, axes[:2], axes[2:])
+
+    return (
+        Histogram(rng.poisson(3.0, (6, 6, 6, 6)), grid(Observable.POSITION, (0.5, 0.6, 0.7, 0.9), (-0.3, 0.1, -1.7, 0.45))),
+        Histogram(rng.poisson(3.0, (6, 6, 6, 6)), grid(Observable.MOMENTUM, (1.5, 1.7, 1.9, 2.3), (-4.0, 0.2, -6.1, 1.3))),
+    )
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_full_joint_2d_sweeps_match_direct_evaluation(off_centre_2d, direction):
+    # the kernel builder merges each block's 2 * n_dims axes by its party's
+    # factor; each cell and row must be the witness on downsample's blocks
+    pos, mom = off_centre_2d
+    sweep = asymmetry_map(pos, mom, [2, 3, 6], [2, 3, 6], direction=direction, n_boot=100, seed=7)
+    for cell in sweep.cells:
+        fa, fb = 6 // cell.resolution_a, 6 // cell.resolution_b
+        boot = witness_significance(
+            downsample(pos, fa, fb),
+            downsample(mom, fa, fb),
+            direction=direction,
+            n_boot=100,
+            seed=[7, cell.resolution_a, cell.resolution_b],
+        )
+        assert cell.report == boot
+        assert (boot.point.mode, boot.point.n_dims) == ("full-joint", 2)
+    curve = resolution_curve(pos, mom, direction=direction)
+    assert [p.resolution for p in curve] == [2, 3, 6]
+    for p in curve:
+        f = 6 // p.resolution
+        want = evaluate(downsample(pos, f, f), downsample(mom, f, f), direction=direction)
+        assert (p.lhs, p.bound, p.margin) == (want.lhs, want.bound, want.margin)
 
 
 def test_asymmetry_map_matrices_read_cells_in_row_major_order(sampled_12):

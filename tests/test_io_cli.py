@@ -315,6 +315,20 @@ def test_map_csv_layout():
     assert first[0] == "2" and first[1] == "8"
 
 
+def test_map_csv_writes_the_checked_base():
+    # the sweep kept the caller's base, so the header read base=2 or
+    # base=np.float64(2.0) while every cell's point had base 2.0
+    state = make_synthetic_state(n_windows=8)
+    pos, mom = sample_histograms(state, total=100_000, seed=6)
+    texts = set()
+    for base in (2.0, 2, np.float64(2.0)):
+        buf = stdio.StringIO()
+        write_map_csv(asymmetry_map(pos, mom, [2, 8], [8], n_boot=100, seed=1, base=base), buf)
+        texts.add(buf.getvalue())
+    assert len(texts) == 1
+    assert "\n# base=2.0\n" in texts.pop()
+
+
 def test_curve_csv_layout():
     state = make_synthetic_state(n_windows=8)
     points = resolution_curve(state.position, state.momentum, resolutions=[2, 4, 8])
@@ -631,7 +645,7 @@ def _never(*args, **kwargs):
 
 def test_too_few_replicates_exit_one_before_any_work(synth_dir, monkeypatch, capsys):
     monkeypatch.setattr("eprsteering.cli.make_synthetic_state", _never)
-    monkeypatch.setattr("eprsteering.coarse._cell_kernel", _never)
+    monkeypatch.setattr("eprsteering.coarse._kernel", _never)
     files = ["--position", str(synth_dir / "position.csv"), "--momentum", str(synth_dir / "momentum.csv")]
     for argv in (
         ["witness", "--synthetic"],
@@ -698,11 +712,20 @@ def test_synthetic_config_and_sampling_share_one_total_rule():
     assert "total must be <= 9.22337e+18" in str(config_err.value)
 
 
+@pytest.mark.parametrize("command", ["witness", "map", "curve"])
+@pytest.mark.parametrize("flag", ["--position-grid", "--momentum-grid"])
+def test_grid_files_beside_a_synthetic_state_exit_one_before_any_work(command, flag, monkeypatch, capsys):
+    # the grid files were ignored and the run exited 0 on the model's own grids
+    monkeypatch.setattr("eprsteering.cli.make_synthetic_state", _never)
+    assert run_cli(command, "--synthetic", flag, "grid.json") == 1
+    assert capsys.readouterr().err == "usage error: grid files describe counts files; a synthetic state takes none\n"
+
+
 @pytest.mark.parametrize("boot", ["5", "100", "200"])
 def test_curve_refuses_boot_before_any_work(synth_dir, boot, monkeypatch, capsys):
     # a curve is not bootstrapped: any --boot is refused, not hashed
     monkeypatch.setattr("eprsteering.cli.make_synthetic_state", _never)
-    monkeypatch.setattr("eprsteering.coarse._cell_kernel", _never)
+    monkeypatch.setattr("eprsteering.coarse._kernel", _never)
     files = ["--position", str(synth_dir / "position.csv"), "--momentum", str(synth_dir / "momentum.csv")]
     for source in (files, ["--synthetic"]):
         assert run_cli("curve", *source, "--boot", boot) == 1
@@ -723,7 +746,7 @@ def test_curve_config_hash_keeps_the_default_replicate_count(tmp_path):
 @pytest.mark.parametrize("seed", ["0", "5"])
 def test_curve_refuses_seed_without_synthetic(synth_dir, seed, monkeypatch, capsys):
     # on counts files a curve draws nothing, so a seed would only move config_hash
-    monkeypatch.setattr("eprsteering.coarse._cell_kernel", _never)
+    monkeypatch.setattr("eprsteering.coarse._kernel", _never)
     files = ["--position", str(synth_dir / "position.csv"), "--momentum", str(synth_dir / "momentum.csv")]
     assert run_cli("curve", *files, "--seed", seed) == 1
     assert capsys.readouterr().err == "usage error: --seed only makes sense with --synthetic\n"
@@ -897,7 +920,7 @@ def test_a_viewing_area_below_pi_e_exits_three(direction, tmp_path, capsys):
 def test_a_resolution_of_one_exits_one_before_any_cell(argv, tmp_path, monkeypatch, capsys):
     # a party at one window tests no steering; the map-sym run once bootstrapped
     # its other cells, then exited 3 at the constant ones and wrote no CSV
-    monkeypatch.setattr("eprsteering.coarse._cell_kernel", _never)
+    monkeypatch.setattr("eprsteering.coarse._kernel", _never)
     out = tmp_path / "out"
     flags = ["--synthetic", "--n-windows", "12", "--total", "100000", "--output", str(out)]
     assert run_cli(argv[0], *flags, *argv[1:]) == 1
