@@ -19,11 +19,12 @@ are the same, and a draw that small skips the array call's fixed cost.
 A replicate keeps one layout from draw to score: each block's non-zero
 observed cells, the columns of the witness module's margin kernel.  The
 drawn counts are scored as they are, never divided by their totals: each
-block's entropy is ``log N - sum(c log c) / N`` with ``N`` its event total,
-and the kernel's sums add in column order.  A zero cell adds nothing, so a
-margin equals, bit for bit, ``evaluate`` on the replicate's histograms, and
-the report's point estimate, the observed counts scored as row 0 of a chunk,
-is ``evaluate`` on the observed histograms.
+block's entropy is ``log N - sum(c log c) / N`` with ``N`` its event total.
+A chunk is drawn and scored column-major, one column per replicate, and
+every sum adds in column order, in a batch of one (``evaluate``) too.  A
+zero cell adds nothing, so a margin equals, bit for bit, ``evaluate`` on
+the replicate's histograms, and the report's point estimate, the observed
+counts scored as column 0 of a chunk, is ``evaluate`` on them.
 
 The bootstrap does not build a generator per replicate.  A Philox stream is
 fixed by its 128-bit key, and ``replicate_rng`` takes that key from
@@ -296,32 +297,33 @@ def _replicate_margins(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int)
     Each draw comes from the stream of ``replicate_rng(key, replicate,
     attempt)``, set by resetting the thread's reused ``Philox``, and covers
     the columns of ``kernel.layout``: each block's non-zero observed cells,
-    blocks in order.  Draws fill a chunk buffer of at most ``_CHUNK_BYTES``;
-    one ``np.add.reduceat`` per attempt gives each block's event total,
-    which finds the empty blocks to redraw and is the ``N`` the kernel
-    scores the drawn counts with, undivided, in one call per chunk.  Sums of
-    integer-valued floats below 2**53 are exact, so the totals equal those
-    of a dense draw.  Row 0 of the buffer holds the observed counts and is
-    scored with each chunk, so the kernel call also gives the point estimate.
+    blocks in order.  Draws fill the columns of a chunk buffer of at most
+    ``_CHUNK_BYTES``; one ``np.add.reduceat`` per attempt gives each block's
+    event total, which finds the empty blocks to redraw and is the ``N`` the
+    kernel scores the drawn counts with, undivided, in one call per chunk.
+    Sums of integer-valued floats below 2**53 are exact, so the totals equal
+    those of a dense draw.  Column 0 of the buffer holds the observed counts
+    and is scored with each chunk, so the kernel call also gives the point
+    estimate.
     """
     layout = kernel.layout
     lam = _check_poisson_means(layout.weights)
     rows = max(1, min(n_boot, _CHUNK_BYTES // lam.nbytes))
-    buf = np.empty((1 + rows, lam.size))
-    totals_buf = np.empty((1 + rows, layout.starts.size))
-    buf[0], totals_buf[0] = lam, layout.totals
+    buf = np.empty((lam.size, 1 + rows))
+    totals_buf = np.empty((len(layout.edges) - 1, 1 + rows))
+    buf[:, 0], totals_buf[:, 0] = lam, layout.totals
     draw = _philox_drawer(lam)
 
     margins = np.empty(n_boot)
     rejected = 0
     for start in range(0, n_boot, rows):
         n = min(rows, n_boot - start)
-        chunk, totals = buf[1 : 1 + n], totals_buf[1 : 1 + n]
+        chunk, totals = buf[:, 1 : 1 + n], totals_buf[:, 1 : 1 + n]
         pending = np.arange(n)
         for attempt in range(_MAX_REDRAWS):
-            draw(_philox_keys(key, start + pending, attempt).tolist(), pending.tolist(), chunk)
-            np.add.reduceat(chunk, layout.starts, axis=1, out=totals)
-            pending = pending[(totals[pending] == 0).any(axis=1)]
+            draw(_philox_keys(key, start + pending, attempt).tolist(), pending.tolist(), chunk.T)
+            np.add.reduceat(chunk, layout.edges[:-1], axis=0, out=totals)
+            pending = pending[(totals[:, pending] == 0).any(axis=0)]
             if not pending.size:
                 break
             rejected += pending.size
@@ -329,7 +331,7 @@ def _replicate_margins(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int)
             raise DegenerateBootstrapError(
                 f"replicate {start + pending[0]} stayed empty after {_MAX_REDRAWS} redraws"
             )
-        scored = kernel(buf[: 1 + n], totals_buf[: 1 + n])
+        scored = kernel(np.ascontiguousarray(buf[:, : 1 + n]), totals_buf[:, : 1 + n])
         margins[start : start + n] = scored[1][1:]
     return kernel.point(scored), margins, rejected
 

@@ -7,8 +7,8 @@ every reachable resolution of a square base grid.  A sweep checks its base
 blocks once and builds each cell's margin kernel straight from them, through
 the witness module's one kernel builder with the cell's merge factors.  No
 cell builds :func:`downsample`'s blocks, yet each scores, bit for bit, as
-the witness on them.  A map cell that is refused, by the viewing-area rule,
-the largest Poisson mean or the roundoff-spread rule, is named in the error.
+the witness on them.  A refusal of the base grids or of a map cell names
+them in the error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .bootstrap import BootstrapReport, _check_n_boot, _check_seed, _report
 from .errors import DataError, NonDivisibleFactorError, NumericalError, UsageError
 from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, _check_int, _shown
-from .witness import Direction, WitnessResult, _block_sums, _checked_blocks, _kernel, _weights
+from .witness import Direction, WitnessResult, _block_sums, _bound, _checked_blocks, _kernel, _weights
 
 __all__ = [
     "block_sum",
@@ -83,9 +83,8 @@ def downsample(data: Histogram | JointDistribution, factor_a: int, factor_b: int
     return type(data)(coarse, _coarser_grid(data.grid, int(factor_a), int(factor_b)))
 
 
-def _sweep_inputs(position, momentum, kinds: tuple[type, ...], direction: Direction) -> tuple[Direction, int]:
-    """A sweep's direction, and the window count ``n0`` its two blocks of ``kinds`` share on every axis."""
-    direction = Direction(direction)
+def _sweep_inputs(position, momentum, kinds: tuple[type, ...], direction: Direction, base: float) -> tuple[Direction, float, int]:
+    """A sweep's checked direction and base, and the window count ``n0`` its two blocks of ``kinds`` share on every axis; base grids the viewing-area rule refuses are named."""
     for name, block in (("position", position), ("momentum", momentum)):
         if not isinstance(block, kinds):
             names = " or ".join(k.__name__ for k in kinds)
@@ -95,7 +94,12 @@ def _sweep_inputs(position, momentum, kinds: tuple[type, ...], direction: Direct
         raise UsageError(
             f"resolution sweeps need the same window count on every axis, got {sorted(counts)}"
         )
-    return direction, counts.pop()
+    direction, base, _, _ = _checked_blocks(position, momentum, direction, base, kinds)
+    try:
+        _bound(direction, base, (position,), (momentum,))
+    except NumericalError as exc:
+        raise NumericalError(f"base grids: {exc}") from None
+    return direction, base, counts.pop()
 
 
 def _resolutions(requested: Sequence[int] | None, n0: int) -> tuple[int, ...]:
@@ -145,10 +149,8 @@ def resolution_curve(
     of them in increasing order.  Each point is :func:`evaluate` on the
     downsampled blocks: on histograms, :func:`asymmetry_map`'s ``(r, r)`` cell.
     """
-    kinds = (Histogram, JointDistribution)
-    direction, n0 = _sweep_inputs(position, momentum, kinds, direction)
+    direction, base, n0 = _sweep_inputs(position, momentum, (Histogram, JointDistribution), direction, base)
     resolutions = _resolutions(resolutions, n0)
-    direction, base, _, _ = _checked_blocks(position, momentum, direction, base, kinds)
     steered = "A" if direction is Direction.A_GIVEN_B else "B"
     points = []
     for r in resolutions:
@@ -222,18 +224,18 @@ def asymmetry_map(
     ``witness_significance`` on the :func:`downsample` blocks with the seed
     ``[seed, res_a, res_b]``, the point estimate on the observed counts
     beside the Poisson-bootstrap significance.  So cell randomness does not
-    depend on sweep order.  The base blocks are checked once; the checks
-    that depend on the cell run cell by cell: the viewing-area rule, the
+    depend on sweep order.  The base blocks are checked once, the
+    viewing-area rule refusing ``base grids: ...``; the checks that depend
+    on the cell run cell by cell: that rule on the merged extents, the
     largest Poisson mean, empty-replicate redraws and the roundoff-spread
     refusal.  Every refusal of a cell raises its own error type with a
     message that starts ``map cell (res_a, res_b):``.
     """
-    direction, n0 = _sweep_inputs(position, momentum, (Histogram,), direction)
+    direction, base, n0 = _sweep_inputs(position, momentum, (Histogram,), direction, base)
     seed = _check_seed(seed)
     res_a = _resolutions(resolutions_a, n0)
     res_b = _resolutions(resolutions_b, n0)
     n_boot = _check_n_boot(n_boot)
-    direction, base, _, _ = _checked_blocks(position, momentum, direction, base, (Histogram,))
     cells = []
     for ra in res_a:
         for rb in res_b:

@@ -50,18 +50,23 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _nats(values: np.ndarray, index: np.ndarray, totals: np.ndarray) -> np.ndarray:
+def _nats(values: np.ndarray, edges: Sequence[int], totals: np.ndarray) -> np.ndarray:
     """Entropies in nats, ``log N - sum(w log w) / N``, of groups of weights, shaped like ``totals``.
 
-    ``values`` holds non-negative weights and ``index`` the flat position in
-    ``totals`` of the group each weight (in ``values.ravel()`` order) adds
-    to; ``totals`` holds each group's total ``N``.  Counts pass their event
-    totals; probabilities pass ``N = 1``, where the formula is
-    ``-sum(p log p)`` bit for bit.  Sums add in column order and a zero
-    weight adds nothing, so a group's entropy depends neither on which zero
-    columns it holds nor on the rows batched with it.
+    ``values`` is a C-contiguous ``(cells, batch)`` array of non-negative
+    weights, one column per row of the batch; group ``g`` holds its cells
+    ``edges[g]`` to ``edges[g + 1]`` and ``totals[g]`` its total ``N``.
+    Counts pass their event totals; probabilities pass ``N = 1``, where the
+    formula is ``-sum(p log p)`` bit for bit.  Each group adds its cells in
+    order from the first: ``np.add.reduce`` along axis 0 does so on two or
+    more columns, but sums a single column pairwise, so one column is
+    summed by ``np.add.accumulate``.  A zero weight adds nothing, so a
+    group's entropy depends neither on which zero cells it holds nor on the
+    rows batched with it.
     """
-    sums = np.bincount(index, _plogp(values).ravel(), totals.size).reshape(totals.shape)
+    terms = _plogp(values)
+    add = np.add.reduce if terms.shape[1] > 1 else lambda cells: np.add.accumulate(cells)[-1]
+    sums = np.array([add(terms[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])])
     return np.log(totals) - sums / totals
 
 
@@ -71,44 +76,35 @@ class _Layout:
 
     :func:`_layout` builds it once from one tensor per block.  ``weights``
     and ``totals`` are those tensors' own weights on the columns and each
-    block's total ``N``; ``starts`` is the first column of each block and
-    ``blocks`` the block of each column.  ``bins`` maps each column to its
-    marginal bin of party ``"A"`` and of party ``"B"``, bins laid out block
-    by block, and ``bin_blocks`` maps the bins of ``"A"``, ``"B"`` and
-    ``"AB"`` (A's bins, then B's) to the marginal entropy each adds to.
+    block's total ``N``; ``edges`` holds each block's first column, then the
+    number of columns.  ``bins`` maps each column to its marginal bin of
+    party ``"A"`` and of party ``"B"``, bins laid out block by block, and
+    ``bin_edges`` each block's first bin of that party, then the number of
+    bins.
     """
 
     weights: np.ndarray
     totals: np.ndarray
-    starts: np.ndarray
-    blocks: np.ndarray
+    edges: tuple[int, ...]
     bins: dict[str, np.ndarray]
-    bin_blocks: dict[str, np.ndarray]
+    bin_edges: dict[str, tuple[int, ...]]
 
     def nats(self, weights: np.ndarray, totals: np.ndarray, parties: str = "AB") -> tuple[np.ndarray, ...]:
-        """Joint entropy in nats of each block of each row, then that of each party in ``parties``, each ``(batch, blocks)``.
+        """Joint entropy in nats of each block of each row, then that of each party in ``parties``, each ``(blocks, batch)``.
 
-        ``weights`` is a C-contiguous ``(batch, columns)`` array of rows on
-        this layout, and ``totals`` the ``(batch, blocks)`` total of each
-        row's blocks.  ``parties`` is ``"A"``, ``"B"`` or ``"AB"``; the other
-        party's marginal is not computed.  Each marginal bin sums its cells
-        in column order either way.
+        ``weights`` is a C-contiguous ``(columns, batch)`` array, one row of
+        the batch per column, on this layout, and ``totals`` the ``(blocks,
+        batch)`` total of each row's blocks.  ``parties`` is ``"A"``, ``"B"``
+        or ``"AB"``; the other party's marginal is not computed.  Each
+        marginal bin sums its cells in column order either way.
         """
-        batch, blocks = totals.shape
-        rows = np.arange(batch)[:, None]
-        index = np.add(self.blocks, blocks * rows)
-        h = _nats(weights, index.ravel(), totals)
-        groups = self.bin_blocks[parties]
-        marginals = np.empty((batch, groups.size))
-        lo = 0
+        batch = weights.shape[1]
+        scores = [_nats(weights, self.edges, totals)]
         for party in parties:
-            n = self.bin_blocks[party].size
-            np.add(self.bins[party], n * rows, out=index)
-            marginals[:, lo : lo + n] = np.bincount(index.ravel(), weights.ravel(), batch * n).reshape(batch, n)
-            lo += n
-        m = len(parties)
-        h_m = _nats(marginals, (groups + m * blocks * rows).ravel(), np.concatenate((totals,) * m, axis=1))
-        return (h, *(h_m[:, k * blocks : (k + 1) * blocks] for k in range(m)))
+            # the chunk-sized index is a temporary, freed before the next party's is built
+            marginals = np.bincount(np.add.outer(self.bins[party] * batch, np.arange(batch)).ravel(), weights.ravel(), self.bin_edges[party][-1] * batch)
+            scores.append(_nats(marginals.reshape(-1, batch), self.bin_edges[party], totals))
+        return tuple(scores)
 
 
 def _layout(tensors: Sequence[np.ndarray], totals: Sequence[float]) -> _Layout:
@@ -116,22 +112,18 @@ def _layout(tensors: Sequence[np.ndarray], totals: Sequence[float]) -> _Layout:
     cells = [np.flatnonzero(t) for t in tensors]
     sizes_b = [math.prod(t.shape[t.ndim // 2 :]) for t in tensors]
     sizes_a = [t.size // size_b for t, size_b in zip(tensors, sizes_b)]
-    starts_a, starts_b = accumulate(sizes_a, initial=0), accumulate(sizes_b, initial=0)
+    edges_a, edges_b = tuple(accumulate(sizes_a, initial=0)), tuple(accumulate(sizes_b, initial=0))
     a_bins, b_bins = [], []
-    for c, size_b, start_a, start_b in zip(cells, sizes_b, starts_a, starts_b):
+    for c, size_b, start_a, start_b in zip(cells, sizes_b, edges_a, edges_b):
         a, b = np.divmod(c, size_b)
         a_bins.append(a + start_a)
         b_bins.append(b + start_b)
-    widths = [c.size for c in cells]
-    index = np.arange(len(tensors))
-    a_blocks, b_blocks = np.repeat(index, sizes_a), np.repeat(index, sizes_b)
     return _Layout(
         weights=np.concatenate([t.ravel()[c] for t, c in zip(tensors, cells)]).astype(np.float64, copy=False),
         totals=np.array(totals, dtype=np.float64),
-        starts=np.array([0, *accumulate(widths[:-1])]),
-        blocks=np.repeat(index, widths),
+        edges=tuple(accumulate((c.size for c in cells), initial=0)),
         bins={"A": np.concatenate(a_bins), "B": np.concatenate(b_bins)},
-        bin_blocks={"A": a_blocks, "B": b_blocks, "AB": np.concatenate([a_blocks, b_blocks + len(index)])},
+        bin_edges={"A": edges_a, "B": edges_b},
     )
 
 
@@ -151,14 +143,14 @@ def _party_nats(dist: DistLike) -> list[float]:
                 "wrap higher-rank tensors in JointDistribution"
             )
     layout = _layout([p], [1.0])
-    return [float(h[0, 0]) for h in layout.nats(layout.weights[None], layout.totals[None])]
+    return [float(h[0, 0]) for h in layout.nats(layout.weights[:, None], layout.totals[:, None])]
 
 
 def entropy(dist: DistLike, base: float = 2.0) -> float:
     """Shannon entropy of the whole tensor viewed as one distribution."""
     base = _check_base(base)
     p = dist.probs if isinstance(dist, JointDistribution) else _checked_probs(dist)
-    h = _nats(p, np.zeros(p.size, dtype=np.intp), np.ones((1, 1)))
+    h = _nats(p.reshape(-1, 1), (0, p.size), np.ones((1, 1)))
     return float(h[0, 0]) / math.log(base)
 
 

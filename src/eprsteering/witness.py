@@ -138,14 +138,14 @@ def _blocks(obj, kinds: tuple[type, ...], name: str) -> tuple:
 class _MarginKernel:
     """A validated witness set-up, with the layout of its blocks' non-zero cells, that scores batches of rows.
 
-    Calling it with a ``(batch, columns)`` array of weights on ``layout``
-    and the ``(batch, blocks)`` totals of each row's blocks, position blocks
-    first, returns the left-hand side and the margin of each row.  Counts
-    are scored as they are, with their event totals; probabilities with
-    totals of one.  :meth:`point` scores the blocks the kernel was built
-    from and is the only place a :class:`WitnessResult` is built; the
-    bootstrap scores its replicates' draws in chunks through the same call,
-    each led by the observed row, which its ``point`` reads.
+    Calling it with a C-contiguous ``(columns, batch)`` array of weights on
+    ``layout``, a column per row, and the ``(blocks, batch)`` totals of each
+    row's blocks, position blocks first, returns the left-hand side and the
+    margin of each row.  Counts are scored with their event totals,
+    probabilities with totals of one.  :meth:`point` scores the blocks the
+    kernel was built from and is the only place a :class:`WitnessResult` is
+    built; the bootstrap scores its replicates' draws in chunks through the
+    same call, each led by the observed row, which its ``point`` reads.
     """
 
     direction: Direction
@@ -160,13 +160,10 @@ class _MarginKernel:
         # each direction reads the joint entropy and only the marginals it needs
         if self.direction is Direction.SYMMETRIC:
             h, h_a, h_b = self.layout.nats(weights, totals, "AB")
-            nats = h_a + h_b - h
-        else:
-            h, h_given = self.layout.nats(weights, totals, "A" if self.direction is Direction.B_GIVEN_A else "B")
-            nats = h - h_given
-        lhs = sum(nats.T / math.log(self.base))
-        if self.direction is Direction.SYMMETRIC:
+            lhs = sum((h_a + h_b - h) / math.log(self.base))
             return lhs, lhs - self.bound
+        h, h_given = self.layout.nats(weights, totals, "A" if self.direction is Direction.B_GIVEN_A else "B")
+        lhs = sum((h - h_given) / math.log(self.base))
         return lhs, self.bound - lhs
 
     def point(self, scored: tuple[np.ndarray, np.ndarray] | None = None) -> WitnessResult:
@@ -175,7 +172,7 @@ class _MarginKernel:
         ``scored`` is the kernel's output on a batch whose row 0 is those
         blocks; its row 0 is then read instead, with the same bits.
         """
-        lhs, margin = scored or self(self.layout.weights[None], self.layout.totals[None])
+        lhs, margin = scored or self(self.layout.weights[:, None], self.layout.totals[:, None])
         return WitnessResult(
             direction=self.direction,
             base=self.base,
@@ -233,22 +230,13 @@ def _checked_blocks(
     return direction, base, pos_blocks, mom_blocks
 
 
-def _kernel(
-    direction: Direction,
-    base: float,
-    pos_blocks: tuple,
-    mom_blocks: tuple,
-    factor_a: int = 1,
-    factor_b: int = 1,
-) -> _MarginKernel:
-    """The kernel of checked blocks with party A's windows merged in groups of ``factor_a`` and B's of ``factor_b``: its bound, then its layout.
+def _bound(direction: Direction, base: float, pos_blocks: tuple, mom_blocks: tuple, factor_a: int = 1, factor_b: int = 1) -> tuple:
+    """The dimension count, bound and bound terms of checked blocks with party A's windows merged in groups of ``factor_a`` and B's of ``factor_b``.
 
-    The factors must divide every window count of their party.  Each
-    block's weights are summed over those groups, which keeps its total.  A
-    merged axis of ``n`` windows of width ``w`` has the width ``w * f`` and
-    the extent ``(n // f) * (w * f)`` that a coarse :class:`AxisGrid`
-    computes, so the kernel has the bits of one built on ``downsample``'s
-    blocks.  At factors of 1 these are the blocks' own.
+    The factors must divide every window count of their party.  A merged
+    axis of ``n`` windows of width ``w`` has the width ``w * f`` and the
+    extent ``(n // f) * (w * f)`` that a coarse :class:`AxisGrid` computes.
+    Areas that leave the margin >= 0 on any data raise :class:`NumericalError`.
     """
     factors = {"A": factor_a, "B": factor_b}
 
@@ -279,10 +267,25 @@ def _kernel(
 
     if direction is Direction.SYMMETRIC:
         terms = [area_nats[party] / math.log(base) for party in ("A", "B")]
-        bound = max(terms)
-    else:
-        terms = [per_dim_bound(wx, wk, base) for (_, wx), (_, wk) in axes[steered]]
-        bound = sum(terms)
+        return n_dims, max(terms), tuple(terms)
+    terms = [per_dim_bound(wx, wk, base) for (_, wx), (_, wk) in axes[steered]]
+    return n_dims, sum(terms), tuple(terms)
+
+
+def _kernel(
+    direction: Direction,
+    base: float,
+    pos_blocks: tuple,
+    mom_blocks: tuple,
+    factor_a: int = 1,
+    factor_b: int = 1,
+) -> _MarginKernel:
+    """The kernel of checked blocks with party A's windows merged in groups of ``factor_a`` and B's of ``factor_b``: its :func:`_bound`, then its layout.
+
+    Each block's weights are summed over those groups, which keeps its
+    total, so the kernel has the bits of one built on ``downsample``'s blocks.
+    """
+    n_dims, bound, terms = _bound(direction, base, pos_blocks, mom_blocks, factor_a, factor_b)
     blocks = (*pos_blocks, *mom_blocks)
     return _MarginKernel(
         direction=direction,
@@ -290,7 +293,7 @@ def _kernel(
         mode="independent-axes" if max(len(pos_blocks), len(mom_blocks)) > 1 else "full-joint",
         n_dims=n_dims,
         bound=bound,
-        bound_terms=tuple(terms),
+        bound_terms=terms,
         layout=_layout(
             [_block_sums(_weights(b), [factor_a] * b.grid.n_dims + [factor_b] * b.grid.n_dims) for b in blocks],
             [b.total if isinstance(b, Histogram) else 1.0 for b in blocks],

@@ -4,7 +4,9 @@ The package windows its model state by one route, the exact Gaussian
 ``spdc.discretize_state``.  Here is the generic one: any smooth joint density,
 integrated per cell with the same 16-point Gauss-Legendre rule and passed
 through the same two-sided mass gate, plus the model's densities and the
-paper's windowed bound on the conditional differential entropy.
+paper's windowed bound on the conditional differential entropy.  Beside
+it is the row-major entropy kernel that summed every group with one
+weighted ``np.bincount``, the bits the column-major kernel must keep.
 """
 
 from __future__ import annotations
@@ -82,3 +84,49 @@ def windowed_conditional_rhs(pdf: Density, grid: GridSpec) -> float:
 
     dist, _ = _windowed(cell_p, grid, STRICT_TAIL_TOL)
     return weighted + conditional_entropy(dist, given="A", base=math.e)
+
+
+def bincount_group_nats(values: np.ndarray, index: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Entropies in nats, ``log N - sum(w log w) / N``, each group's weights added by ``np.bincount``."""
+    sums = np.bincount(index, _plogp(values).ravel(), totals.size).reshape(totals.shape)
+    return np.log(totals) - sums / totals
+
+
+def bincount_nats(layout, weights: np.ndarray, totals: np.ndarray, parties: str = "AB") -> tuple[np.ndarray, ...]:
+    """The layout's joint, then each party's, entropies in nats, every group summed by one weighted ``np.bincount``.
+
+    The row-major reference for ``entropy._Layout.nats``: ``weights`` is a
+    C-contiguous ``(batch, columns)`` array and ``totals`` ``(batch,
+    blocks)``, and each result is ``(batch, blocks)``.  ``np.bincount``
+    adds each group's weights in the order they come, from 0.0, so every
+    group sums its cells in column order.
+    """
+    batch, blocks = totals.shape
+    rows = np.arange(batch)[:, None]
+    block_of = np.repeat(np.arange(blocks), np.diff(layout.edges))
+    h = bincount_group_nats(weights, (block_of + blocks * rows).ravel(), totals)
+    bin_blocks = {p: np.repeat(np.arange(blocks), np.diff(layout.bin_edges[p])) for p in "AB"}
+    groups = np.concatenate([bin_blocks[p] + k * blocks for k, p in enumerate(parties)])
+    marginals = []
+    for party in parties:
+        n = bin_blocks[party].size
+        index = (layout.bins[party] + n * rows).ravel()
+        marginals.append(np.bincount(index, weights.ravel(), batch * n).reshape(batch, n))
+    m = len(parties)
+    h_m = bincount_group_nats(
+        np.concatenate(marginals, axis=1), (groups + m * blocks * rows).ravel(), np.concatenate((totals,) * m, axis=1)
+    )
+    return (h, *(h_m[:, k * blocks : (k + 1) * blocks] for k in range(m)))
+
+
+def bincount_margins(kernel, weights: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``witness._MarginKernel``'s left-hand sides and margins of row-major ``weights``, scored by :func:`bincount_nats`."""
+    symmetric = kernel.direction.value == "symmetric"
+    if symmetric:
+        h, h_a, h_b = bincount_nats(kernel.layout, weights, totals, "AB")
+        nats = h_a + h_b - h
+    else:
+        h, h_given = bincount_nats(kernel.layout, weights, totals, "A" if kernel.direction.value == "B_given_A" else "B")
+        nats = h - h_given
+    lhs = sum(nats.T / math.log(kernel.base))
+    return lhs, (lhs - kernel.bound) if symmetric else (kernel.bound - lhs)

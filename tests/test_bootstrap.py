@@ -82,8 +82,10 @@ def kernel_margins(pos_blocks, mom_blocks, direction, seed, n_boot, chunks=None)
     score = _MarginKernel.__call__
 
     def scored(self, weights, totals):
+        # a chunk is scored column-major: one column per row of the batch
+        assert weights.flags.c_contiguous and weights.shape[1] == totals.shape[1]
         if chunks is not None:
-            chunks.append(len(weights))
+            chunks.append(weights.shape[1])
         return score(self, weights, totals)
 
     with pytest.MonkeyPatch.context() as mp:

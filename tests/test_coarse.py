@@ -314,21 +314,53 @@ def test_a_map_cell_past_the_poisson_limit_is_named():
     [
         # every replicate of cell (2, 2) scores one margin, up to roundoff
         (2.0, DegenerateBootstrapError, "map cell (2, 2): the bootstrap margins are constant up to roundoff"),
-        # extent 2 on every axis: L_x * L_k = 4 is below pi*e at every cell
-        (0.5, NumericalError, "map cell (2, 2): party B's viewing area L_x*L_k = 4 is at most pi*e"),
+        # extent 2 on every axis: L_x * L_k = 4 is below pi*e at every cell,
+        # so the base grids are refused before the first cell is built
+        (0.5, NumericalError, "base grids: party B's viewing area L_x*L_k = 4 is at most pi*e = 8.53973, so"),
     ],
 )
 def test_a_map_cell_refused_as_numerical_is_named(width, error, message):
     # neither refusal named the cell; the viewing-area rule was raised
     # outside the cell's try, where the kernel was built
-    counts = np.zeros((4, 4), dtype=np.int64)
-    counts[0, 0] = 1000
-    pos = Histogram(counts, square_grid(4, width))
-    mom = Histogram(300 * np.eye(4, dtype=np.int64), square_grid(4, width, Observable.MOMENTUM))
+    pos, mom = numerical_refusal_blocks(width)
     with pytest.raises(error) as err:
         asymmetry_map(pos, mom, [2, 4], [2, 4], direction=Direction.B_GIVEN_A, n_boot=100)
     assert type(err.value) is error
     assert str(err.value).startswith(message)
+
+
+def numerical_refusal_blocks(width):
+    counts = np.zeros((4, 4), dtype=np.int64)
+    counts[0, 0] = 1000
+    pos = Histogram(counts, square_grid(4, width))
+    mom = Histogram(300 * np.eye(4, dtype=np.int64), square_grid(4, width, Observable.MOMENTUM))
+    return pos, mom
+
+
+def test_a_curve_on_base_grids_below_pi_e_names_the_base_grids(monkeypatch):
+    # the rule is the base grids', checked once before any row is scored
+    pos, mom = numerical_refusal_blocks(0.5)
+    monkeypatch.setattr("eprsteering.coarse._kernel", None)
+    with pytest.raises(NumericalError) as err:
+        resolution_curve(pos, mom, [2, 4], direction=Direction.B_GIVEN_A)
+    assert type(err.value) is NumericalError
+    assert str(err.value).startswith("base grids: party B's viewing area L_x*L_k = 4 is at most pi*e = 8.53973, so")
+
+
+def test_a_cell_whose_merged_extents_fall_to_pi_e_is_named():
+    # 9 windows of these widths pass the rule by one ulp of log-area, but 3
+    # windows of 3 * w round to a party-B area of exactly pi*e: the cell
+    # keeps its own check
+    wx, wk = 1.4306491748563095, 0.07369299155710916
+    counts = np.random.default_rng(2).poisson(50, (9, 9))
+    pos = Histogram(counts, GridSpec(Observable.POSITION, (AxisGrid(9, wx),), (AxisGrid(9, wx),)))
+    mom = Histogram(counts, GridSpec(Observable.MOMENTUM, (AxisGrid(9, wk),), (AxisGrid(9, wk),)))
+    assert evaluate(pos, mom).bound > 0
+    with pytest.raises(NumericalError) as err:
+        asymmetry_map(pos, mom, [9], [3], direction=Direction.B_GIVEN_A, n_boot=100)
+    assert str(err.value).startswith("map cell (9, 3): party B's viewing area L_x*L_k = 8.53973 is at most pi*e")
+    with pytest.raises(NumericalError, match=r"^party B's viewing area"):
+        resolution_curve(pos, mom, [3])
 
 
 @pytest.fixture(scope="module")

@@ -206,8 +206,10 @@ def test_layout_scores_only_the_parties_asked_for_with_the_same_bits():
     one = rng.integers(0, 5, size=(3, 5))
     two = rng.integers(0, 5, size=(2, 3, 2, 4))
     layout = _layout([one, two], [one.sum(), two.sum()])
-    weights = rng.poisson(layout.weights, size=(6, layout.weights.size)).astype(float) + 1.0
-    totals = np.add.reduceat(weights, layout.starts, axis=1)
+    # six rows of the batch, one per column
+    weights = np.ascontiguousarray(rng.poisson(layout.weights, size=(6, layout.weights.size)).T, dtype=float) + 1.0
+    assert weights.flags.c_contiguous
+    totals = np.add.reduceat(weights, layout.edges[:-1], axis=0)
     h, h_a, h_b = layout.nats(weights, totals)
     for parties, want in (("A", (h, h_a)), ("B", (h, h_b)), ("AB", (h, h_a, h_b))):
         got = layout.nats(weights, totals, parties)
@@ -215,6 +217,6 @@ def test_layout_scores_only_the_parties_asked_for_with_the_same_bits():
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
     # the party-A entropy of each block is the entropy of its row marginal
-    first = weights[:, : layout.starts[1]]
-    rows = np.bincount(layout.bins["A"][: layout.starts[1]], first[0], 3)
+    first = weights[: layout.edges[1]]
+    rows = np.bincount(layout.bins["A"][: layout.edges[1]], first[:, 0], 3)
     assert h_a[0, 0] == pytest.approx(-np.sum(rows / totals[0, 0] * np.log(rows / totals[0, 0])), rel=1e-12)

@@ -778,12 +778,16 @@ def default_synth_dir(tmp_path_factory):
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (["witness", "--direction", "ba"], "31a4b2357a68c87dde00be35daad085575bf8bf143d3c662e86b3c819c65c38a"),
-        (["witness", "--direction", "ab"], "c2d886971d165aad9db0b2c9313bdaeb682e7920a61c4bad45f9af42627bc1a9"),
-        (["witness", "--direction", "sym"], "135a5f871c38db2f250493dd580932b08907efd4008918a6c3205585c064bcb9"),
-        (["map"], "8b6178675613b169e92bcd10b450f8522b9b99b317fcfe5ae2e0b44417ef285f"),
-        (["map", "--direction", "ab"], "ced7dd14752c42a9db5b42876fb54009e1c22c105a44b979b83ef1a6a57449e0"),
-        (["map", "--direction", "sym"], "00ce04aa2b67510aa6e7e256018a4b82ac3a0936e6a1739d9decebec293ed2e0"),
+        (["witness", "--direction", "ba", "--boot", "100"], "31a4b2357a68c87dde00be35daad085575bf8bf143d3c662e86b3c819c65c38a"),
+        (["witness", "--direction", "ab", "--boot", "100"], "c2d886971d165aad9db0b2c9313bdaeb682e7920a61c4bad45f9af42627bc1a9"),
+        (["witness", "--direction", "sym", "--boot", "100"], "135a5f871c38db2f250493dd580932b08907efd4008918a6c3205585c064bcb9"),
+        (["map", "--boot", "100"], "8b6178675613b169e92bcd10b450f8522b9b99b317fcfe5ae2e0b44417ef285f"),
+        (["map", "--direction", "ab", "--boot", "100"], "ced7dd14752c42a9db5b42876fb54009e1c22c105a44b979b83ef1a6a57449e0"),
+        (["map", "--direction", "sym", "--boot", "100"], "00ce04aa2b67510aa6e7e256018a4b82ac3a0936e6a1739d9decebec293ed2e0"),
+        # a chunk holds ~1,643 replicates of these 319 columns: 2,000 span two
+        # kernel calls, each led by the observed row
+        (["witness", "--direction", "ba", "--boot", "2000"], "5907de93cd5d919ff2f1070371ac135bff8a6eeb9168666c5fe45116cf02d72a"),
+        (["witness", "--direction", "sym", "--boot", "2000"], "c8d41f39b1b524f29eb9b57d7ea6fca166f86e6dd6376607722a836b89b69fad"),
     ],
 )
 def test_reports_on_the_default_synth_files_keep_their_bytes(default_synth_dir, argv, digest, tmp_path, monkeypatch):
@@ -791,7 +795,7 @@ def test_reports_on_the_default_synth_files_keep_their_bytes(default_synth_dir, 
     monkeypatch.chdir(default_synth_dir)
     out = tmp_path / "report"
     files = ["--position", "position.csv", "--momentum", "momentum.csv"]
-    assert run_cli(*argv, *files, "--boot", "100", "--output", str(out)) == 0
+    assert run_cli(*argv, *files, "--output", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
