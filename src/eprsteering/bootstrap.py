@@ -297,28 +297,39 @@ def _replicate_margins(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int)
     Each draw comes from the stream of ``replicate_rng(key, replicate,
     attempt)``, set by resetting the thread's reused ``Philox``, and covers
     the columns of ``kernel.layout``: each block's non-zero observed cells,
-    blocks in order.  Draws fill the columns of a chunk buffer of at most
+    blocks in order.  Draws fill the columns of a chunk of at most
     ``_CHUNK_BYTES``; one ``np.add.reduceat`` per attempt gives each block's
     event total, which finds the empty blocks to redraw and is the ``N`` the
     kernel scores the drawn counts with, undivided, in one call per chunk.
     Sums of integer-valued floats below 2**53 are exact, so the totals equal
-    those of a dense draw.  Column 0 of the buffer holds the observed counts
+    those of a dense draw.  Column 0 of the chunk holds the observed counts
     and is scored with each chunk, so the kernel call also gives the point
     estimate.
+
+    One allocation per call holds the chunk, a C-contiguous view at its
+    head (a shorter last chunk is a shorter view, not a copy), and past it
+    the kernel's scratch of the same size, which the kernel overwrites
+    while it only reads the chunk.  Nothing outlives the call.  A
+    chunk-sized temporary made and freed in each kernel call, beside the
+    chunk, had the allocator hand its pages back and fault them in afresh
+    on every run.
     """
     layout = kernel.layout
     lam = _check_poisson_means(layout.weights)
     rows = max(1, min(n_boot, _CHUNK_BYTES // lam.nbytes))
-    buf = np.empty((lam.size, 1 + rows))
+    memory = np.empty(2 * lam.size * (1 + rows))
+    scratch = memory[lam.size * (1 + rows) :]
     totals_buf = np.empty((len(layout.edges) - 1, 1 + rows))
-    buf[:, 0], totals_buf[:, 0] = lam, layout.totals
+    totals_buf[:, 0] = layout.totals
     draw = _philox_drawer(lam)
 
     margins = np.empty(n_boot)
     rejected = 0
     for start in range(0, n_boot, rows):
         n = min(rows, n_boot - start)
-        chunk, totals = buf[:, 1 : 1 + n], totals_buf[:, 1 : 1 + n]
+        buf = memory[: lam.size * (1 + n)].reshape(lam.size, 1 + n)
+        buf[:, 0] = lam
+        chunk, totals = buf[:, 1:], totals_buf[:, 1 : 1 + n]
         pending = np.arange(n)
         for attempt in range(_MAX_REDRAWS):
             draw(_philox_keys(key, start + pending, attempt).tolist(), pending.tolist(), chunk.T)
@@ -331,7 +342,7 @@ def _replicate_margins(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int)
             raise DegenerateBootstrapError(
                 f"replicate {start + pending[0]} stayed empty after {_MAX_REDRAWS} redraws"
             )
-        scored = kernel(np.ascontiguousarray(buf[:, : 1 + n]), totals_buf[:, : 1 + n])
+        scored = kernel(buf, totals_buf[:, : 1 + n], scratch)
         margins[start : start + n] = scored[1][1:]
     return kernel.point(scored), margins, rejected
 

@@ -39,18 +39,19 @@ def _check_base(base: float) -> float:
     return number
 
 
-def _plogp(p: np.ndarray) -> np.ndarray:
+def _plogp(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``p * log(p)`` elementwise in nats, zero at cells at or below ``ZERO_FLOOR``; ``p`` may be counts.
 
-    Those cells take ``log(p + 1) = log(1) = 0``, which spares the log a mask.
+    Those cells take ``log(p + 1) = log(1) = 0``, which spares the log a
+    mask.  The terms are written to ``out`` if it is given.
     """
-    terms = p + (p <= ZERO_FLOOR)
+    terms = np.add(p, p <= ZERO_FLOOR, out=out)
     np.log(terms, out=terms)
     terms *= p
     return terms
 
 
-def _nats(values: np.ndarray, edges: Sequence[int], totals: np.ndarray) -> np.ndarray:
+def _nats(values: np.ndarray, edges: Sequence[int], totals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Entropies in nats, ``log N - sum(w log w) / N``, of groups of weights, shaped like ``totals``.
 
     ``values`` is a C-contiguous ``(cells, batch)`` array of non-negative
@@ -62,9 +63,10 @@ def _nats(values: np.ndarray, edges: Sequence[int], totals: np.ndarray) -> np.nd
     more columns, but sums a single column pairwise, so one column is
     summed by ``np.add.accumulate``.  A zero weight adds nothing, so a
     group's entropy depends neither on which zero cells it holds nor on the
-    rows batched with it.
+    rows batched with it.  The ``w log w`` terms are written to ``out``, an
+    array shaped like ``values``, if it is given.
     """
-    terms = _plogp(values)
+    terms = _plogp(values, out)
     add = np.add.reduce if terms.shape[1] > 1 else lambda cells: np.add.accumulate(cells)[-1]
     sums = np.array([add(terms[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])])
     return np.log(totals) - sums / totals
@@ -89,7 +91,7 @@ class _Layout:
     bins: dict[str, np.ndarray]
     bin_edges: dict[str, tuple[int, ...]]
 
-    def nats(self, weights: np.ndarray, totals: np.ndarray, parties: str = "AB") -> tuple[np.ndarray, ...]:
+    def nats(self, weights: np.ndarray, totals: np.ndarray, parties: str = "AB", scratch: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         """Joint entropy in nats of each block of each row, then that of each party in ``parties``, each ``(blocks, batch)``.
 
         ``weights`` is a C-contiguous ``(columns, batch)`` array, one row of
@@ -97,12 +99,19 @@ class _Layout:
         batch)`` total of each row's blocks.  ``parties`` is ``"A"``, ``"B"``
         or ``"AB"``; the other party's marginal is not computed.  Each
         marginal bin sums its cells in column order either way.
+
+        The caller owns ``weights`` and ``totals``; the call only reads
+        them.  Its chunk-sized work, the ``w log w`` terms and then each
+        party's bin index, is written in turn to ``scratch``, a float64
+        array of at least ``weights.size`` elements that the call overwrites
+        and does not keep; with none, it allocates one.
         """
         batch = weights.shape[1]
-        scores = [_nats(weights, self.edges, totals)]
+        work = np.empty_like(weights) if scratch is None else scratch[: weights.size].reshape(weights.shape)
+        scores = [_nats(weights, self.edges, totals, work)]
         for party in parties:
-            # the chunk-sized index is a temporary, freed before the next party's is built
-            marginals = np.bincount(np.add.outer(self.bins[party] * batch, np.arange(batch)).ravel(), weights.ravel(), self.bin_edges[party][-1] * batch)
+            index = np.add.outer(self.bins[party] * batch, np.arange(batch), out=work.view(np.int64))
+            marginals = np.bincount(index.ravel(), weights.ravel(), self.bin_edges[party][-1] * batch)
             scores.append(_nats(marginals.reshape(-1, batch), self.bin_edges[party], totals))
         return tuple(scores)
 

@@ -142,7 +142,11 @@ class _MarginKernel:
     ``layout``, a column per row, and the ``(blocks, batch)`` totals of each
     row's blocks, position blocks first, returns the left-hand side and the
     margin of each row.  Counts are scored with their event totals,
-    probabilities with totals of one.  :meth:`point` scores the blocks the
+    probabilities with totals of one.  The caller owns the weights and
+    totals, and the call only reads them, so ``layout.weights`` can be
+    passed as they are; its chunk-sized temporaries go to ``scratch``, an
+    optional float64 array of at least ``weights.size`` elements that the
+    call overwrites and keeps nothing of.  :meth:`point` scores the blocks the
     kernel was built from and is the only place a :class:`WitnessResult` is
     built; the bootstrap scores its replicates' draws in chunks through the
     same call, each led by the observed row, which its ``point`` reads.
@@ -156,13 +160,13 @@ class _MarginKernel:
     bound_terms: tuple[float, ...]
     layout: _Layout
 
-    def __call__(self, weights: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, weights: np.ndarray, totals: np.ndarray, scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         # each direction reads the joint entropy and only the marginals it needs
         if self.direction is Direction.SYMMETRIC:
-            h, h_a, h_b = self.layout.nats(weights, totals, "AB")
+            h, h_a, h_b = self.layout.nats(weights, totals, "AB", scratch)
             lhs = sum((h_a + h_b - h) / math.log(self.base))
             return lhs, lhs - self.bound
-        h, h_given = self.layout.nats(weights, totals, "A" if self.direction is Direction.B_GIVEN_A else "B")
+        h, h_given = self.layout.nats(weights, totals, "A" if self.direction is Direction.B_GIVEN_A else "B", scratch)
         lhs = sum((h - h_given) / math.log(self.base))
         return lhs, self.bound - lhs
 
@@ -283,10 +287,12 @@ def _kernel(
     """The kernel of checked blocks with party A's windows merged in groups of ``factor_a`` and B's of ``factor_b``: its :func:`_bound`, then its layout.
 
     Each block's weights are summed over those groups, which keeps its
-    total, so the kernel has the bits of one built on ``downsample``'s blocks.
+    total, so the kernel has the bits of one built on ``downsample``'s blocks;
+    with both factors 1 they are used as they are.
     """
     n_dims, bound, terms = _bound(direction, base, pos_blocks, mom_blocks, factor_a, factor_b)
     blocks = (*pos_blocks, *mom_blocks)
+    merged = factor_a != 1 or factor_b != 1
     return _MarginKernel(
         direction=direction,
         base=base,
@@ -295,7 +301,7 @@ def _kernel(
         bound=bound,
         bound_terms=terms,
         layout=_layout(
-            [_block_sums(_weights(b), [factor_a] * b.grid.n_dims + [factor_b] * b.grid.n_dims) for b in blocks],
+            [_block_sums(_weights(b), [factor_a] * b.grid.n_dims + [factor_b] * b.grid.n_dims) if merged else _weights(b) for b in blocks],
             [b.total if isinstance(b, Histogram) else 1.0 for b in blocks],
         ),
     )

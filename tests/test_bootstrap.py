@@ -81,12 +81,12 @@ def kernel_margins(pos_blocks, mom_blocks, direction, seed, n_boot, chunks=None)
     kernel = _kernel(*_checked_blocks(pos_blocks, mom_blocks, direction, 2.0, (Histogram,)))
     score = _MarginKernel.__call__
 
-    def scored(self, weights, totals):
+    def scored(self, weights, totals, *scratch):
         # a chunk is scored column-major: one column per row of the batch
         assert weights.flags.c_contiguous and weights.shape[1] == totals.shape[1]
         if chunks is not None:
             chunks.append(weights.shape[1])
-        return score(self, weights, totals)
+        return score(self, weights, totals, *scratch)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_MarginKernel, "__call__", scored)

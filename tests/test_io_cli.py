@@ -2,10 +2,13 @@ import hashlib
 import io as stdio
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprsteering import (
     AxisGrid,
@@ -37,6 +40,7 @@ from eprsteering import (
     write_map_csv,
 )
 from eprsteering import bootstrap, cli, selftest
+from eprsteering import io as ep_io
 from eprsteering.bootstrap import _philox_drawer, _philox_keys, replicate_rng
 from eprsteering.cli import main
 from eprsteering.coarse import resolution_curve
@@ -169,6 +173,97 @@ def test_counts_csv_empty_file_rejected(tmp_path):
     path.write_text("# nothing here\n")
     with pytest.raises(ParseError):
         read_counts_csv(path)
+
+
+@pytest.mark.parametrize(
+    "token, outcome",
+    [
+        ("9999999999999999999", 9999999999999999999),
+        ("10000000000000000000", 10000000000000000000),
+        # read, then refused as a total: its float sum rounds to 2**64
+        ("18446744073709551615", "total count exceeds the unsigned 64-bit range"),
+        ("18446744073709551616", "count exceeds the unsigned 64-bit range"),
+        ("000000000000000000000018", 18),
+    ],
+)
+def test_counts_csv_reads_19_and_20_digit_tokens_as_int_does(token, outcome, tmp_path):
+    # np.fromstring saturates 2**64 to 2**64 - 1, so it reads at most 19 digits
+    path = tmp_path / "wide.csv"
+    path.write_text(f"{token},0\n")
+    if isinstance(outcome, int):
+        assert read_counts_csv(path).counts.tolist() == [[outcome, 0]]
+    else:
+        with pytest.raises(ParseError) as err:
+            read_counts_csv(path)
+        assert str(err.value) == f"{path}: {outcome}"
+
+
+#: Tokens a row may hold in place of a plain count: 19- and 20-digit counts
+#: around 10**19 and 2**64, tokens that int() reads but the format refuses or
+#: that only the checked loop reads, and tokens that neither reads.
+ODD_TOKENS = [str(n) for n in (10**18 - 1, 10**18, 10**19 - 1, 10**19, 2**64 - 1, 2**64, 2**64 + 1)] + [
+    "", "007", "+5", "-3", "-0", " 7", "7 ", "\t8", "1 2", "1_0", "١٢", "１２", "3.0", "1e3", "0x1", "x",
+]
+
+
+def read_outcome(path):
+    """``read_counts_csv(path)``'s counts, or the type and message of what it raised."""
+    try:
+        counts = read_counts_csv(path).counts
+    except Exception as exc:
+        return type(exc), str(exc)
+    return counts.dtype, counts.shape, counts.tobytes()
+
+
+def assert_fast_parse_reads_what_the_checked_loop_reads(path):
+    # the one np.fromstring call must return the checked loop's array, or
+    # the checked loop must run and raise its own error; a numpy warning
+    # from a partial parse is an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = read_outcome(path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ep_io, "_PLAIN_ROWS", re.compile(r"(?!)"))  # matches nothing: the checked loop reads every file
+            checked = read_outcome(path)
+    assert fast == checked
+
+
+@pytest.mark.parametrize("token", ODD_TOKENS)
+def test_counts_csv_fast_parse_reads_a_lone_odd_token_as_the_checked_loop(token, tmp_path):
+    path = tmp_path / "odd.csv"
+    path.write_text(f"1,2\n3,{token}\n", encoding="utf-8")
+    assert_fast_parse_reads_what_the_checked_loop_reads(path)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_counts_csv_fast_parse_reads_what_the_checked_loop_reads(tmp_path_factory, data):
+    width = data.draw(st.integers(1, 4))
+    lines = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            lines.append(data.draw(st.sampled_from(["", "# comment", " "])))
+        columns = data.draw(st.sampled_from([width] * 4 + [width + 1, max(1, width - 1)]))
+        tokens = data.draw(st.lists(st.integers(0, 10**6).map(str), min_size=columns, max_size=columns))
+        # mostly plain rows, so a lone odd token is one the guard must catch
+        for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+            tokens[data.draw(st.integers(0, columns - 1))] = data.draw(st.sampled_from(ODD_TOKENS))
+        lines.append(",".join(tokens))
+    path = tmp_path_factory.getbasetemp() / "fast-parse.csv"
+    path.write_text(data.draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n", encoding="utf-8")
+    assert_fast_parse_reads_what_the_checked_loop_reads(path)
+
+
+def test_counts_and_grid_files_read_past_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts a file with the mark
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf# eprsteering counts v1\r\n1,2\r\n3,4\r\n")
+    np.testing.assert_array_equal(read_counts_csv(path).counts, [[1, 2], [3, 4]])
+    grid = tmp_path / "bom.grid.json"
+    write_grid_json(small_histogram().grid, grid)
+    plain = read_grid_json(grid)
+    grid.write_bytes(b"\xef\xbb\xbf" + grid.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_grid_json(grid) == plain
 
 
 def test_grid_json_round_trip(tmp_path):
@@ -797,6 +892,27 @@ def test_reports_on_the_default_synth_files_keep_their_bytes(default_synth_dir, 
     files = ["--position", "position.csv", "--momentum", "momentum.csv"]
     assert run_cli(*argv, *files, "--output", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_files_with_a_bom_and_crlf_line_endings_give_the_plain_files_report(default_synth_dir, tmp_path, monkeypatch, capsys):
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    for name in ("position.csv", "position.grid.json", "momentum.csv", "momentum.grid.json"):
+        data = (default_synth_dir / name).read_bytes()
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + data.replace(b"\n", b"\r\n"))
+    reports = []
+    for directory in (default_synth_dir, marked):
+        # the report records the paths, so both runs pass the same relative ones
+        monkeypatch.chdir(directory)
+        out = tmp_path / f"{directory.name}.json"
+        assert run_cli("witness", "--position", "position.csv", "--momentum", "momentum.csv", "--boot", "100", "--output", str(out)) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    # a file that is not UTF-8 past its mark is still refused by name, at
+    # the offset of its bad byte in the file
+    (marked / "momentum.csv").write_bytes(b"\xef\xbb\xbf\xff")
+    assert run_cli("witness", "--position", "position.csv", "--momentum", "momentum.csv", "--boot", "100") == 2
+    assert capsys.readouterr().err == "data error: momentum.csv: not UTF-8 text (invalid start byte at byte 3)\n"
 
 
 def test_data_errors_exit_two(tmp_path, capsys):
