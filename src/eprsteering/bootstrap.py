@@ -156,9 +156,7 @@ def _hash_chain(init: int, mult: int, n: int) -> np.ndarray:
     return np.array(chain, dtype=np.uint32)[:, None]
 
 
-# the constants a key of up to six words hashes with (a map cell's key has
-# five), and those of the output words; longer keys extend the chain per call
-_CHAIN_A = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + 2 * _POOL_SIZE)
+# the constants of the output words
 _CHAIN_B = _hash_chain(_INIT_B, _MULT_B, _POOL_SIZE)
 
 
@@ -185,8 +183,7 @@ def _seed_sequence_keys(words: np.ndarray) -> np.ndarray:
     """
     words = words.T
     n = _POOL_SIZE
-    length = n * n + n * max(0, len(words) - n)
-    chain = _CHAIN_A if length < len(_CHAIN_A) else _hash_chain(_INIT_A, _MULT_A, length)
+    chain = _hash_chain(_INIT_A, _MULT_A, n * n + n * max(0, len(words) - n))
     pool = np.zeros((n, words.shape[1]), dtype=np.uint32)
     pool[: len(words)] = words[:n]
     pool = _hashmix(pool, chain[: n + 1])

@@ -28,7 +28,7 @@ from . import __version__
 from .bootstrap import witness_significance
 from .coarse import asymmetry_map, resolution_curve
 from .errors import DataError, NumericalError, UsageError
-from .grids import Histogram
+from .grids import Histogram, Observable
 from .io import (
     RunConfig,
     SyntheticConfig,
@@ -171,9 +171,18 @@ def _gather(config: RunConfig) -> tuple[list[Histogram], list[Histogram], dict[s
         pos, mom, clipped = _sample_synthetic(config.synthetic, config.seed)
         return [pos], [mom], clipped
     # RunConfig holds no grid files or one per counts file; None takes the default sidecar
-    pos = [load_histogram(c, g) for c, g in itertools.zip_longest(config.position_counts, config.position_grids)]
-    mom = [load_histogram(c, g) for c, g in itertools.zip_longest(config.momentum_counts, config.momentum_grids)]
+    pos = [_load(c, g, Observable.POSITION) for c, g in itertools.zip_longest(config.position_counts, config.position_grids)]
+    mom = [_load(c, g, Observable.MOMENTUM) for c, g in itertools.zip_longest(config.momentum_counts, config.momentum_grids)]
     return pos, mom, None
+
+
+def _load(counts_path: str, grid_path: str | None, observable: Observable) -> Histogram:
+    """:func:`load_histogram` under ``observable``'s flag; a grid file of the other observable raises :class:`DataError` naming it."""
+    hist = load_histogram(counts_path, grid_path)
+    if hist.grid.observable is not observable:
+        grid_path = grid_path or sidecar_path(counts_path)
+        raise DataError(f"{grid_path}: --{observable.value} needs a {observable.value} grid, got a {hist.grid.observable.value} grid")
+    return hist
 
 
 def _sweep_blocks(config: RunConfig, sweep: str) -> tuple[Histogram, Histogram]:

@@ -124,8 +124,8 @@ class CurvePoint:
     """Witness evaluation at one per-axis resolution.
 
     ``inv_window_product`` is the product over dimensions of
-    ``1 / (width_x * width_k)`` for the steered party, the natural x-axis for
-    resolution plots.
+    ``1 / (width_x * width_k)`` for the steered party, party B for the symmetric
+    witness (which ``eprsteer curve`` refuses), the natural x-axis for resolution plots.
     """
 
     resolution: int
@@ -148,6 +148,7 @@ def resolution_curve(
     resolutions ``r >= 2`` that divide the (square) base grid, by default all
     of them in increasing order.  Each point is :func:`evaluate` on the
     downsampled blocks: on histograms, :func:`asymmetry_map`'s ``(r, r)`` cell.
+    ``inv_window_product`` takes party B's windows for the symmetric witness, which ``eprsteer curve`` refuses.
     """
     direction, base, n0 = _sweep_inputs(position, momentum, (Histogram, JointDistribution), direction, base)
     resolutions = _resolutions(resolutions, n0)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .bootstrap import POISSON_MEAN_MAX, _check_poisson_means, _check_seed, _keyed_rng
 from .entropy import _check_base, _plogp
-from .errors import NumericalError, TruncationError, UsageError
+from .errors import NumericalError, TruncationError, UsageError, ZeroTotalError
 from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, Observable, _positive, _shown
 
 __all__ = [
@@ -358,7 +358,7 @@ def sample_histograms(
     """Poisson-sampled position and momentum histograms of a synthetic state.
 
     Position is drawn from the stream keyed ``(seed, 0)`` and momentum from
-    ``(seed, 1)``; a draw with no events raises :class:`ZeroTotalError`.
+    ``(seed, 1)``; an empty draw raises :class:`ZeroTotalError` naming it and ``total``.
     A ``total`` above ``POISSON_MEAN_MAX``, the largest Poisson mean numpy
     draws, raises :class:`UsageError` before any draw; a cell mean above it
     (a probability rounded just past 1) raises :class:`DataError`.
@@ -367,10 +367,13 @@ def sample_histograms(
     total = _check_total(total)
     pos_lam = _check_poisson_means(state.position.probs * total)
     mom_lam = _check_poisson_means(state.momentum.probs * total)
-    return (
-        Histogram(counts=_keyed_rng((seed, 0)).poisson(pos_lam), grid=state.position.grid),
-        Histogram(counts=_keyed_rng((seed, 1)).poisson(mom_lam), grid=state.momentum.grid),
-    )
+    hists = []
+    for observable, (dist, lam) in enumerate(((state.position, pos_lam), (state.momentum, mom_lam))):
+        try:
+            hists.append(Histogram(counts=_keyed_rng((seed, observable)).poisson(lam), grid=dist.grid))
+        except ZeroTotalError:
+            raise ZeroTotalError(f"the {dist.grid.observable.value} draw holds zero events at total={total:.6g}: a larger total gives it events to score") from None
+    return hists[0], hists[1]
 
 
 def connection_check(sigma: float, axis: AxisGrid) -> float:

@@ -287,12 +287,10 @@ def _kernel(
     """The kernel of checked blocks with party A's windows merged in groups of ``factor_a`` and B's of ``factor_b``: its :func:`_bound`, then its layout.
 
     Each block's weights are summed over those groups, which keeps its
-    total, so the kernel has the bits of one built on ``downsample``'s blocks;
-    with both factors 1 they are used as they are.
+    total, so the kernel has the bits of one built on ``downsample``'s blocks.
     """
     n_dims, bound, terms = _bound(direction, base, pos_blocks, mom_blocks, factor_a, factor_b)
     blocks = (*pos_blocks, *mom_blocks)
-    merged = factor_a != 1 or factor_b != 1
     return _MarginKernel(
         direction=direction,
         base=base,
@@ -301,7 +299,7 @@ def _kernel(
         bound=bound,
         bound_terms=terms,
         layout=_layout(
-            [_block_sums(_weights(b), [factor_a] * b.grid.n_dims + [factor_b] * b.grid.n_dims) if merged else _weights(b) for b in blocks],
+            [_block_sums(_weights(b), [factor_a] * b.grid.n_dims + [factor_b] * b.grid.n_dims) for b in blocks],
             [b.total if isinstance(b, Histogram) else 1.0 for b in blocks],
         ),
     )

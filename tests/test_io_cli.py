@@ -624,6 +624,26 @@ def test_sweeps_with_two_counts_files_per_observable_exit_one(synth_dir, command
     assert capsys.readouterr().err == f"usage error: {sweep} need exactly one counts file per observable\n"
 
 
+@pytest.mark.parametrize("command", [["witness", "--boot", "100"], ["map", "--boot", "100"], ["curve"]], ids=["witness", "map", "curve"])
+@pytest.mark.parametrize("flag, other", [("position", "momentum"), ("momentum", "position")])
+@pytest.mark.parametrize("by_flag", [False, True], ids=["sidecar", "grid-flag"])
+def test_counts_on_the_other_observables_grid_exit_two_naming_the_grid_file(synth_dir, tmp_path, command, flag, other, by_flag, capsys):
+    # the other observable's grid file, as the counts file's sidecar or under
+    # its grid flag, is malformed input for that flag
+    for name in ("position.csv", "momentum.csv", "position.grid.json", "momentum.grid.json"):
+        (tmp_path / name).write_bytes((synth_dir / name).read_bytes())
+    files = ["--position", str(tmp_path / "position.csv"), "--momentum", str(tmp_path / "momentum.csv")]
+    grid = tmp_path / f"{other}.grid.json"
+    if by_flag:
+        files += [f"--{flag}-grid", str(grid)]
+    else:
+        (tmp_path / f"{flag}.grid.json").write_bytes(grid.read_bytes())
+        grid = tmp_path / f"{flag}.grid.json"
+    assert run_cli(*command, *files, "--output", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"data error: {grid}: --{flag} needs a {flag} grid, got a {other} grid\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_grid_sidecar_that_is_a_json_array_exits_two(synth_dir, tmp_path, capsys):
     (tmp_path / "position.csv").write_bytes((synth_dir / "position.csv").read_bytes())
     sidecar = tmp_path / "position.grid.json"
@@ -870,6 +890,37 @@ def default_synth_dir(tmp_path_factory):
     return out
 
 
+SYNTH_DIGESTS = {
+    "default": {
+        "position.csv": "19c59717d78bd708d0061660a38c81a71ad6339ca92c98d52f2b9f34dd908e92",
+        "position.grid.json": "39b3fa0257244900d02115fa821a3de73638977efe5af3bcc9c03a02655e529e",
+        "momentum.csv": "dbf81a1790ef1b72c01fe23f5673e500b939eb03a56f44c307dacc7f70345a4f",
+        "momentum.grid.json": "39a4f136ab9b2115eb58a1c80e5646ba0a7637b38ac9bb9b53d6039dc48cf87e",
+        "manifest.json": "222070d6a2ea31b057cd13ab4779db2735f3a291637c848f1a7319790814f807",
+    },
+    "small": {
+        "position.csv": "feab7f291261ada571a0d164035aa773420d2a975be146fac07fcb3e9f67b1ec",
+        "position.grid.json": "608bd7bcad4891ab48dfee831d813069549c081e4c299682adb6e0a86ce8e12e",
+        "momentum.csv": "629abf786378ba5707696e83f706954207c58f8e768049c818e5b44ae45953d7",
+        "momentum.grid.json": "3972cd9be2c97b91fa5ba7ff30e9efb282c829dde1b81faac18b1e4ffd4af7b4",
+        "manifest.json": "4275fe405b724f4439e79fe1794ed8d0b726801c48e35a34ac8158bdb9897874",
+    },
+}
+
+
+@pytest.mark.parametrize("run", ["default", "small"])
+def test_synth_keeps_the_bytes_of_every_file_it_writes(default_synth_dir, tmp_path, run):
+    # the writers and the sampling streams; a stream-contract bump changes these on purpose
+    out = default_synth_dir
+    if run == "small":
+        out = tmp_path / "small"
+        flags = ["--n-windows", "6", "--total", "5000", "--seed", "7", "--clip-tol", "0.02"]
+        assert run_cli("synth", *flags, "--out-dir", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(SYNTH_DIGESTS[run])
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SYNTH_DIGESTS[run]}
+    assert digests == SYNTH_DIGESTS[run]
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -942,7 +993,8 @@ def test_a_draw_without_events_exits_two(argv, capsys):
     # one expected event per observable: seed 5 draws none, which no
     # subcommand can score
     assert run_cli(argv[0], "--synthetic", "--total", "1", "--seed", "5", *argv[1:]) == 2
-    assert capsys.readouterr().err == "data error: count tensor holds zero events\n"
+    expected = "data error: the position draw holds zero events at total=1: a larger total gives it events to score\n"
+    assert capsys.readouterr().err == expected
 
 
 def test_a_counts_file_without_events_exits_two(tmp_path, capsys):

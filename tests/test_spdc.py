@@ -12,6 +12,7 @@ from eprsteering import (
     SyntheticConfig,
     TruncationError,
     UsageError,
+    ZeroTotalError,
     conditional_variance,
     connection_check,
     continuous_conditional_entropy,
@@ -407,6 +408,19 @@ def test_sample_histograms_refuses_a_total_past_the_poisson_limit(monkeypatch):
     for total in (np.nextafter(POISSON_MEAN_MAX, math.inf), 2e19):
         with pytest.raises(UsageError, match="^total must be <= 9.22337e[+]18, the largest Poisson mean"):
             sample_histograms(state, total=total)
+
+
+@pytest.mark.parametrize(
+    "seed, total, observable",
+    [(0, 1, "position"), (5, 1, "momentum"), (11, 0.5, "momentum"), (8, 0.5, "position")],
+)
+def test_sample_histograms_names_the_empty_draw_and_its_total(seed, total, observable):
+    # a position draw is made and checked before the momentum draw
+    state = make_synthetic_state(n_windows=2)
+    message = f"the {observable} draw holds zero events at total={total}: a larger total gives it events to score"
+    with pytest.raises(ZeroTotalError) as err:
+        sample_histograms(state, total=total, seed=seed)
+    assert str(err.value) == message
 
 
 def test_sample_histograms_deterministic_and_poissonian():

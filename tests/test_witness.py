@@ -196,6 +196,36 @@ def test_observable_mismatch_rejected():
         evaluate(pos, pos)
 
 
+@pytest.fixture(scope="module")
+def sampled_4x4():
+    return sample_histograms(make_synthetic_state(n_windows=4), total=10_000, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        evaluate,
+        lambda pos, mom: witness_significance(pos, mom, n_boot=100),
+        lambda pos, mom: asymmetry_map(pos, mom, n_boot=100),
+        resolution_curve,
+    ],
+    ids=["evaluate", "witness_significance", "asymmetry_map", "resolution_curve"],
+)
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        ("mom-pos", "expected a position distribution, got one on a momentum grid"),
+        ("pos-pos", "expected a momentum distribution, got one on a position grid"),
+        ("mom-mom", "expected a position distribution, got one on a momentum grid"),
+    ],
+)
+def test_every_entry_point_refuses_blocks_of_the_wrong_observable(sampled_4x4, call, order, message):
+    blocks = dict(zip(("pos", "mom"), sampled_4x4))
+    first, second = (blocks[name] for name in order.split("-"))
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        call(first, second)
+
+
 def test_dimension_mismatch_rejected():
     pos, mom = diag_pair(4)
     with pytest.raises(DimensionMismatchError):
