@@ -7,8 +7,8 @@ every reachable resolution of a square base grid.  A sweep checks its base
 blocks once and builds each cell's margin kernel straight from them, through
 the witness module's one kernel builder with the cell's merge factors.  No
 cell builds :func:`downsample`'s blocks, yet each scores, bit for bit, as
-the witness on them.  A refusal of the base grids or of a map cell names
-them in the error.
+the witness on them.  A refusal of the base grids, of a map cell or of a
+curve row names them in the error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .bootstrap import BootstrapReport, _check_n_boot, _check_seed, _report
 from .errors import DataError, NonDivisibleFactorError, NumericalError, UsageError
 from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, _check_int, _shown
-from .witness import Direction, WitnessResult, _block_sums, _bound, _checked_blocks, _kernel, _weights
+from .witness import _READS, Direction, WitnessResult, _block_sums, _bound, _checked_blocks, _kernel, _weights
 
 __all__ = [
     "block_sum",
@@ -124,8 +124,10 @@ class CurvePoint:
     """Witness evaluation at one per-axis resolution.
 
     ``inv_window_product`` is the product over dimensions of
-    ``1 / (width_x * width_k)`` for the steered party, party B for the symmetric
-    witness (which ``eprsteer curve`` refuses), the natural x-axis for resolution plots.
+    ``1 / (width_x * width_k)`` of the steered party's merged windows, party B's
+    for the symmetric witness (which ``eprsteer curve`` refuses), the natural
+    x-axis for resolution plots.  A resolution that cannot be scored gives no
+    point: :func:`resolution_curve` refuses it, naming its row.
     """
 
     resolution: int
@@ -148,15 +150,21 @@ def resolution_curve(
     resolutions ``r >= 2`` that divide the (square) base grid, by default all
     of them in increasing order.  Each point is :func:`evaluate` on the
     downsampled blocks: on histograms, :func:`asymmetry_map`'s ``(r, r)`` cell.
-    ``inv_window_product`` takes party B's windows for the symmetric witness, which ``eprsteer curve`` refuses.
+    ``inv_window_product`` takes the steered party's windows, party B's for
+    the symmetric witness, which ``eprsteer curve`` refuses.  A row whose
+    merged extents the viewing-area rule refuses raises its
+    :class:`NumericalError` with a message that starts ``curve row r:``.
     """
     direction, base, n0 = _sweep_inputs(position, momentum, (Histogram, JointDistribution), direction, base)
     resolutions = _resolutions(resolutions, n0)
-    steered = "A" if direction is Direction.A_GIVEN_B else "B"
+    steered = _READS[direction][1][-1]
     points = []
     for r in resolutions:
         f = n0 // r
-        res = _kernel(direction, base, (position,), (momentum,), f, f).point()
+        try:
+            res = _kernel(direction, base, (position,), (momentum,), f, f).point()
+        except NumericalError as exc:
+            raise type(exc)(f"curve row {r}: {exc}") from None
         inv = 1.0
         for wx, wk in zip(position.grid.widths(steered), momentum.grid.widths(steered)):
             inv /= (wx * f) * (wk * f)

@@ -136,8 +136,8 @@ def _layout(tensors: Sequence[np.ndarray], totals: Sequence[float]) -> _Layout:
     )
 
 
-def _party_nats(dist: DistLike) -> list[float]:
-    """Joint, party-A and party-B entropies in nats of ``dist``, whose party split must be known.
+def _party_nats(dist: DistLike, parties: str = "AB") -> list[float]:
+    """Joint entropy in nats of ``dist``, then that of each party in ``parties``; its party split must be known.
 
     A raw array's split is known only when it is 2-D; a
     :class:`JointDistribution` puts party A's axes first.
@@ -152,7 +152,7 @@ def _party_nats(dist: DistLike) -> list[float]:
                 "wrap higher-rank tensors in JointDistribution"
             )
     layout = _layout([p], [1.0])
-    return [float(h[0, 0]) for h in layout.nats(layout.weights[:, None], layout.totals[:, None])]
+    return [float(h[0, 0]) for h in layout.nats(layout.weights[:, None], layout.totals[:, None], parties)]
 
 
 def entropy(dist: DistLike, base: float = 2.0) -> float:
@@ -172,8 +172,8 @@ def conditional_entropy(dist: DistLike, given: Party = "A", base: float = 2.0) -
     base = _check_base(base)
     if given not in ("A", "B"):
         raise UsageError(f"given must be 'A' or 'B', got {given!r}")
-    h, h_a, h_b = _party_nats(dist)
-    return (h - (h_a if given == "A" else h_b)) / math.log(base)
+    h, h_given = _party_nats(dist, given)
+    return (h - h_given) / math.log(base)
 
 
 def mutual_information(dist: DistLike, base: float = 2.0) -> float:

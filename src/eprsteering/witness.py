@@ -59,6 +59,11 @@ class Direction(_Choice):
     SYMMETRIC = "symmetric"
 
 
+#: Each direction's marginals, scored as ``info = sum(marginals) - h`` beside the
+#: joint entropy ``h``, and the parties it steers, whose viewing areas bound it.
+_READS = {Direction.B_GIVEN_A: ("A", "B"), Direction.A_GIVEN_B: ("B", "A"), Direction.SYMMETRIC: ("AB", "AB")}
+
+
 @dataclass(frozen=True)
 class WitnessResult:
     """Outcome of one witness evaluation.
@@ -141,15 +146,22 @@ class _MarginKernel:
     Calling it with a C-contiguous ``(columns, batch)`` array of weights on
     ``layout``, a column per row, and the ``(blocks, batch)`` totals of each
     row's blocks, position blocks first, returns the left-hand side and the
-    margin of each row.  Counts are scored with their event totals,
-    probabilities with totals of one.  The caller owns the weights and
-    totals, and the call only reads them, so ``layout.weights`` can be
-    passed as they are; its chunk-sized temporaries go to ``scratch``, an
-    optional float64 array of at least ``weights.size`` elements that the
-    call overwrites and keeps nothing of.  :meth:`point` scores the blocks the
-    kernel was built from and is the only place a :class:`WitnessResult` is
-    built; the bootstrap scores its replicates' draws in chunks through the
-    same call, each led by the observed row, which its ``point`` reads.
+    margin of each row.  One expression scores every direction:
+    ``info = sum((sum(marginals) - h) / log(base))`` over blocks, on the
+    marginals :data:`_READS` lists for it, is the symmetric left-hand side
+    and minus the conditional one.  The same table names the steered
+    parties, whose viewing areas :func:`_bound` checks and whose windows a
+    resolution curve's x-axis reads, party B's for the symmetric witness; a
+    curve row that the check refuses is named ``curve row r: ...``.  Counts
+    are scored with their event totals, probabilities with totals of one.
+    The caller owns the weights and totals, and the call only reads them,
+    so ``layout.weights`` can be passed as they are; its chunk-sized
+    temporaries go to ``scratch``, an optional float64 array of at least
+    ``weights.size`` elements that the call overwrites and keeps nothing
+    of.  :meth:`point` scores the blocks the kernel was built from and is
+    the only place a :class:`WitnessResult` is built; the bootstrap scores
+    its replicates' draws in chunks through the same call, each led by the
+    observed row, which its ``point`` reads.
     """
 
     direction: Direction
@@ -161,14 +173,11 @@ class _MarginKernel:
     layout: _Layout
 
     def __call__(self, weights: np.ndarray, totals: np.ndarray, scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        # each direction reads the joint entropy and only the marginals it needs
+        h, *marginals = self.layout.nats(weights, totals, _READS[self.direction][0], scratch)
+        info = sum((sum(marginals) - h) / math.log(self.base))
         if self.direction is Direction.SYMMETRIC:
-            h, h_a, h_b = self.layout.nats(weights, totals, "AB", scratch)
-            lhs = sum((h_a + h_b - h) / math.log(self.base))
-            return lhs, lhs - self.bound
-        h, h_given = self.layout.nats(weights, totals, "A" if self.direction is Direction.B_GIVEN_A else "B", scratch)
-        lhs = sum((h - h_given) / math.log(self.base))
-        return lhs, self.bound - lhs
+            return info, info - self.bound
+        return 0.0 - info, self.bound + info  # where info is 0, -info would be -0.0
 
     def point(self, scored: tuple[np.ndarray, np.ndarray] | None = None) -> WitnessResult:
         """The witness on the blocks the kernel was built from, scored as a batch of one.
@@ -252,12 +261,10 @@ def _bound(direction: Direction, base: float, pos_blocks: tuple, mom_blocks: tup
     axes = {party: list(zip(merged(pos_blocks, party), merged(mom_blocks, party))) for party in ("A", "B")}
     n_dims = len(axes["A"])
 
-    # each party's sum over dimensions of log(L_x*L_k/(pi*e)), in nats: the
-    # conditional margin is at least minus the steered party's sum, and the
-    # symmetric one at least minus the larger sum, whatever the data
+    # each party's sum over dimensions of log(L_x*L_k/(pi*e)), in nats: on
+    # any data the margin is at least minus the steered parties' largest sum
     area_nats = {party: sum(_area_nats(lx, lk) for (lx, _), (lk, _) in pairs) for party, pairs in axes.items()}
-    steered: Party = "B" if direction is Direction.B_GIVEN_A else "A"
-    parties: tuple[Party, ...] = ("A", "B") if direction is Direction.SYMMETRIC else (steered,)
+    parties = _READS[direction][1]
     if max(area_nats[p] for p in parties) <= 0.0:
         pi_e = "pi*e" if n_dims == 1 else f"(pi*e)^{n_dims}"
         small = "; ".join(
@@ -270,9 +277,9 @@ def _bound(direction: Direction, base: float, pos_blocks: tuple, mom_blocks: tup
         )
 
     if direction is Direction.SYMMETRIC:
-        terms = [area_nats[party] / math.log(base) for party in ("A", "B")]
+        terms = [area_nats[party] / math.log(base) for party in parties]
         return n_dims, max(terms), tuple(terms)
-    terms = [per_dim_bound(wx, wk, base) for (_, wx), (_, wk) in axes[steered]]
+    terms = [per_dim_bound(wx, wk, base) for (_, wx), (_, wk) in axes[parties[0]]]
     return n_dims, sum(terms), tuple(terms)
 
 

@@ -18,7 +18,7 @@ from eprsteering import (
     entropy,
     mutual_information,
 )
-from eprsteering.entropy import _layout
+from eprsteering.entropy import _layout, _party_nats
 
 # Joint distribution used across the frozen-value tests:
 #   [[1/2, 1/4], [1/8, 1/8]]
@@ -220,3 +220,18 @@ def test_layout_scores_only_the_parties_asked_for_with_the_same_bits():
     first = weights[: layout.edges[1]]
     rows = np.bincount(layout.bins["A"][: layout.edges[1]], first[:, 0], 3)
     assert h_a[0, 0] == pytest.approx(-np.sum(rows / totals[0, 0] * np.log(rows / totals[0, 0])), rel=1e-12)
+
+
+def test_one_party_keeps_the_bits_of_both():
+    # conditional_entropy reads one marginal; the joint entropy and that
+    # party's must be the bits the call for both parties gives
+    rng = np.random.default_rng(6)
+    ax = AxisGrid(3, 1.0)
+    dists = [dist_2x2(), normalized(rng.random((4, 7))), normalized(rng.random((5, 3)) * (rng.random((5, 3)) > 0.4))]
+    for _ in range(5):
+        probs = rng.random((3, 3, 3, 3)) * (rng.random((3, 3, 3, 3)) > 0.3)
+        dists.append(JointDistribution(normalized(probs), GridSpec(Observable.POSITION, (ax, ax), (ax, ax))))
+    for dist in dists:
+        h, h_a, h_b = _party_nats(dist, "AB")
+        assert [x.hex() for x in _party_nats(dist, "A")] == [h.hex(), h_a.hex()]
+        assert [x.hex() for x in _party_nats(dist, "B")] == [h.hex(), h_b.hex()]

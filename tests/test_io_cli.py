@@ -1081,6 +1081,31 @@ def test_a_viewing_area_below_pi_e_exits_three(direction, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["curve"], "curve row 3: party B's"),
+        (["curve", "--direction", "ab"], "curve row 3: party A's"),
+        (["map", "--res-a", "9", "--res-b", "3", "--boot", "100"], "map cell (9, 3): party B's"),
+    ],
+    ids=["curve-ba", "curve-ab", "map"],
+)
+def test_a_sweep_row_whose_merged_area_falls_to_pi_e_is_named(argv, where, tmp_path, capsys):
+    # 9 windows of these widths pass the viewing-area rule by one ulp of
+    # log-area, but 3 windows of 3 * w round to an area of exactly pi*e
+    counts = np.random.default_rng(2).poisson(50, (9, 9))
+    files = []
+    for observable, width in ((Observable.POSITION, 1.4306491748563095), (Observable.MOMENTUM, 0.07369299155710916)):
+        name, grid = observable.value, GridSpec(observable, (AxisGrid(9, width),), (AxisGrid(9, width),))
+        write_counts_csv(Histogram(counts, grid), tmp_path / f"{name}.csv")
+        write_grid_json(grid, tmp_path / f"{name}.grid.json")
+        files += [f"--{name}", str(tmp_path / f"{name}.csv")]
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, *files, "--output", str(out)) == 3
+    assert capsys.readouterr().err.startswith(f"numerical error: {where} viewing area L_x*L_k = 8.53973 is at most pi*e")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["map", "--res-a", "1", "--res-b", "12", "--boot", "100", "--direction", "sym"],

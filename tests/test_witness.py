@@ -18,9 +18,11 @@ from eprsteering import (
     Observable,
     UsageError,
     asymmetry_map,
+    conditional_entropy,
     evaluate,
     make_synthetic_state,
     min_resolution,
+    mutual_information,
     per_dim_bound,
     resolution_curve,
     sample_histograms,
@@ -412,3 +414,41 @@ def test_the_area_rule_sums_over_dimensions():
     assert evaluate(*area_blocks([4.0, 15.0], [4.0, 20.0])).n_dims == 2
     with pytest.raises(NumericalError, match=r"party B's viewing area L_x\*L_k = 4 \* 15 is at most \(pi\*e\)\^2"):
         evaluate(*area_blocks([4.0, 15.0], [4.0, 15.0]))
+
+
+@pytest.fixture(scope="module")
+def full_joint_pairs():
+    # the default state at 12 windows, random 4-index distributions with empty
+    # cells, and diagonal ones, whose conditional entropies are exactly 0
+    state = make_synthetic_state(n_windows=12)
+    pairs = [(state.position, state.momentum)]
+    rng = np.random.default_rng(8)
+
+    def dist(probs, observable):
+        axes = (AxisGrid(probs.shape[0], 2.0),) * (probs.ndim // 2)
+        return JointDistribution(probs, GridSpec(observable, axes, axes))
+
+    for case in range(120):
+        n = int(rng.integers(2, 5))
+        if case % 10 == 0:
+            tensors = [np.diag(rng.random(n) + 0.1) for _ in range(2)]
+        else:
+            tensors = [rng.random((n,) * 4) * (rng.random((n,) * 4) > 0.3) for _ in range(2)]
+        pos, mom = (dist(t / t.sum(), obs) for t, obs in zip(tensors, (Observable.POSITION, Observable.MOMENTUM)))
+        pairs.append((pos, mom))
+    return pairs
+
+
+@pytest.mark.parametrize("base", [2.0, math.e, 10.0])
+@pytest.mark.parametrize("direction", list(Direction))
+def test_the_kernel_gives_the_entropy_functions_sums_bit_for_bit(full_joint_pairs, direction, base):
+    # one expression scores every direction; on single full-joint blocks its
+    # left-hand side is the public functions' sum, a zero conditional entropy
+    # included: .hex() tells +0.0 from -0.0
+    for pos, mom in full_joint_pairs:
+        if direction is Direction.SYMMETRIC:
+            want = mutual_information(pos, base) + mutual_information(mom, base)
+        else:
+            given = "A" if direction is Direction.B_GIVEN_A else "B"
+            want = conditional_entropy(pos, given, base) + conditional_entropy(mom, given, base)
+        assert evaluate(pos, mom, direction, base).lhs.hex() == want.hex()
