@@ -20,7 +20,7 @@ import numpy as np
 
 from .bootstrap import BootstrapReport, _check_n_boot, _check_seed, _report
 from .errors import DataError, NonDivisibleFactorError, NumericalError, UsageError
-from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, _check_int, _shown
+from .grids import Histogram, JointDistribution, _check_int, _merged, _shown
 from .witness import _READS, Direction, WitnessResult, _block_sums, _bound, _checked_blocks, _kernel, _weights
 
 __all__ = [
@@ -54,33 +54,17 @@ def block_sum(arr: np.ndarray, factors: Sequence[int]) -> np.ndarray:
     return _block_sums(arr, factors)
 
 
-def _coarser_axis(ax: AxisGrid, factor: int) -> AxisGrid:
-    return AxisGrid(
-        n_windows=ax.n_windows // factor,
-        window_width=ax.window_width * factor,
-        origin=ax.origin,
-    )
-
-
-def _coarser_grid(grid: GridSpec, factor_a: int, factor_b: int) -> GridSpec:
-    return GridSpec(
-        observable=grid.observable,
-        axes_a=tuple(_coarser_axis(ax, factor_a) for ax in grid.axes_a),
-        axes_b=tuple(_coarser_axis(ax, factor_b) for ax in grid.axes_b),
-    )
-
-
 def downsample(data: Histogram | JointDistribution, factor_a: int, factor_b: int):
     """Merge windows in groups of ``factor_a`` (party A) and ``factor_b`` (party B).
 
     The factor applies to every axis of its party.  Returns the same type it
-    was given, on the correspondingly coarser grid.
+    was given, on :func:`grids._merged`'s grid: the one a sweep cell reads.
     """
     if not isinstance(data, (Histogram, JointDistribution)):
         raise UsageError(f"downsample expects Histogram or JointDistribution, got {type(data).__name__}")
     n = data.grid.n_dims
     coarse = block_sum(_weights(data), [factor_a] * n + [factor_b] * n)
-    return type(data)(coarse, _coarser_grid(data.grid, int(factor_a), int(factor_b)))
+    return type(data)(coarse, _merged(data.grid, int(factor_a), int(factor_b)))
 
 
 def _sweep_inputs(position, momentum, kinds: tuple[type, ...], direction: Direction, base: float) -> tuple[Direction, float, int]:
@@ -96,7 +80,7 @@ def _sweep_inputs(position, momentum, kinds: tuple[type, ...], direction: Direct
         )
     direction, base, _, _ = _checked_blocks(position, momentum, direction, base, kinds)
     try:
-        _bound(direction, base, (position,), (momentum,))
+        _bound(direction, base, (position.grid,), (momentum.grid,))
     except NumericalError as exc:
         raise NumericalError(f"base grids: {exc}") from None
     return direction, base, counts.pop()
@@ -166,8 +150,8 @@ def resolution_curve(
         except NumericalError as exc:
             raise type(exc)(f"curve row {r}: {exc}") from None
         inv = 1.0
-        for wx, wk in zip(position.grid.widths(steered), momentum.grid.widths(steered)):
-            inv /= (wx * f) * (wk * f)
+        for wx, wk in zip(_merged(position.grid, f, f).widths(steered), _merged(momentum.grid, f, f).widths(steered)):
+            inv /= wx * wk
         points.append(
             CurvePoint(resolution=r, inv_window_product=inv, lhs=res.lhs, bound=res.bound, margin=res.margin)
         )

@@ -192,6 +192,18 @@ class GridSpec:
         return tuple(ax.extent for ax in self.axes(party))
 
 
+def _merged(grid: GridSpec, factor_a: int, factor_b: int) -> GridSpec:
+    """``grid`` with party A's windows merged in groups of ``factor_a`` and B's of ``factor_b``.
+
+    Each axis of ``n`` windows of width ``w``, ``f`` dividing ``n``, becomes ``n // f`` windows of width
+    ``w * f`` from its origin: the one rule for a merged width or extent, read by downsamples and sweeps.
+    """
+    def merged(axes: tuple[AxisGrid, ...], factor: int) -> tuple[AxisGrid, ...]:
+        return tuple(AxisGrid(ax.n_windows // factor, ax.window_width * factor, ax.origin) for ax in axes)
+
+    return GridSpec(grid.observable, merged(grid.axes_a, factor_a), merged(grid.axes_b, factor_b))
+
+
 @dataclass(frozen=True)
 class CountTensor:
     """Immutable non-negative integer event counts, and their ``total``, summed once."""

@@ -32,7 +32,7 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .grids import Histogram, JointDistribution, Observable, Party, _Choice, _positive
+from .grids import Histogram, JointDistribution, Observable, _Choice, _merged, _positive
 
 __all__ = [
     "PI_E",
@@ -106,13 +106,14 @@ def _area_nats(extent_x: float, extent_k: float) -> float:
 
 
 def min_resolution(extent_x: float, extent_k: float) -> int:
-    """Smallest per-axis window count that makes the conditional bound positive.
+    """Smallest per-axis window count ``n >= 2`` that makes the conditional bound positive.
 
-    For square grids over fixed extents the bound per dimension is
-    log(N^2 * pi*e / (L_x * L_k)); it must be strictly positive, so exact ties
-    resolve upward.  An area of at most pi*e, which :func:`evaluate` refuses
-    on any grid, raises :class:`NumericalError`; past it one window never
-    suffices.
+    The bound itself decides: ``n`` is the smallest with
+    ``per_dim_bound(L_x / n, L_k / n) > 0``, the bound :func:`evaluate`
+    computes on the widths of ``AxisGrid.centered(n, L)``, so ties resolve
+    as the witness resolves them.  An area of at most pi*e, which
+    :func:`evaluate` refuses on any grid, raises :class:`NumericalError`;
+    past it one window never suffices.
     """
     extent_x = _positive(extent_x, "extent_x", NonpositiveExtentError)
     extent_k = _positive(extent_k, "extent_k", NonpositiveExtentError)
@@ -121,8 +122,12 @@ def min_resolution(extent_x: float, extent_k: float) -> int:
             f"viewing area L_x*L_k = {extent_x * extent_k:.6g} is at most pi*e = {PI_E:.6g}, "
             "so no grid over it makes the conditional bound positive"
         )
-    ratio = extent_x * extent_k / PI_E
-    return max(2, int(math.floor(math.sqrt(ratio))) + 1)
+    root = math.exp(_area_nats(extent_x, extent_k) / 2.0)  # sqrt(L_x*L_k/(pi*e)), with no product to overflow
+    lo, hi = max(1, int(root * (1.0 - 1e-6)) - 1), int(root * (1.0 + 1e-6)) + 2
+    while hi - lo > 1:  # the bound rises with n: it is positive at hi, and at no lo >= 2
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if per_dim_bound(extent_x / mid, extent_k / mid) > 0.0 else (mid, hi)
+    return hi
 
 
 def _blocks(obj, kinds: tuple[type, ...], name: str) -> tuple:
@@ -243,32 +248,24 @@ def _checked_blocks(
     return direction, base, pos_blocks, mom_blocks
 
 
-def _bound(direction: Direction, base: float, pos_blocks: tuple, mom_blocks: tuple, factor_a: int = 1, factor_b: int = 1) -> tuple:
-    """The dimension count, bound and bound terms of checked blocks with party A's windows merged in groups of ``factor_a`` and B's of ``factor_b``.
+def _bound(direction: Direction, base: float, pos_grids: Sequence, mom_grids: Sequence) -> tuple:
+    """The dimension count, bound and bound terms of checked blocks' grids, position grids first.
 
-    The factors must divide every window count of their party.  A merged
-    axis of ``n`` windows of width ``w`` has the width ``w * f`` and the
-    extent ``(n // f) * (w * f)`` that a coarse :class:`AxisGrid` computes.
-    Areas that leave the margin >= 0 on any data raise :class:`NumericalError`.
+    A sweep cell's grids are its blocks' :func:`grids._merged` ones.  Areas
+    that leave the margin >= 0 on any data raise :class:`NumericalError`.
     """
-    factors = {"A": factor_a, "B": factor_b}
-
-    def merged(blocks: tuple, party: Party) -> list[tuple[float, float]]:
-        f = factors[party]
-        return [(ax.n_windows // f * (ax.window_width * f), ax.window_width * f) for b in blocks for ax in b.grid.axes(party)]
-
-    # each party's ((L_x, width_x), (L_k, width_k)), dimension by dimension
-    axes = {party: list(zip(merged(pos_blocks, party), merged(mom_blocks, party))) for party in ("A", "B")}
+    # each party's (position axis, momentum axis) pairs, dimension by dimension
+    axes = {p: list(zip(*([ax for g in grids for ax in g.axes(p)] for grids in (pos_grids, mom_grids)))) for p in "AB"}
     n_dims = len(axes["A"])
 
     # each party's sum over dimensions of log(L_x*L_k/(pi*e)), in nats: on
     # any data the margin is at least minus the steered parties' largest sum
-    area_nats = {party: sum(_area_nats(lx, lk) for (lx, _), (lk, _) in pairs) for party, pairs in axes.items()}
+    area_nats = {party: sum(_area_nats(x.extent, k.extent) for x, k in pairs) for party, pairs in axes.items()}
     parties = _READS[direction][1]
     if max(area_nats[p] for p in parties) <= 0.0:
         pi_e = "pi*e" if n_dims == 1 else f"(pi*e)^{n_dims}"
         small = "; ".join(
-            f"party {p}'s viewing area L_x*L_k = {' * '.join(f'{lx * lk:.6g}' for (lx, _), (lk, _) in axes[p])} "
+            f"party {p}'s viewing area L_x*L_k = {' * '.join(f'{x.extent * k.extent:.6g}' for x, k in axes[p])} "
             f"is at most {pi_e} = {PI_E ** n_dims:.6g}"
             for p in parties
         )
@@ -279,7 +276,7 @@ def _bound(direction: Direction, base: float, pos_blocks: tuple, mom_blocks: tup
     if direction is Direction.SYMMETRIC:
         terms = [area_nats[party] / math.log(base) for party in parties]
         return n_dims, max(terms), tuple(terms)
-    terms = [per_dim_bound(wx, wk, base) for (_, wx), (_, wk) in axes[parties[0]]]
+    terms = [per_dim_bound(x.window_width, k.window_width, base) for x, k in axes[parties[0]]]
     return n_dims, sum(terms), tuple(terms)
 
 
@@ -293,10 +290,11 @@ def _kernel(
 ) -> _MarginKernel:
     """The kernel of checked blocks with party A's windows merged in groups of ``factor_a`` and B's of ``factor_b``: its :func:`_bound`, then its layout.
 
-    Each block's weights are summed over those groups, which keeps its
-    total, so the kernel has the bits of one built on ``downsample``'s blocks.
+    The bound reads the blocks' :func:`grids._merged` grids and their weights
+    are summed over the same groups, so the kernel has the bits of one built on ``downsample``'s blocks.
     """
-    n_dims, bound, terms = _bound(direction, base, pos_blocks, mom_blocks, factor_a, factor_b)
+    grids = [[_merged(b.grid, factor_a, factor_b) for b in blocks] for blocks in (pos_blocks, mom_blocks)]
+    n_dims, bound, terms = _bound(direction, base, *grids)
     blocks = (*pos_blocks, *mom_blocks)
     return _MarginKernel(
         direction=direction,

@@ -230,6 +230,15 @@ def test_resolution_curve_rejects_non_square_grid():
         resolution_curve(dist, mom)
 
 
+def _inv_window_product(pos, mom, f, direction):
+    """The product of 1 / (w_x * w_k) over the steered party's widths on downsample's grids, party B's for the symmetric witness."""
+    steered = "A" if direction is Direction.A_GIVEN_B else "B"
+    inv = 1.0
+    for wx, wk in zip(downsample(pos, f, f).grid.widths(steered), downsample(mom, f, f).grid.widths(steered)):
+        inv /= wx * wk
+    return inv
+
+
 @pytest.mark.parametrize("direction", list(Direction))
 def test_curve_rows_equal_evaluate_and_the_map_cell_bit_for_bit(direction):
     # counts are scored as counts at every resolution, as witness and map
@@ -245,6 +254,7 @@ def test_curve_rows_equal_evaluate_and_the_map_cell_bit_for_bit(direction):
         cell = asymmetry_map(pos, mom, [p.resolution], [p.resolution], direction=direction, n_boot=100).cells[0]
         assert (p.lhs, p.bound, p.margin) == (want.lhs, want.bound, want.margin)
         assert cell.result == want
+        assert p.inv_window_product == _inv_window_product(pos, mom, 8 // p.resolution, direction)
     exact = resolution_curve(state.position, state.momentum, direction=direction)
     assert [p.resolution for p in exact] == [2, 4, 8]
     for p in exact:
@@ -404,6 +414,7 @@ def test_full_joint_2d_sweeps_match_direct_evaluation(off_centre_2d, direction):
         f = 6 // p.resolution
         want = evaluate(downsample(pos, f, f), downsample(mom, f, f), direction=direction)
         assert (p.lhs, p.bound, p.margin) == (want.lhs, want.bound, want.margin)
+        assert p.inv_window_product == _inv_window_product(pos, mom, f, direction)
 
 
 def test_asymmetry_map_matrices_read_cells_in_row_major_order(sampled_12):

@@ -119,7 +119,47 @@ def test_min_resolution_is_threshold(lx, lk):
         return
     n = min_resolution(lx, lk)
     assert per_dim_bound(lx / n, lk / n) > 0.0
-    assert per_dim_bound(lx / (n - 1), lk / (n - 1)) <= 1e-12
+    assert per_dim_bound(lx / (n - 1), lk / (n - 1)) <= 0.0
+
+
+@pytest.mark.parametrize(
+    "lx, lk, n",
+    [
+        # L_x*L_k/(pi*e) rounds to exactly 4, so a square root of it says 3,
+        # yet the bound at 2 windows is +8.0e-17 bit
+        (23.53610302568196, 1.4513420872359775, 2),
+        # it rounds to just below 4, so a square root says 2, yet the bound
+        # at 2 windows is -1.6e-16 bit
+        (6.394382335349088, 5.342022903738274, 3),
+    ],
+)
+def test_min_resolution_resolves_ties_as_the_witness_bound_does(lx, lk, n):
+    assert min_resolution(lx, lk) == n
+    probs = np.full((2, 2), 0.25)
+    pos, mom = square_dist(probs, lx, Observable.POSITION), square_dist(probs, lk, Observable.MOMENTUM)
+    assert (evaluate(pos, mom).bound > 0.0) is (n == 2)
+    assert (per_dim_bound(lx / 2, lk / 2) > 0.0) is (n == 2)
+
+
+def test_min_resolution_is_the_bound_threshold_at_near_ties():
+    # extents whose product lies within an ulp of k^2 * pi*e, where a formula
+    # over the product and the bound's logarithms can round apart
+    rng = np.random.default_rng(3)
+    for k in range(2, 200):
+        for lx in np.exp(rng.uniform(-5.0, 8.0, 5)).tolist():
+            lk = k * k * PI_E / lx
+            for lk in (math.nextafter(lk, 0.0), lk, math.nextafter(lk, math.inf)):
+                n = min_resolution(lx, lk)
+                assert per_dim_bound(lx / n, lk / n) > 0.0, (lx, lk, n)
+                assert n == 2 or per_dim_bound(lx / (n - 1), lk / (n - 1)) <= 0.0, (lx, lk, n)
+
+
+@pytest.mark.parametrize("lx, lk", [(1e200, 1e200), (1e300, 1e10), (1.7e308, 1.7e308)])
+def test_min_resolution_of_an_area_past_the_float_range(lx, lk):
+    # L_x * L_k overflows a float; the count is found from the log-area
+    n = min_resolution(lx, lk)
+    assert per_dim_bound(lx / n, lk / n) > 0.0
+    assert per_dim_bound(lx / (n - 1), lk / (n - 1)) <= 0.0
 
 
 @given(
@@ -338,6 +378,20 @@ def test_independent_axis_blocks_match_product_joint():
     assert sum(from_blocks.bound_terms) == pytest.approx(
         from_blocks.bound, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_blocks_of_mixed_structure_have_the_bound_of_either(direction):
+    # a full-joint 2-D block beside two independent 1-D blocks pairs the
+    # observables' axes dimension by dimension, not block by block
+    pos_blocks, mom_blocks, pos_full, mom_full = two_axis_inputs()
+    full = evaluate(pos_full, mom_full, direction)
+    independent = evaluate(pos_blocks, mom_blocks, direction)
+    for pos, mom in ((pos_full, mom_blocks), (pos_blocks, mom_full)):
+        mixed = evaluate(pos, mom, direction)
+        assert mixed.mode == "independent-axes"
+        for want in (full, independent):
+            assert (mixed.n_dims, mixed.bound, mixed.bound_terms) == (want.n_dims, want.bound, want.bound_terms)
 
 
 def test_symmetric_blocks_match_product_joint():
