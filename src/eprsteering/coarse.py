@@ -24,7 +24,6 @@ from .grids import Histogram, JointDistribution, _check_int, _merged, _shown
 from .witness import _READS, Direction, WitnessResult, _block_sums, _bound, _checked_blocks, _kernel, _weights
 
 __all__ = [
-    "block_sum",
     "downsample",
     "CurvePoint",
     "resolution_curve",
@@ -42,29 +41,22 @@ def _divisor(value: int, size: int, what: str, minimum: int = 1) -> int:
     return value
 
 
-def block_sum(arr: np.ndarray, factors: Sequence[int]) -> np.ndarray:
-    """Aggregate an array over contiguous blocks, one factor per axis."""
-    arr = np.asarray(arr)
-    if len(factors) != arr.ndim:
-        raise UsageError(f"need {arr.ndim} factors for a rank-{arr.ndim} tensor, got {len(factors)}")
-    factors = [
-        _divisor(factor, size, f"downsampling factor of axis {axis}")
-        for axis, (size, factor) in enumerate(zip(arr.shape, factors))
-    ]
-    return _block_sums(arr, factors)
-
-
 def downsample(data: Histogram | JointDistribution, factor_a: int, factor_b: int):
     """Merge windows in groups of ``factor_a`` (party A) and ``factor_b`` (party B).
 
-    The factor applies to every axis of its party.  Returns the same type it
-    was given, on :func:`grids._merged`'s grid: the one a sweep cell reads.
+    The factor applies to every axis of its party and must divide it.
+    Returns the same type it was given, on :func:`grids._merged`'s grid: the
+    one a sweep cell reads.
     """
     if not isinstance(data, (Histogram, JointDistribution)):
         raise UsageError(f"downsample expects Histogram or JointDistribution, got {type(data).__name__}")
+    weights = _weights(data)
     n = data.grid.n_dims
-    coarse = block_sum(_weights(data), [factor_a] * n + [factor_b] * n)
-    return type(data)(coarse, _merged(data.grid, int(factor_a), int(factor_b)))
+    factors = [
+        _divisor(factor, size, f"downsampling factor of axis {axis}")
+        for axis, (size, factor) in enumerate(zip(weights.shape, [factor_a] * n + [factor_b] * n))
+    ]
+    return type(data)(_block_sums(weights, factors), _merged(data.grid, factors[0], factors[-1]))
 
 
 def _sweep_inputs(position, momentum, kinds: tuple[type, ...], direction: Direction, base: float) -> tuple[Direction, float, int]:
@@ -162,7 +154,7 @@ def resolution_curve(
 class MapCell:
     """One (party A resolution, party B resolution) cell of an asymmetry map.
 
-    ``result`` is the point estimate the cell's ``report`` was built with.
+    ``result`` is ``report.point``, the point estimate the report was built with.
     """
 
     resolution_a: int
@@ -192,7 +184,7 @@ class ResolutionSweep:
         return values.reshape(len(self.resolutions_a), len(self.resolutions_b))
 
     def margins(self) -> np.ndarray:
-        return self._matrix(lambda c: c.result.margin)
+        return self._matrix(lambda c: c.report.point.margin)
 
     def significances(self) -> np.ndarray:
         return self._matrix(lambda c: c.report.significance)

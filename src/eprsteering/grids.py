@@ -143,9 +143,6 @@ class AxisGrid:
     def edges(self) -> np.ndarray:
         return self.origin + self.window_width * np.arange(self.n_windows + 1)
 
-    def centers(self) -> np.ndarray:
-        return self.origin + self.window_width * (np.arange(self.n_windows) + 0.5)
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -265,10 +262,6 @@ class JointDistribution:
         probs = _checked_probs(np.array(self.probs, dtype=np.float64), self.grid.shape)
         probs.setflags(write=False)  # a fresh copy, so read-only in place
         object.__setattr__(self, "probs", probs)
-
-    @property
-    def n_dims(self) -> int:
-        return self.grid.n_dims
 
 
 @dataclass(frozen=True)

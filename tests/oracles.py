@@ -6,19 +6,21 @@ integrated per cell with the same 16-point Gauss-Legendre rule and passed
 through the same two-sided mass gate, plus the model's densities and the
 paper's windowed bound on the conditional differential entropy.  Beside
 it is the row-major entropy kernel that summed every group with one
-weighted ``np.bincount``, the bits the column-major kernel must keep.
+weighted ``np.bincount``, the bits the column-major kernel must keep, and
+the correlated separable states, the steering null that is not a product.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from eprsteering import GridSpec, JointDistribution, conditional_entropy
+from eprsteering import AxisGrid, GridSpec, JointDistribution, Observable, SyntheticState, conditional_entropy
 from eprsteering.entropy import ZERO_FLOOR, _plogp
-from eprsteering.spdc import STRICT_TAIL_TOL, DoubleGaussianParams, _cell_nodes, _windowed
+from eprsteering.spdc import STRICT_TAIL_TOL, DoubleGaussianParams, _cell_nodes, _exact_gaussian_cells, _windowed
 
 Density = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -130,3 +132,61 @@ def bincount_margins(kernel, weights: np.ndarray, totals: np.ndarray) -> tuple[n
         nats = h - h_given
     lhs = sum(nats.T / math.log(kernel.base))
     return lhs, (lhs - kernel.bound) if symmetric else (kernel.bound - lhs)
+
+
+@dataclass(frozen=True)
+class CorrelatedSeparable:
+    """A mixture of displaced product states: ``x_A = d + a*z1``, ``x_B = d + b*z2``, ``d ~ N(0, spread**2)``.
+
+    The momenta are independent, of variances ``1/(4 a**2)`` and
+    ``1/(4 b**2)``, so each mixture component is a minimum-uncertainty
+    product and the state steers in no direction, on any grid.  Its
+    correlations sit in position alone.
+    """
+
+    a: float
+    spread: float
+    b: float = 1.0
+
+    def covariance(self, observable: Observable) -> tuple[float, float, float]:
+        """``(var_A, var_B, cov)`` of the observable's bivariate normal."""
+        if Observable(observable) is Observable.POSITION:
+            d2 = self.spread**2
+            return self.a**2 + d2, self.b**2 + d2, d2
+        return 1.0 / (4.0 * self.a**2), 1.0 / (4.0 * self.b**2), 0.0
+
+    def sds(self, observable: Observable) -> tuple[float, float]:
+        """Each party's standard deviation of the observable, A first."""
+        var_a, var_b, _ = self.covariance(observable)
+        return math.sqrt(var_a), math.sqrt(var_b)
+
+    def continuum_margin(self) -> float:
+        """The B|A margin of the continuous state in bits, ``-1/2 log2(1 + a^2 D^2 / (b^2 (a^2 + D^2)))``, ``D`` the spread."""
+        a2, d2 = self.a**2, self.spread**2
+        return -0.5 * math.log2(1.0 + a2 * d2 / (self.b**2 * (a2 + d2)))
+
+
+def correlated_separable_state(
+    family: CorrelatedSeparable,
+    extents_x: tuple[float, float],
+    extents_k: tuple[float, float],
+    n_windows: int = 24,
+    tail_tol: float = STRICT_TAIL_TOL,
+) -> SyntheticState:
+    """``family`` windowed by the package's exact Gaussian route on centered grids of ``n_windows`` per party.
+
+    ``extents_x`` and ``extents_k`` are ``(party A, party B)``.  Each
+    observable is renormalized inside its viewing area, as
+    :func:`eprsteering.make_synthetic_state` does, and its clipped mass is
+    kept; ``tail_tol`` gates it.  ``sample_histograms`` can draw the result.
+    """
+    windowed = []
+    for observable, extents in ((Observable.POSITION, extents_x), (Observable.MOMENTUM, extents_k)):
+        axes = [AxisGrid.centered(n_windows, extent) for extent in extents]
+        grid = GridSpec(observable, (axes[0],), (axes[1],))
+        cells = _exact_gaussian_cells(*family.covariance(observable), axes[0].edges(), axes[1].edges())
+        windowed.append(_windowed(cells, grid, tail_tol))
+    (pos, clip_x), (mom, clip_k) = windowed
+    return SyntheticState(
+        params=family, position=pos, momentum=mom, clipped_position=clip_x, clipped_momentum=clip_k
+    )

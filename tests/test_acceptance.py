@@ -39,6 +39,7 @@ from eprsteering.spdc import (
     position_covariance,
 )
 from eprsteering.witness import PI_E
+from oracles import CorrelatedSeparable, correlated_separable_state
 
 EXTENT_X = 1.04e-3
 EXTENT_K = 1.00e5
@@ -391,6 +392,80 @@ def test_13_symmetric_boundary_null_never_fires(symmetric_boundary_null, record_
             report = witness_significance(pos, mom, direction=Direction.SYMMETRIC, n_boot=200, seed=seed)
             significances.append(report.significance)
     record_criterion("detail", f"max significance {max(significances):+.1f} sigma over 20 runs")
+    assert max(significances) < 3.0
+
+
+@pytest.fixture(scope="module")
+def correlated_separable_null():
+    """ROADMAP item 22's unclipped correlated separable state: a=0.05, D=0.5, b=1, every axis 12 of its party's sds."""
+    family = CorrelatedSeparable(a=0.05, spread=0.5, b=1.0)
+    extents_x, extents_k = (
+        tuple(12.0 * sd for sd in family.sds(obs)) for obs in (Observable.POSITION, Observable.MOMENTUM)
+    )
+    return correlated_separable_state(family, extents_x, extents_k)
+
+
+@pytest.fixture(scope="module")
+def clipped_separable_state():
+    """ROADMAP item 22's clipped state: a=0.1, D=3, b=1, position extent 12, momentum 8 of each party's sds."""
+    family = CorrelatedSeparable(a=0.1, spread=3.0, b=1.0)
+    extents_k = tuple(8.0 * sd for sd in family.sds(Observable.MOMENTUM))
+    return correlated_separable_state(family, (12.0, 12.0), extents_k, tail_tol=0.1)
+
+
+def test_correlated_separable_states_are_pinned(correlated_separable_null, clipped_separable_state, record_criterion):
+    # windowing only coarse-grains the unclipped state, so its exact margin
+    # sits below the continuum's; renormalizing inside a clipping aperture
+    # lifts the clipped one above zero, though the state steers in no direction
+    record_criterion("criterion", "correlated separable states: unclipped -0.0387 bit, clipped +0.0129 bit")
+    unclipped, clipped = correlated_separable_null, clipped_separable_state
+    margin = evaluate(unclipped.position, unclipped.momentum).margin
+    clipped_margin = evaluate(clipped.position, clipped.momentum).margin
+    record_criterion(
+        "detail",
+        f"unclipped {margin:+.6f} bit; clipped {clipped_margin:+.6f} bit at {clipped.clipped_position:.4f} "
+        "position mass clipped",
+    )
+    assert max(unclipped.clipped_position, unclipped.clipped_momentum) <= 1e-8
+    assert margin == pytest.approx(-0.0387, abs=5e-5)
+    assert margin < unclipped.params.continuum_margin() < 0.0
+    assert clipped.clipped_position == pytest.approx(0.0677, abs=5e-5)
+    assert clipped_margin == pytest.approx(0.0129, abs=5e-5)
+    assert clipped.params.continuum_margin() < 0.0 < clipped_margin
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the plug-in bootstrap certifies a correlated separable state at sparse counts",
+)
+def test_14_correlated_separable_state_never_fires(correlated_separable_null, record_criterion):
+    record_criterion(
+        "criterion", "correlated separable null test: exact margin -0.0387 bit, 24x24, B|A, 100 to 1e3 events"
+    )
+    significances = []
+    for total in (100, 300, 1_000):
+        for seed in range(20):
+            pos, mom = sample_histograms(correlated_separable_null, total=total, seed=seed)
+            report = witness_significance(pos, mom, n_boot=200, seed=seed)
+            significances.append(report.significance)
+    record_criterion("detail", f"max significance {max(significances):+.1f} sigma over 60 runs")
+    assert max(significances) < 3.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 22: renormalizing inside a clipping aperture gives a separable state a positive margin",
+)
+def test_15_clipped_separable_state_never_fires(clipped_separable_state, record_criterion):
+    record_criterion(
+        "criterion", "clipped separable null test: 6.8% of position clipped, 24x24, B|A, 2e6 events"
+    )
+    significances = []
+    for seed in range(15):
+        pos, mom = sample_histograms(clipped_separable_state, total=2_000_000, seed=seed)
+        report = witness_significance(pos, mom, n_boot=200, seed=seed)
+        significances.append(report.significance)
+    record_criterion("detail", f"max significance {max(significances):+.1f} sigma over 15 runs")
     assert max(significances) < 3.0
 
 

@@ -17,7 +17,6 @@ from eprsteering import (
     Observable,
     UsageError,
     asymmetry_map,
-    block_sum,
     downsample,
     evaluate,
     make_synthetic_state,
@@ -42,32 +41,6 @@ CURVE_MARGINS = {
 def square_grid(n, width, observable=Observable.POSITION):
     ax = AxisGrid.centered(n, n * width)
     return GridSpec(observable, (ax,), (ax,))
-
-
-# ---------------------------------------------------------------- block_sum
-
-
-def test_block_sum_manual_case():
-    arr = np.arange(16, dtype=np.float64).reshape(4, 4)
-    out = block_sum(arr, (2, 2))
-    expected = np.array([[0 + 1 + 4 + 5, 2 + 3 + 6 + 7], [8 + 9 + 12 + 13, 10 + 11 + 14 + 15]])
-    np.testing.assert_array_equal(out, expected)
-
-
-def test_block_sum_identity_factor():
-    arr = np.arange(6, dtype=np.float64).reshape(2, 3)
-    np.testing.assert_array_equal(block_sum(arr, (1, 1)), arr)
-
-
-def test_block_sum_rejects_non_divisor():
-    arr = np.zeros((4, 6))
-    with pytest.raises(NonDivisibleFactorError):
-        block_sum(arr, (3, 2))
-
-
-def test_block_sum_rejects_wrong_rank():
-    with pytest.raises(UsageError):
-        block_sum(np.zeros((4, 4)), (2,))
 
 
 # --------------------------------------------------------------- downsample
@@ -112,11 +85,36 @@ def test_downsample_distribution_stays_normalized():
     assert coarse.probs.sum() == pytest.approx(1.0, abs=1e-14)
 
 
-def test_downsample_rejects_non_divisor_factor():
-    grid = square_grid(4, 1.0)
-    hist = Histogram(np.ones((4, 4), dtype=np.int64), grid)
-    with pytest.raises(NonDivisibleFactorError):
-        downsample(hist, 3, 1)
+def test_downsample_sums_contiguous_blocks():
+    counts = np.arange(16, dtype=np.int64).reshape(4, 4)
+    coarse = downsample(Histogram(counts, square_grid(4, 1.0)), 2, 2)
+    expected = [[0 + 1 + 4 + 5, 2 + 3 + 6 + 7], [8 + 9 + 12 + 13, 10 + 11 + 14 + 15]]
+    np.testing.assert_array_equal(coarse.counts.counts, expected)
+
+
+def test_downsample_identity_factor_keeps_the_counts():
+    grid = GridSpec(Observable.POSITION, (AxisGrid(2, 1.0),), (AxisGrid(3, 1.0),))
+    counts = np.arange(6, dtype=np.int64).reshape(2, 3)
+    np.testing.assert_array_equal(downsample(Histogram(counts, grid), 1, 1).counts.counts, counts)
+
+
+@pytest.mark.parametrize(
+    ("axes", "factors", "message"),
+    [
+        ((4, 6), (3, 2), "downsampling factor of axis 0 must divide 4, got 3"),
+        ((4, 6), (2, 4), "downsampling factor of axis 1 must divide 6, got 4"),
+        ((4, 6, 6, 4), (2, 3), "downsampling factor of axis 3 must divide 4, got 3"),
+        ((4, 6, 6, 4), (4, 2), "downsampling factor of axis 1 must divide 6, got 4"),
+    ],
+)
+def test_downsample_rejects_a_factor_that_does_not_divide_its_party(axes, factors, message):
+    n = len(axes) // 2
+    grid = GridSpec(
+        Observable.POSITION, tuple(AxisGrid(k, 1.0) for k in axes[:n]), tuple(AxisGrid(k, 1.0) for k in axes[n:])
+    )
+    hist = Histogram(np.ones(axes, dtype=np.int64), grid)
+    with pytest.raises(NonDivisibleFactorError, match=f"^{message}$"):
+        downsample(hist, *factors)
 
 
 def test_downsample_commutes_with_normalization():

@@ -34,11 +34,10 @@ def square_grid(n: int, width: float, observable=Observable.POSITION) -> GridSpe
 # ---------------------------------------------------------------- AxisGrid
 
 
-def test_axis_grid_edges_and_centers():
+def test_axis_grid_edges():
     ax = AxisGrid(n_windows=4, window_width=0.5, origin=-1.0)
     assert ax.extent == pytest.approx(2.0)
     np.testing.assert_allclose(ax.edges(), [-1.0, -0.5, 0.0, 0.5, 1.0])
-    np.testing.assert_allclose(ax.centers(), [-0.75, -0.25, 0.25, 0.75])
 
 
 def test_axis_grid_centered_symmetric():

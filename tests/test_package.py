@@ -45,7 +45,6 @@ PUBLIC_NAMES = {
     "ZeroTotalError",
     "__version__",
     "asymmetry_map",
-    "block_sum",
     "conditional_entropy",
     "conditional_variance",
     "config_hash",
@@ -86,7 +85,7 @@ PUBLIC_NAMES = {
 
 def test_public_names_are_pinned():
     assert set(eprsteering.__all__) == PUBLIC_NAMES
-    assert len(eprsteering.__all__) == len(PUBLIC_NAMES) == 71
+    assert len(eprsteering.__all__) == len(PUBLIC_NAMES) == 70
     for name in eprsteering.__all__:
         assert hasattr(eprsteering, name), name
 
