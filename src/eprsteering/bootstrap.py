@@ -31,11 +31,11 @@ fixed by its 128-bit key, and ``replicate_rng`` takes that key from
 ``SeedSequence(key).generate_state(2, np.uint64)``; ``_philox_keys`` computes
 the same hash for a whole chunk of replicates in one pass of uint32
 arithmetic, and each replicate is drawn by resetting one ``Philox`` to the
-fresh state of its key.  Each thread makes that ``Philox`` once and reuses it
-in every call: a Philox stream depends only on its key, and every reset
-sets the whole state, so no call reads what another left.  The streams, and
-so every draw, are those of ``replicate_rng``, which stays the definition of
-the stream.  numpy's Poisson draw is the floor of a replicate's time under
+fresh state of its key.  Each draw call makes its own ``Philox``, and no
+state outlives the call: a Philox stream depends only on its key, and every
+reset sets the whole state, so no row reads what another left.  The streams,
+and so every draw, are those of ``replicate_rng``, which stays the definition
+of the stream.  numpy's Poisson draw is the floor of a replicate's time under
 this contract; it is not worked around with a private numpy API.
 
 The contract rests on four facts of the installed numpy: ``_philox_keys``
@@ -46,9 +46,8 @@ equal the array draw.  ``eprsteer selftest`` checks each.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -103,12 +102,17 @@ def _check_seed(seed) -> int:
     return _check_int(seed, "seed", 0)
 
 
+def _check_range(value, name: str, minimum: int, maximum: int) -> int:
+    """``value`` as an integer from ``minimum`` to ``maximum``; bools, floats and strings are refused."""
+    value = _check_int(value, name, minimum)
+    if value > maximum:
+        raise UsageError(f"{name} must be <= {maximum}, got {_shown(value)}")
+    return value
+
+
 def _check_n_boot(n_boot) -> int:
     """The replicate count rule: an integer from ``MIN_REPLICATES`` to ``MAX_REPLICATES``."""
-    n_boot = _check_int(n_boot, "n_boot", MIN_REPLICATES)
-    if n_boot > MAX_REPLICATES:
-        raise UsageError(f"n_boot must be <= {MAX_REPLICATES}, got {_shown(n_boot)}")
-    return n_boot
+    return _check_range(n_boot, "n_boot", MIN_REPLICATES, MAX_REPLICATES)
 
 
 def _seed_key(seed: SeedLike) -> tuple[int, ...]:
@@ -136,8 +140,13 @@ def _keyed_rng(key: tuple[int, ...]) -> np.random.Generator:
 
 
 def replicate_rng(seed: SeedLike, index: int, attempt: int = 0) -> np.random.Generator:
-    """Independent generator for one bootstrap replicate; ``index`` and ``attempt`` are integers >= 0."""
-    return _keyed_rng(_seed_key(seed) + (_check_int(index, "index", 0), _check_int(attempt, "attempt", 0)))
+    """Independent generator for one bootstrap replicate; ``index`` and ``attempt`` are integers from 0 to 2**32 - 1.
+
+    Each is one 32-bit ``SeedSequence`` word: ``SeedSequence`` splits a
+    larger one into two, which would draw the stream of another key.
+    """
+    words = (_check_range(index, "index", 0, _MASK32), _check_range(attempt, "attempt", 0, _MASK32))
+    return _keyed_rng(_seed_key(seed) + words)
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -230,40 +239,28 @@ def poisson_resample(counts: CountTensor, rng: np.random.Generator) -> CountTens
     return CountTensor(rng.poisson(lam=_check_poisson_means(counts.counts)))
 
 
-#: Each thread's reused ``(Philox, its Generator's poisson, a fresh state)``, made by its first draw.
-_THREAD_PHILOX = threading.local()
+def _draw(lam: np.ndarray, philox_keys: list[list[int]], rows: list[int], out: np.ndarray) -> None:
+    """``out[r] = rng.poisson(lam)`` on the Philox stream of each key, row by row.
 
-
-def _philox_drawer(lam: np.ndarray) -> Callable[[list[list[int]], list[int], np.ndarray], None]:
-    """``draw(philox_keys, rows, out)``: ``out[r] = rng.poisson(lam)`` on the Philox stream of each key, row by row.
-
-    Each thread reuses one ``Philox``, made on its first draw: each row
-    sets the new key on a fresh generator's state (counter 0, empty
-    buffer), the state ``replicate_rng`` starts from, held as Python ints,
-    which the state setter reads faster than numpy scalars.  The whole
-    state is set, so no row reads what an earlier one left.  A ``lam`` of
-    at most ``_SCALAR_DRAW_COLUMNS`` means is drawn one scalar call per
-    mean, in order.
+    Each call makes its own ``Philox``: each row sets its key on the fresh
+    state of a new generator (counter 0, empty buffer), the state
+    ``replicate_rng`` starts from, held as Python ints, which the state
+    setter reads faster than numpy scalars.  The whole state is set, so no
+    row reads what an earlier one left.  A ``lam`` of at most
+    ``_SCALAR_DRAW_COLUMNS`` means is drawn one scalar call per mean, in
+    order.
     """
-    try:
-        bitgen, poisson, state = _THREAD_PHILOX.drawer
-    except AttributeError:
-        bitgen = np.random.Philox(0)
-        poisson = np.random.Generator(bitgen).poisson
-        state = bitgen.state
-        state["state"]["counter"] = state["state"]["counter"].tolist()
-        state["buffer"] = state["buffer"].tolist()
-        _THREAD_PHILOX.drawer = bitgen, poisson, state
+    bitgen = np.random.Philox(0)
+    poisson = np.random.Generator(bitgen).poisson
+    state = bitgen.state
     philox = state["state"]
+    philox["counter"] = philox["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
     means = lam.tolist() if lam.size <= _SCALAR_DRAW_COLUMNS else None
-
-    def draw(philox_keys: list[list[int]], rows: list[int], out: np.ndarray) -> None:
-        for r, philox_key in zip(rows, philox_keys):
-            philox["key"] = philox_key
-            bitgen.state = state
-            out[r] = poisson(lam) if means is None else list(map(poisson, means))
-
-    return draw
+    for r, philox_key in zip(rows, philox_keys):
+        philox["key"] = philox_key
+        bitgen.state = state
+        out[r] = poisson(lam) if means is None else list(map(poisson, means))
 
 
 @dataclass(frozen=True)
@@ -292,9 +289,9 @@ def _replicate_margins(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int)
     """The witness on the observed counts, the margin of every replicate, and the number of draws rejected as empty.
 
     Each draw comes from the stream of ``replicate_rng(key, replicate,
-    attempt)``, set by resetting the thread's reused ``Philox``, and covers
-    the columns of ``kernel.layout``: each block's non-zero observed cells,
-    blocks in order.  Draws fill the columns of a chunk of at most
+    attempt)``, set on the ``Philox`` that each ``_draw`` call makes, and
+    covers the columns of ``kernel.layout``: each block's non-zero observed
+    cells, blocks in order.  Draws fill the columns of a chunk of at most
     ``_CHUNK_BYTES``; one ``np.add.reduceat`` per attempt gives each block's
     event total, which finds the empty blocks to redraw and is the ``N`` the
     kernel scores the drawn counts with, undivided, in one call per chunk.
@@ -318,7 +315,6 @@ def _replicate_margins(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int)
     scratch = memory[lam.size * (1 + rows) :]
     totals_buf = np.empty((len(layout.edges) - 1, 1 + rows))
     totals_buf[:, 0] = layout.totals
-    draw = _philox_drawer(lam)
 
     margins = np.empty(n_boot)
     rejected = 0
@@ -329,7 +325,7 @@ def _replicate_margins(kernel: _MarginKernel, key: tuple[int, ...], n_boot: int)
         chunk, totals = buf[:, 1:], totals_buf[:, 1 : 1 + n]
         pending = np.arange(n)
         for attempt in range(_MAX_REDRAWS):
-            draw(_philox_keys(key, start + pending, attempt).tolist(), pending.tolist(), chunk.T)
+            _draw(lam, _philox_keys(key, start + pending, attempt).tolist(), pending.tolist(), chunk.T)
             np.add.reduceat(chunk, layout.edges[:-1], axis=0, out=totals)
             pending = pending[(totals[:, pending] == 0).any(axis=0)]
             if not pending.size:

@@ -65,6 +65,8 @@ def _check_int(value, name: str, minimum: int = 1) -> int:
 def _real(value, name: str) -> float:
     """``value`` as a float, an infinity if it is past the float range; :class:`UsageError` if it is no number."""
     try:
+        if isinstance(value, (str, bytes, bytearray, bool, np.bool_)):
+            raise TypeError  # ``float`` reads text and bools, but they are no number
         return float(value)
     except (TypeError, ValueError):
         raise UsageError(f"{name} must be a real number, got {type(value).__name__}") from None

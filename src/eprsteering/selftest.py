@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import _SCALAR_DRAW_COLUMNS, _check_seed, _philox_drawer, _philox_keys, replicate_rng
+from .bootstrap import _SCALAR_DRAW_COLUMNS, _check_seed, _draw, _philox_keys, replicate_rng
 from .bootstrap import witness_significance
 from .coarse import downsample
 from .entropy import conditional_entropy, entropy, mutual_information
@@ -111,8 +111,8 @@ def _check_philox_keys(rng: np.random.Generator) -> str:
     return f"{index.size} replicate keys equal SeedSequence's hash, on a seed past 2^32"
 
 
-def _drawn_like_replicate_rng(rng: np.random.Generator, columns: int, fault: str, one_drawer: bool) -> int:
-    """Rows of ``columns`` means drawn by ``_philox_drawer``, one drawer or one per row, checked on ``replicate_rng``."""
+def _drawn_like_replicate_rng(rng: np.random.Generator, columns: int, fault: str, one_call: bool) -> int:
+    """Rows of ``columns`` means drawn by ``_draw``, in one call or one per row, checked on ``replicate_rng``."""
     # means on both sides of 10, where numpy switches Poisson samplers
     lam = 0.5 + rng.exponential(20.0, size=columns)
     seed = int(rng.integers(2**63))
@@ -120,8 +120,8 @@ def _drawn_like_replicate_rng(rng: np.random.Generator, columns: int, fault: str
     streams = [replicate_rng(seed, index) for index in indices]
     keys = [s.bit_generator.state["state"]["key"].tolist() for s in streams]
     got = np.empty((len(indices), lam.size))
-    for rows in [range(len(keys))] if one_drawer else [[r] for r in range(len(keys))]:
-        _philox_drawer(lam)([keys[r] for r in rows], rows, got)
+    for rows in [range(len(keys))] if one_call else [[r] for r in range(len(keys))]:
+        _draw(lam, [keys[r] for r in rows], rows, got)
     for index, stream, row in zip(indices, streams, got):
         _require(np.array_equal(row, stream.poisson(lam)), f"replicate {index}: {fault}")
     return len(indices)
@@ -134,7 +134,7 @@ def _check_philox_reset(rng: np.random.Generator) -> str:
 
 
 def _check_poisson_scalar_draws(rng: np.random.Generator) -> str:
-    # one drawer call per row, so that no reset between rows of a call is under test
+    # one _draw call per row, so that no reset between rows of a call is under test
     drawn = _drawn_like_replicate_rng(rng, _SCALAR_DRAW_COLUMNS, "scalar draws differ from the array draw", False)
     return f"{drawn} rows of {_SCALAR_DRAW_COLUMNS} scalar draws equal the array draws"
 

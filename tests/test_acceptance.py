@@ -395,14 +395,30 @@ def test_13_symmetric_boundary_null_never_fires(symmetric_boundary_null, record_
     assert max(significances) < 3.0
 
 
-@pytest.fixture(scope="module")
-def correlated_separable_null():
-    """ROADMAP item 22's unclipped correlated separable state: a=0.05, D=0.5, b=1, every axis 12 of its party's sds."""
-    family = CorrelatedSeparable(a=0.05, spread=0.5, b=1.0)
+def _unclipped_separable(family, sds, **kwargs):
+    """``family`` with every axis ``sds`` of its party's standard deviations wide."""
     extents_x, extents_k = (
-        tuple(12.0 * sd for sd in family.sds(obs)) for obs in (Observable.POSITION, Observable.MOMENTUM)
+        tuple(sds * sd for sd in family.sds(obs)) for obs in (Observable.POSITION, Observable.MOMENTUM)
     )
-    return correlated_separable_state(family, extents_x, extents_k)
+    return correlated_separable_state(family, extents_x, extents_k, **kwargs)
+
+
+#: ROADMAP item 22's unclipped correlated separable states, each with its exact B|A margin in bits and the
+#: mass clipped from each observable.
+UNCLIPPED_SEPARABLE = {
+    "D=0.5": (lambda: _unclipped_separable(CorrelatedSeparable(a=0.05, spread=0.5, b=1.0), 12.0), -0.0387, 3.9e-9),
+    "D=1": (
+        lambda: _unclipped_separable(CorrelatedSeparable(a=0.05, spread=1.0, b=1.0), 10.0, tail_tol=1e-3),
+        -0.0425,
+        1.1e-6,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def correlated_separable_nulls():
+    """Each of ``UNCLIPPED_SEPARABLE``'s states: a=0.05, b=1, D=0.5 at 12 sds per axis, D=1 at 10 sds."""
+    return {name: make() for name, (make, _, _) in UNCLIPPED_SEPARABLE.items()}
 
 
 @pytest.fixture(scope="module")
@@ -413,22 +429,27 @@ def clipped_separable_state():
     return correlated_separable_state(family, (12.0, 12.0), extents_k, tail_tol=0.1)
 
 
-def test_correlated_separable_states_are_pinned(correlated_separable_null, clipped_separable_state, record_criterion):
-    # windowing only coarse-grains the unclipped state, so its exact margin
+def test_correlated_separable_states_are_pinned(correlated_separable_nulls, clipped_separable_state, record_criterion):
+    # windowing only coarse-grains an unclipped state, so its exact margin
     # sits below the continuum's; renormalizing inside a clipping aperture
     # lifts the clipped one above zero, though the state steers in no direction
-    record_criterion("criterion", "correlated separable states: unclipped -0.0387 bit, clipped +0.0129 bit")
-    unclipped, clipped = correlated_separable_null, clipped_separable_state
-    margin = evaluate(unclipped.position, unclipped.momentum).margin
+    record_criterion(
+        "criterion", "correlated separable states: unclipped -0.0387 and -0.0425 bit, clipped +0.0129 bit"
+    )
+    clipped = clipped_separable_state
+    margins = {name: evaluate(s.position, s.momentum).margin for name, s in correlated_separable_nulls.items()}
     clipped_margin = evaluate(clipped.position, clipped.momentum).margin
+    unclipped = "; ".join(f"{name} {margin:+.6f} bit" for name, margin in margins.items())
     record_criterion(
         "detail",
-        f"unclipped {margin:+.6f} bit; clipped {clipped_margin:+.6f} bit at {clipped.clipped_position:.4f} "
+        f"unclipped {unclipped}; clipped {clipped_margin:+.6f} bit at {clipped.clipped_position:.4f} "
         "position mass clipped",
     )
-    assert max(unclipped.clipped_position, unclipped.clipped_momentum) <= 1e-8
-    assert margin == pytest.approx(-0.0387, abs=5e-5)
-    assert margin < unclipped.params.continuum_margin() < 0.0
+    for name, (_, margin, clipped_mass) in UNCLIPPED_SEPARABLE.items():
+        state = correlated_separable_nulls[name]
+        assert (state.clipped_position, state.clipped_momentum) == pytest.approx((clipped_mass, clipped_mass), rel=0.05)
+        assert margins[name] == pytest.approx(margin, abs=5e-5)
+        assert margins[name] < state.params.continuum_margin() < 0.0
     assert clipped.clipped_position == pytest.approx(0.0677, abs=5e-5)
     assert clipped_margin == pytest.approx(0.0129, abs=5e-5)
     assert clipped.params.continuum_margin() < 0.0 < clipped_margin
@@ -438,14 +459,17 @@ def test_correlated_separable_states_are_pinned(correlated_separable_null, clipp
     strict=True,
     reason="ROADMAP item 3: the plug-in bootstrap certifies a correlated separable state at sparse counts",
 )
-def test_14_correlated_separable_state_never_fires(correlated_separable_null, record_criterion):
+@pytest.mark.parametrize("name", sorted(UNCLIPPED_SEPARABLE))
+def test_14_correlated_separable_state_never_fires(correlated_separable_nulls, name, record_criterion):
     record_criterion(
-        "criterion", "correlated separable null test: exact margin -0.0387 bit, 24x24, B|A, 100 to 1e3 events"
+        "criterion",
+        f"correlated separable null test ({name}): exact margin {UNCLIPPED_SEPARABLE[name][1]:+.4f} bit, 24x24, B|A, "
+        "100 to 1e3 events",
     )
     significances = []
     for total in (100, 300, 1_000):
         for seed in range(20):
-            pos, mom = sample_histograms(correlated_separable_null, total=total, seed=seed)
+            pos, mom = sample_histograms(correlated_separable_nulls[name], total=total, seed=seed)
             report = witness_significance(pos, mom, n_boot=200, seed=seed)
             significances.append(report.significance)
     record_criterion("detail", f"max significance {max(significances):+.1f} sigma over 60 runs")

@@ -231,6 +231,24 @@ def test_replicate_rng_refuses_a_bad_index_or_attempt(index, attempt, message):
 
 
 @pytest.mark.parametrize(
+    "args, alias, message",
+    [
+        ((0, 2**32 + 5, 0), ((0, 5), 1), "index must be <= 4294967295, got 4294967301"),
+        ((0, 7, 2**32), ((0, 7), 0, 1), "attempt must be <= 4294967295, got 4294967296"),
+    ],
+    ids=["index", "attempt"],
+)
+def test_replicate_rng_refuses_an_index_or_attempt_past_one_word(args, alias, message):
+    # SeedSequence splits 2**32 + 5 into the words 5 and 1, so such an index
+    # or attempt used to draw the stream of another replicate's key
+    split = np.random.SeedSequence(args).generate_state(2, np.uint64)
+    np.testing.assert_array_equal(split, replicate_rng(*alias).bit_generator.state["state"]["key"])
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        replicate_rng(*args)
+    replicate_rng(0, 2**32 - 1, 2**32 - 1)  # the largest one-word values still key a stream
+
+
+@pytest.mark.parametrize(
     "seed", [(0,), (5,), (2**40 + 3,), (2**64 - 1,), (3, 1), (0, 8, 24), (2**33, 7, 2**64 - 1, 0, 9)]
 )
 @pytest.mark.parametrize("attempt", [0, 1, 999])
@@ -253,7 +271,7 @@ def test_philox_keys_match_seed_sequence(seed, attempt):
 @pytest.mark.parametrize("low, high", [(0.5, 9.5), (10.0, 400.0), (0.5, 40.0)], ids=["below-10", "from-10", "mixed"])
 @pytest.mark.parametrize("attempt, rows", [(0, [0, 1, 2, 3]), (3, [1, 3])], ids=["draw", "redraw"])
 def test_drawer_matches_replicate_rng_row_by_row(columns, low, high, attempt, rows):
-    # up to _SCALAR_DRAW_COLUMNS means the drawer makes one scalar call per
+    # up to _SCALAR_DRAW_COLUMNS means _draw makes one scalar call per
     # mean, past it one array call; either way each row it writes is the
     # array draw of its replicate's stream, with numpy's multiplication
     # sampler (means below 10), its rejection sampler (10 and up) or both,
@@ -262,7 +280,7 @@ def test_drawer_matches_replicate_rng_row_by_row(columns, low, high, attempt, ro
     lam[0] = low
     key, index = (7, 2**40 + 3), np.array([0, 5, 99, 2**32 - 1])[rows]
     out = np.full((4, columns), -1.0)
-    bootstrap._philox_drawer(lam)(_philox_keys(key, index, attempt).tolist(), rows, out)
+    bootstrap._draw(lam, _philox_keys(key, index, attempt).tolist(), rows, out)
     for r, i in zip(rows, index.tolist()):
         np.testing.assert_array_equal(out[r], replicate_rng(key, i, attempt).poisson(lam))
     untouched = np.setdiff1d(np.arange(4), rows)
@@ -271,8 +289,8 @@ def test_drawer_matches_replicate_rng_row_by_row(columns, low, high, attempt, ro
 
 @pytest.mark.parametrize("factor", [1, 8], ids=["array-draws", "scalar-draws"])
 def test_threads_draw_the_reports_of_serial_calls(sampled_default, factor):
-    # each thread draws on its own reused Philox: two threads at once must
-    # give every report that one thread gives, seed by seed
+    # each draw call makes its own Philox: two threads at once must give
+    # every report that one thread gives, seed by seed
     pos, mom = (downsample(h, factor, factor) for h in sampled_default)
     seeds = range(8)
     serial = [witness_significance(pos, mom, n_boot=200, seed=s) for s in seeds]
@@ -549,7 +567,7 @@ def test_sparse_rejections_in_small_chunks_match_per_replicate_loop(monkeypatch)
 
 
 def test_sparse_rejections_match_per_replicate_loop():
-    # four columns: the redraws of empty blocks take the drawer's scalar path
+    # four columns: the redraws of empty blocks take _draw's scalar path
     counts = np.array([[1, 0], [0, 1]], dtype=np.int64)
     pos, mom = tiny_pair(counts)
     assert support_size([pos, mom]) <= bootstrap._SCALAR_DRAW_COLUMNS

@@ -41,7 +41,7 @@ from eprsteering import (
 )
 from eprsteering import bootstrap, cli, selftest
 from eprsteering import io as ep_io
-from eprsteering.bootstrap import _philox_drawer, _philox_keys, replicate_rng
+from eprsteering.bootstrap import _draw, _philox_keys, replicate_rng
 from eprsteering.cli import main
 from eprsteering.coarse import resolution_curve
 
@@ -675,32 +675,24 @@ def _flipped_keys(seed, index, attempt):
     return keys
 
 
-def _stale_drawer(lam):
+def _stale_draw(lam, philox_keys, rows, out):
     # sets each key on the live state, so the counter and buffer carry over
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
-
-    def draw(philox_keys, rows, out):
-        for r, philox_key in zip(rows, philox_keys):
-            state = bitgen.state
-            state["state"]["key"] = philox_key
-            bitgen.state = state
-            out[r] = rng.poisson(lam)
-
-    return draw
+    for r, philox_key in zip(rows, philox_keys):
+        state = bitgen.state
+        state["state"]["key"] = philox_key
+        bitgen.state = state
+        out[r] = rng.poisson(lam)
 
 
-def _reversed_scalar_drawer(lam):
+def _reversed_scalar_draw(lam, philox_keys, rows, out):
     # a small layout's scalar calls read the stream last mean first
     if lam.size > bootstrap._SCALAR_DRAW_COLUMNS:
-        return _philox_drawer(lam)
-    draw = _philox_drawer(lam[::-1].copy())
-
-    def reversed_draw(philox_keys, rows, out):
-        draw(philox_keys, rows, out)
+        _draw(lam, philox_keys, rows, out)
+    else:
+        _draw(lam[::-1].copy(), philox_keys, rows, out)
         out[rows] = out[rows, ::-1]
-
-    return reversed_draw
 
 
 class _ZeroMeanReader(np.random.Generator):
@@ -716,8 +708,8 @@ class _ZeroMeanReader(np.random.Generator):
     "name, fault, check",
     [
         ("_philox_keys", _flipped_keys, "philox-key-hash"),
-        ("_philox_drawer", _stale_drawer, "philox-key-reset"),
-        ("_philox_drawer", _reversed_scalar_drawer, "poisson-scalar-draws"),
+        ("_draw", _stale_draw, "philox-key-reset"),
+        ("_draw", _reversed_scalar_draw, "poisson-scalar-draws"),
         ("replicate_rng", lambda *key: _ZeroMeanReader(replicate_rng(*key).bit_generator), "poisson-zero-means"),
     ],
 )

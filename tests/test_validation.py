@@ -35,6 +35,8 @@ from eprsteering import (
     entropy,
     evaluate,
     make_synthetic_state,
+    min_resolution,
+    per_dim_bound,
     resolution_curve,
     sample_histograms,
     save_histogram,
@@ -159,6 +161,27 @@ def test_a_huge_integer_is_refused_without_echoing_its_digits(small_state, call,
         call(small_state)
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+NOT_A_NUMBER = {
+    "per_dim_bound": ("width_x", lambda s, v: per_dim_bound(v, 1.0)),
+    "AxisGrid window_width": ("window_width", lambda s, v: AxisGrid(2, v)),
+    "AxisGrid origin": ("origin", lambda s, v: AxisGrid(2, 1.0, v)),
+    "AxisGrid.centered": ("extent", lambda s, v: AxisGrid.centered(2, v)),
+    "min_resolution": ("extent_x", lambda s, v: min_resolution(v, 10.0)),
+    "DoubleGaussianParams": ("sigma_plus", lambda s, v: DoubleGaussianParams(v, 1.0)),
+    "evaluate": ("log base", lambda s, v: evaluate(*s[1], base=v)),
+    "sample_histograms": ("total", lambda s, v: sample_histograms(s[0], total=v)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NOT_A_NUMBER))
+@pytest.mark.parametrize("value, kind", [("1", "str"), (b"1", "bytes"), (True, "bool")], ids=repr)
+def test_text_and_bools_are_no_real_number(small_state, entry, value, kind):
+    # float() reads "1", b"1" and True, which used to pass as the number 1
+    name, call = NOT_A_NUMBER[entry]
+    with pytest.raises(UsageError, match=f"^{name} must be a real number, got {kind}$"):
+        call(small_state, value)
 
 
 def test_the_replicate_ceiling_is_two_to_the_32():
