@@ -11,10 +11,7 @@ observed counts of the position blocks, then the momentum blocks,
 concatenated in the order given.  This is the same stream as one call per
 block over every cell in that order: numpy's Poisson sampler returns 0 for
 a zero mean without reading the stream, so leaving the zero cells out skips
-no variate, and they stay 0 in every replicate.  Up to
-``_SCALAR_DRAW_COLUMNS`` cells are drawn one scalar call per cell instead:
-the array call runs the same sampler once per cell in order, so the draws
-are the same, and a draw that small skips the array call's fixed cost.
+no variate, and they stay 0 in every replicate.
 
 A replicate keeps one layout from draw to score: each block's non-zero
 observed cells, the columns of the witness module's margin kernel.  The
@@ -38,10 +35,9 @@ and so every draw, are those of ``replicate_rng``, which stays the definition
 of the stream.  numpy's Poisson draw is the floor of a replicate's time under
 this contract; it is not worked around with a private numpy API.
 
-The contract rests on four facts of the installed numpy: ``_philox_keys``
+The contract rests on three facts of the installed numpy: ``_philox_keys``
 reproduces ``SeedSequence``'s hash, a reset Philox starts the keyed stream,
-a zero Poisson mean reads no stream, and scalar Poisson draws, cell by cell,
-equal the array draw.  ``eprsteer selftest`` checks each.
+and a zero Poisson mean reads no stream.  ``eprsteer selftest`` checks each.
 """
 
 from __future__ import annotations
@@ -80,11 +76,6 @@ ROUNDOFF_SPREAD = 1e-12
 
 #: Bytes of replicate counts scored per kernel call; a chunk holds at least one replicate.
 _CHUNK_BYTES = 4 << 20
-
-#: Draws of at most this many means make one scalar ``rng.poisson`` call per mean.  Per row, key reset
-#: included (2 vCPU, numpy 2.4.6, min of 15 x 500 rows), one array call costs ~7.6 + 0.045 us per mean
-#: (7.8 us at 8 means, 8.4 us at 20), scalar calls ~1.0 + 0.46 us (4.7 us at 8, 10.3 us at 20): equal at ~16.
-_SCALAR_DRAW_COLUMNS = 16
 
 #: Largest mean ``Generator.poisson`` accepts: int64 max minus ten of its square roots.
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
@@ -132,9 +123,10 @@ def _keyed_rng(key: tuple[int, ...]) -> np.random.Generator:
 
     Keys of two integers, ``(seed, observable)``, are the sampling streams of
     ``spdc.sample_histograms``; replicate keys ``(seed..., replicate,
-    attempt)`` have three or more.  ``SeedSequence`` hashes 32-bit words,
-    so the two families never share a stream while every seed is below
-    2**32: ``(5 * 2**32 + 7, 0)`` is the key ``(7, 5, 0)``.
+    attempt)`` have three or more.  The two families still share streams:
+    ``SeedSequence`` hashes 32-bit words and pads a key shorter than four
+    with zeros, so ``(seed, 0)`` is the key ``(seed, 0, 0)`` at every seed,
+    and ``(5 * 2**32 + 7, 0)`` is the key ``(7, 5, 0)``.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
@@ -246,9 +238,7 @@ def _draw(lam: np.ndarray, philox_keys: list[list[int]], rows: list[int], out: n
     state of a new generator (counter 0, empty buffer), the state
     ``replicate_rng`` starts from, held as Python ints, which the state
     setter reads faster than numpy scalars.  The whole state is set, so no
-    row reads what an earlier one left.  A ``lam`` of at most
-    ``_SCALAR_DRAW_COLUMNS`` means is drawn one scalar call per mean, in
-    order.
+    row reads what an earlier one left.
     """
     bitgen = np.random.Philox(0)
     poisson = np.random.Generator(bitgen).poisson
@@ -256,11 +246,10 @@ def _draw(lam: np.ndarray, philox_keys: list[list[int]], rows: list[int], out: n
     philox = state["state"]
     philox["counter"] = philox["counter"].tolist()
     state["buffer"] = state["buffer"].tolist()
-    means = lam.tolist() if lam.size <= _SCALAR_DRAW_COLUMNS else None
     for r, philox_key in zip(rows, philox_keys):
         philox["key"] = philox_key
         bitgen.state = state
-        out[r] = poisson(lam) if means is None else list(map(poisson, means))
+        out[r] = poisson(lam)
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,9 @@ class AxisGrid:
         return self.n_windows * self.window_width
 
     def edges(self) -> np.ndarray:
+        """The ``n_windows + 1`` window edges; :class:`MemoryError` if numpy cannot index that many float64s."""
+        if (self.n_windows + 1) * 8 > np.iinfo(np.intp).max:
+            raise MemoryError(f"{_shown(self.n_windows + 1)} window edges exceed the largest array numpy can index")
         return self.origin + self.window_width * np.arange(self.n_windows + 1)
 
 

@@ -192,15 +192,26 @@ def test_replicate_rng_reproducible_and_keyed():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 7: SeedSequence splits a seed of 2**32 or more into two 32-bit words, "
-    "so a sampling key (seed, observable) can hash as a replicate key (seed, replicate, attempt)",
+    reason="ROADMAP item 19: SeedSequence reads a key as 32-bit words and pads one shorter than four "
+    "with zeros, so a sampling key (seed, observable) can hash as a replicate key (seed, replicate, attempt)",
 )
-def test_sampling_and_replicate_streams_never_share_a_key():
-    # (5 * 2**32 + 7, 0) and (7, 5, 0) are both the words [7, 5, 0]
+@pytest.mark.parametrize(
+    "seed, observable, replicate_key",
+    [
+        # (5 * 2**32 + 7, 0) and (7, 5, 0) are both the words [7, 5, 0]
+        (5 * 2**32 + 7, 0, (7, 5, 0)),
+        # (7, 0) is padded to the words of (7, 0, 0), and (7, 1) to those of (7, 1, 0)
+        (7, 0, (7, 0, 0)),
+        (7, 1, (7, 1, 0)),
+    ],
+    ids=["split-seed", "seed-7-position", "seed-7-momentum"],
+)
+def test_sampling_and_replicate_streams_never_share_a_key(seed, observable, replicate_key):
     state = make_synthetic_state(n_windows=4)
-    pos, _ = sample_histograms(state, total=1_000, seed=5 * 2**32 + 7)
-    replicate = replicate_rng(7, 5, 0).poisson(state.position.probs * 1_000)
-    assert not np.array_equal(pos.counts.counts, replicate)
+    sampled = sample_histograms(state, total=1_000, seed=seed)[observable]
+    probs = (state.position, state.momentum)[observable].probs
+    replicate = replicate_rng(*replicate_key).poisson(probs * 1_000)
+    assert not np.array_equal(sampled.counts.counts, replicate)
 
 
 def test_seed_validation():
@@ -265,15 +276,12 @@ def test_philox_keys_match_seed_sequence(seed, attempt):
         np.testing.assert_array_equal(key, stream)
 
 
-@pytest.mark.parametrize(
-    "columns", [1, 2, 8, bootstrap._SCALAR_DRAW_COLUMNS, bootstrap._SCALAR_DRAW_COLUMNS + 1, 64]
-)
+@pytest.mark.parametrize("columns", [1, 2, 8, 16, 17, 64])
 @pytest.mark.parametrize("low, high", [(0.5, 9.5), (10.0, 400.0), (0.5, 40.0)], ids=["below-10", "from-10", "mixed"])
 @pytest.mark.parametrize("attempt, rows", [(0, [0, 1, 2, 3]), (3, [1, 3])], ids=["draw", "redraw"])
 def test_drawer_matches_replicate_rng_row_by_row(columns, low, high, attempt, rows):
-    # up to _SCALAR_DRAW_COLUMNS means _draw makes one scalar call per
-    # mean, past it one array call; either way each row it writes is the
-    # array draw of its replicate's stream, with numpy's multiplication
+    # each row _draw writes is the array draw of its replicate's stream,
+    # whatever the layout size, with numpy's multiplication
     # sampler (means below 10), its rejection sampler (10 and up) or both,
     # and a redraw writes only the rows of its empty replicates
     lam = np.random.default_rng(columns).uniform(low, high, columns)
@@ -287,7 +295,7 @@ def test_drawer_matches_replicate_rng_row_by_row(columns, low, high, attempt, ro
     assert (out[untouched] == -1.0).all()
 
 
-@pytest.mark.parametrize("factor", [1, 8], ids=["array-draws", "scalar-draws"])
+@pytest.mark.parametrize("factor", [1, 8], ids=["24x24", "3x3"])
 def test_threads_draw_the_reports_of_serial_calls(sampled_default, factor):
     # each draw call makes its own Philox: two threads at once must give
     # every report that one thread gives, seed by seed
@@ -567,10 +575,8 @@ def test_sparse_rejections_in_small_chunks_match_per_replicate_loop(monkeypatch)
 
 
 def test_sparse_rejections_match_per_replicate_loop():
-    # four columns: the redraws of empty blocks take _draw's scalar path
     counts = np.array([[1, 0], [0, 1]], dtype=np.int64)
     pos, mom = tiny_pair(counts)
-    assert support_size([pos, mom]) <= bootstrap._SCALAR_DRAW_COLUMNS
     report = witness_significance(pos, mom, direction=Direction.SYMMETRIC, n_boot=100, seed=0)
     margins, rejected = per_replicate_margins([pos], [mom], Direction.SYMMETRIC, 0, 100)
     assert rejected > 0

@@ -389,6 +389,13 @@ def test_make_synthetic_state_honors_clip_tolerance():
         make_synthetic_state(clip_tol=1e-3)
 
 
+@pytest.mark.parametrize("n_windows", [2**62, 2**63 - 2, 2**64, 10**20])
+def test_make_synthetic_state_refuses_edges_numpy_cannot_index(n_windows):
+    # 8 bytes per edge past np.intp's largest value: refused before numpy sizes the array
+    with pytest.raises(MemoryError, match="window edges exceed the largest array numpy can index$"):
+        make_synthetic_state(n_windows=n_windows)
+
+
 def test_sample_histograms_rejects_a_nonpositive_total():
     state = make_synthetic_state(n_windows=8)
     for total in (0.0, -1.0, math.inf, math.nan, "many"):
