@@ -86,7 +86,7 @@ def _positive(
     if not number > 0.0 or value == math.inf:
         raise error(f"{name} must be finite and > 0, got {_shown(value)}")
     if number > maximum[0]:
-        shown = f"{number:.6g}" if number < math.inf else _shown(value)
+        shown = repr(number) if number < math.inf else _shown(value)  # %g could match the bound
         raise error(f"{name} must be <= {maximum[0]:.6g}, {maximum[1]}, got {shown}")
     return number
 

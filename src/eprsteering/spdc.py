@@ -15,7 +15,8 @@ witnesses can be checked against analytic continuous-variable values.
 
 The package windows the model state by one route, :func:`discretize_state`:
 the exact bivariate-normal cell decomposition (marginal times conditional CDF
-difference), which stays accurate at any mode ratio.  The generic per-cell
+difference).  It reads :func:`conditional_variance`, which holds for every
+width :class:`DoubleGaussianParams` accepts.  The generic per-cell
 Gauss-Legendre route for arbitrary densities, and the paper's windowed bound
 on ``h(b|a)``, live in the test suite as oracles for it.
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .bootstrap import POISSON_MEAN_MAX, _check_poisson_means, _check_seed, _keyed_rng
 from .entropy import _check_base, _plogp
-from .errors import NumericalError, TruncationError, UsageError, ZeroTotalError
+from .errors import TruncationError, UsageError, ZeroTotalError
 from .grids import AxisGrid, GridSpec, Histogram, JointDistribution, Observable, _positive, _shown
 
 __all__ = [
@@ -127,35 +128,36 @@ def conditional_variance(params: DoubleGaussianParams, observable: Observable) -
     """Variance of one party's outcome given the other's exact value.
 
     The model is party-symmetric, so steering either way sees the same
-    number.  Closed forms avoid the cancellation the generic
-    ``var - cov^2/var`` expression suffers at large mode ratios.
+    number.  Taken as ``narrow^2 / (1 + q^2)`` (position) or
+    ``1 / wide^2 / (1 + q^2)`` (momentum), ``q = narrow / wide``, it is
+    finite and > 0 for every width :class:`DoubleGaussianParams` accepts, as
+    that keeps each square and inverse square so.  The exact route reads it.
     """
-    sp, sm = params.sigma_plus, params.sigma_minus
-    if Observable(observable) is Observable.POSITION:
-        return (sp**2 * sm**2) / (sp**2 + sm**2)
-    return 1.0 / (sp**2 + sm**2)
+    narrow, wide = sorted((params.sigma_plus, params.sigma_minus))
+    spread = 1.0 + (narrow / wide) ** 2
+    return narrow**2 / spread if Observable(observable) is Observable.POSITION else 1.0 / wide**2 / spread
 
 
 def continuous_conditional_entropy(
     params: DoubleGaussianParams, observable: Observable, base: float = 2.0
 ) -> float:
-    """Differential conditional entropy, 0.5*log(2*pi*e*var)."""
+    """Differential conditional entropy, 0.5*log(2*pi*e*var), summed in logs so no product overflows."""
     base = _check_base(base)
-    nats = 0.5 * math.log(2 * math.pi * math.e * conditional_variance(params, observable))
+    nats = 0.5 * (math.log(2 * math.pi * math.e) + math.log(conditional_variance(params, observable)))
     return nats / math.log(base)
 
 
 def continuous_margin(params: DoubleGaussianParams, base: float = 2.0) -> float:
     """Continuous-variable steering margin, positive iff the mode widths differ.
 
-    This reduces to log((sp^2 + sm^2) / (2*sp*sm)), the log ratio of
-    arithmetic to geometric mean of the mode variances, so it is non-negative
-    and vanishes exactly at sp == sm (separable limit).  A 2-D product state's
-    margin is the sum of its axes' margins.
+    This reduces to log((1 + q^2) / (2q)), ``q = narrow / wide``, the log
+    ratio of arithmetic to geometric mean of the mode variances: it is
+    non-negative, vanishes exactly at sp == sm (separable limit) and squares
+    no width.  A 2-D product state's margin is the sum of its axes' margins.
     """
     base = _check_base(base)
-    sp, sm = params.sigma_plus, params.sigma_minus
-    nats = math.log((sp**2 + sm**2) / (2.0 * sp * sm))
+    narrow, wide = sorted((params.sigma_plus, params.sigma_minus))
+    nats = math.log((1.0 + (narrow / wide) ** 2) / (2.0 * narrow / wide))
     return nats / math.log(base)
 
 
@@ -220,26 +222,23 @@ def _ndtr(t: np.ndarray) -> np.ndarray:
 
 def _exact_gaussian_cells(
     var_a: float,
-    var_b: float,
     cov: float,
+    cond_var: float,
     edges_a: np.ndarray,
     edges_b: np.ndarray,
 ) -> np.ndarray:
     """Cell probabilities of a centered bivariate normal.
 
     Integrates marginal(x) * [CDF(upper) - CDF(lower)] of the conditional,
-    with the outer rule tiled finely enough to resolve the conditional ridge,
-    whose x-scale is sigma_cond/|slope| and can sit far below the cell width.
-    Tiling stops at 128 panels per window, so the rule's party-A mass per
-    window is checked against its closed form: a miss above
-    ``_QUADRATURE_TOL`` raises :class:`TruncationError` rather than reading
-    as clipped mass.
+    of variance ``cond_var``, with the outer rule tiled finely enough to
+    resolve its ridge, whose x-scale is sqrt(cond_var)/|slope| and can sit
+    far below the cell width.  Tiling stops at 128 panels per window, so the
+    rule's party-A mass per window is checked against its closed form: a
+    miss above ``_QUADRATURE_TOL`` raises :class:`TruncationError` rather
+    than reading as clipped mass.
     """
     sd_a = math.sqrt(var_a)
     slope = cov / var_a
-    cond_var = var_b - cov * cov / var_a  # a product overflows to inf, where ** raises
-    if not cond_var > 0.0:
-        raise NumericalError("degenerate covariance: conditional variance is not positive")
     sd_c = math.sqrt(cond_var)
 
     width = float(edges_a[1] - edges_a[0])
@@ -284,11 +283,10 @@ def discretize_state(
     """
     if grid.n_dims != 1:
         raise UsageError("discretize_state handles one transverse axis at a time")
-    if Observable(grid.observable) is Observable.POSITION:
-        var_a, var_b, cov = position_covariance(params)
-    else:
-        var_a, var_b, cov = momentum_covariance(params)
-    cells = _exact_gaussian_cells(var_a, var_b, cov, grid.axes_a[0].edges(), grid.axes_b[0].edges())
+    position = Observable(grid.observable) is Observable.POSITION
+    var_a, _, cov = (position_covariance if position else momentum_covariance)(params)
+    cond_var = conditional_variance(params, grid.observable)
+    cells = _exact_gaussian_cells(var_a, cov, cond_var, grid.axes_a[0].edges(), grid.axes_b[0].edges())
     return _windowed(cells, grid, tail_tol)
 
 

@@ -184,7 +184,9 @@ def correlated_separable_state(
     for observable, extents in ((Observable.POSITION, extents_x), (Observable.MOMENTUM, extents_k)):
         axes = [AxisGrid.centered(n_windows, extent) for extent in extents]
         grid = GridSpec(observable, (axes[0],), (axes[1],))
-        cells = _exact_gaussian_cells(*family.covariance(observable), axes[0].edges(), axes[1].edges())
+        var_a, var_b, cov = family.covariance(observable)
+        # var_b - cov^2/var_a >= b^2 here, so it does not cancel
+        cells = _exact_gaussian_cells(var_a, cov, var_b - cov * cov / var_a, axes[0].edges(), axes[1].edges())
         windowed.append(_windowed(cells, grid, tail_tol))
     (pos, clip_x), (mom, clip_k) = windowed
     return SyntheticState(

@@ -885,7 +885,7 @@ SYNTH_DIGESTS = {
         "position.grid.json": "608bd7bcad4891ab48dfee831d813069549c081e4c299682adb6e0a86ce8e12e",
         "momentum.csv": "629abf786378ba5707696e83f706954207c58f8e768049c818e5b44ae45953d7",
         "momentum.grid.json": "3972cd9be2c97b91fa5ba7ff30e9efb282c829dde1b81faac18b1e4ffd4af7b4",
-        "manifest.json": "4275fe405b724f4439e79fe1794ed8d0b726801c48e35a34ac8158bdb9897874",
+        "manifest.json": "25a26e4da42ace8db3fe7f9e13a2fc5cc6ff41c4a4491b7bb60080d6af3c1ff9",
     },
 }
 
@@ -1127,11 +1127,22 @@ def test_a_width_whose_square_leaves_the_float_range_exits_one(flag, width, tmp_
         assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("widths", [["--sigma-plus", "1e80"], ["--sigma-plus", "1e-154", "--sigma-minus", "1e154"]])
-def test_a_mode_ratio_beyond_the_float_range_exits_three(widths, capsys):
-    # each width is in range, but the squared covariance of the pair is not
+@pytest.mark.parametrize(
+    "widths, mass",
+    [
+        (["--sigma-plus", "1e80"], "8.1133797e-84"),
+        (["--sigma-plus", "1e-154", "--sigma-minus", "1e154"], "8.29799943e-158"),
+    ],
+    ids=["sigma-plus-1e80", "ratio-1e308"],
+)
+def test_a_state_far_wider_than_the_viewing_area_exits_three(widths, mass, capsys):
+    # a valid state whose mode ratio squares past the float range; the default
+    # viewing area holds almost none of it, so the truncation rule refuses it
     assert run_cli("witness", "--synthetic", *widths, "--boot", "100") == 3
-    assert capsys.readouterr().err == "numerical error: degenerate covariance: conditional variance is not positive\n"
+    assert capsys.readouterr().err == (
+        f"numerical error: viewing area captures only {mass} of the state (tol 0.02); "
+        "widen the extents to clip less of it\n"
+    )
 
 
 @pytest.mark.parametrize("clip_tol", ["1", "5"])

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from eprsteering import spdc
 from eprsteering.bootstrap import POISSON_MEAN_MAX
 from eprsteering.spdc import (
     DEFAULT_CLIP_TOL,
+    DEFAULT_SIGMA_MINUS,
+    DEFAULT_SIGMA_PLUS,
     DoubleGaussianParams,
     discretize_state,
 )
@@ -175,6 +178,50 @@ def test_continuous_margin_is_entropy_deficit_from_pi_e():
     assert continuous_margin(p) == pytest.approx(
         math.log2(math.pi * math.e) - h_sum, rel=1e-12
     )
+
+
+# Widths DoubleGaussianParams accepts near the edges of the float range: each
+# square or inverse square near the largest float or the smallest normal one,
+# and mode ratios whose squares leave the float range.
+EDGE_WIDTHS = [
+    (1e100, 1e60),
+    (1e-100, 1e-120),
+    (1.3e154, 1.3e154),
+    (7.6e-155, 7.6e-155),
+    (1e-154, 1e154),
+    (DEFAULT_SIGMA_PLUS, DEFAULT_SIGMA_MINUS),
+]
+
+
+def _exact_conditional_variance(sp: float, sm: float, observable: Observable) -> Fraction:
+    sp2, sm2 = Fraction(sp) ** 2, Fraction(sm) ** 2
+    return sp2 * sm2 / (sp2 + sm2) if observable is Observable.POSITION else 1 / (sp2 + sm2)
+
+
+def _ln(value: Fraction) -> float:
+    """Natural log of a positive fraction, from its numerator and denominator, so nothing overflows."""
+    return math.log(value.numerator) - math.log(value.denominator)
+
+
+@pytest.mark.parametrize("widths", EDGE_WIDTHS)
+@pytest.mark.parametrize("observable", list(Observable))
+def test_conditional_variance_is_exact_at_every_accepted_width(widths, observable):
+    for sp, sm in (widths, widths[::-1]):
+        exact = _exact_conditional_variance(sp, sm, observable)
+        got = conditional_variance(DoubleGaussianParams(sp, sm), observable)
+        assert abs(Fraction(got) - exact) <= exact / 10**15, (sp, sm, got)
+
+
+@pytest.mark.parametrize("widths", EDGE_WIDTHS)
+def test_continuous_margin_and_entropy_hold_at_every_accepted_width(widths):
+    for sp, sm in (widths, widths[::-1]):
+        p = DoubleGaussianParams(sp, sm)
+        a, b = Fraction(sp), Fraction(sm)
+        margin = _ln((a * a + b * b) / (2 * a * b))
+        assert continuous_margin(p, base=math.e) == pytest.approx(margin, rel=1e-12)
+        for observable in Observable:
+            h = 0.5 * (math.log(2 * math.pi * math.e) + _ln(_exact_conditional_variance(sp, sm, observable)))
+            assert continuous_conditional_entropy(p, observable, base=math.e) == pytest.approx(h, rel=1e-12)
 
 
 # ------------------------------------------------------------- discretize
@@ -326,6 +373,25 @@ def test_two_axis_state_is_built_per_axis(n_windows):
     assert from_blocks < continuous_margin(params[0]) + continuous_margin(params[1])
 
 
+@pytest.mark.parametrize("sigma_minus", [1e-8, 1e-9])
+@pytest.mark.parametrize("observable", list(Observable))
+def test_party_b_profile_in_one_window_of_a_has_the_conditional_variance(sigma_minus, observable):
+    # A's one window is far narrower than A's spread, so A is uniform across it
+    # and, at slope +-1, B's profile has variance w_A^2/12 + conditional_variance,
+    # plus w_B^2/12 from B's own windows; at these mode ratios a conditional
+    # variance derived from the covariance cancels
+    params = DoubleGaussianParams(1.0, sigma_minus)
+    w_a = 2.0 * sigma_minus if observable is Observable.POSITION else 2.0
+    w_b = w_a / 4
+    grid = GridSpec(observable, (AxisGrid.centered(1, w_a),), (AxisGrid.centered(64, 64 * w_b),))
+    dist, _ = discretize_state(params, grid, tail_tol=1 - 1e-12)
+    profile = dist.probs[0]
+    centers = grid.axes_b[0].edges()[:-1] + w_b / 2
+    mean = profile @ centers
+    variance = profile @ (centers - mean) ** 2 - w_b**2 / 12
+    assert variance / (w_a**2 / 12 + conditional_variance(params, observable)) == pytest.approx(1.0, abs=1e-3)
+
+
 def test_discretize_rejects_two_axis_grids():
     p = default_params()
     ax = AxisGrid.centered(4, 1.0)
@@ -415,6 +481,22 @@ def test_sample_histograms_refuses_a_total_past_the_poisson_limit(monkeypatch):
     for total in (np.nextafter(POISSON_MEAN_MAX, math.inf), 2e19):
         with pytest.raises(UsageError, match="^total must be <= 9.22337e[+]18, the largest Poisson mean"):
             sample_histograms(state, total=total)
+
+
+@pytest.mark.parametrize(
+    "refused, shown",
+    [
+        (lambda: SyntheticConfig(total=9223372036854775807), "9.223372036854776e+18"),
+        (lambda: sample_histograms(make_synthetic_state(n_windows=4), total=np.nextafter(POISSON_MEAN_MAX, math.inf)),
+         "9.223372006484772e+18"),
+    ],
+    ids=["SyntheticConfig", "sample_histograms"],
+)
+def test_a_total_just_past_the_poisson_limit_is_told_from_the_limit(refused, shown):
+    # at %g both read 9.22337e+18, the bound's own text
+    with pytest.raises(UsageError) as err:
+        refused()
+    assert str(err.value).endswith(f", got {shown}")
 
 
 @pytest.mark.parametrize(
