@@ -113,15 +113,15 @@ def default_params() -> DoubleGaussianParams:
 def position_covariance(params: DoubleGaussianParams) -> tuple[float, float, float]:
     """(var_a, var_b, cov) of the position density."""
     sp, sm = params.sigma_plus, params.sigma_minus
-    var = (sp**2 + sm**2) / 4.0
-    return var, var, (sp**2 - sm**2) / 4.0
+    plus, minus = sp**2 / 4.0, sm**2 / 4.0  # quartered first, so the sum cannot overflow
+    return plus + minus, plus + minus, plus - minus
 
 
 def momentum_covariance(params: DoubleGaussianParams) -> tuple[float, float, float]:
     """(var_a, var_b, cov) of the momentum density."""
     sp, sm = params.sigma_plus, params.sigma_minus
-    var = (1.0 / sp**2 + 1.0 / sm**2) / 4.0
-    return var, var, (1.0 / sp**2 - 1.0 / sm**2) / 4.0
+    plus, minus = 1.0 / sp**2 / 4.0, 1.0 / sm**2 / 4.0
+    return plus + minus, plus + minus, plus - minus
 
 
 def conditional_variance(params: DoubleGaussianParams, observable: Observable) -> float:
@@ -209,15 +209,13 @@ def _windowed(
     return JointDistribution(probs=np.maximum(cells, 0.0) / mass, grid=grid), deficit
 
 
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
-
 #: Largest per-window party-A mass the exact route's outer rule may miss.
 _QUADRATURE_TOL = 1e-9
 
 
 def _ndtr(t: np.ndarray) -> np.ndarray:
     """Standard normal CDF, elementwise, from the C library's ``erfc``."""
-    return 0.5 * _ERFC(-t / math.sqrt(2.0)).astype(np.float64)
+    return 0.5 * np.fromiter(map(math.erfc, (-t / math.sqrt(2.0)).ravel()), np.float64, t.size).reshape(t.shape)
 
 
 def _exact_gaussian_cells(
@@ -249,8 +247,8 @@ def _exact_gaussian_cells(
 
     sub_edges = edges_a[0] + (width / panels) * np.arange(len(edges_a[:-1]) * panels + 1)
     x, w = _cell_nodes(sub_edges)  # (cells*panels, nodes)
-    with np.errstate(over="ignore"):  # an x**2 past the float range is density 0
-        phi_w = np.exp(-(x**2) / (2 * var_a)) / math.sqrt(2 * math.pi * var_a) * w
+    with np.errstate(over="ignore"):  # a (x / sd_a) ** 2 past the float range is density 0
+        phi_w = np.exp(-0.5 * (x / sd_a) ** 2) / (math.sqrt(2 * math.pi) * sd_a) * w
         exact_a = np.diff(_ndtr(edges_a / sd_a))
     na, nb = len(edges_a) - 1, len(edges_b) - 1
     if np.abs(phi_w.sum(axis=1).reshape(na, panels).sum(axis=1) - exact_a).max() > _QUADRATURE_TOL:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -224,6 +225,23 @@ def test_continuous_margin_and_entropy_hold_at_every_accepted_width(widths):
             assert continuous_conditional_entropy(p, observable, base=math.e) == pytest.approx(h, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "widths",
+    [(1.3e154, 1.3e154), (7.6e-155, 7.6e-155), (1e154, 1e-154), (DEFAULT_SIGMA_PLUS, DEFAULT_SIGMA_MINUS)],
+)
+def test_covariances_are_exact_at_every_accepted_width(widths):
+    # each square (or inverse square) is quartered before the sum, so none
+    # overflows; a subnormal quarter costs a few ulps of a subnormal variance
+    for sp, sm in (widths, widths[::-1]):
+        p = DoubleGaussianParams(sp, sm)
+        a, b = Fraction(sp) ** 2, Fraction(sm) ** 2
+        for covariance, (plus, minus) in ((position_covariance, (a, b)), (momentum_covariance, (1 / a, 1 / b))):
+            exact = ((plus + minus) / 4, (plus + minus) / 4, (plus - minus) / 4)
+            for got, want in zip(covariance(p), exact):
+                assert math.isfinite(got), (covariance.__name__, sp, sm)
+                assert abs(Fraction(got) - want) <= abs(want) * Fraction(4, 10**15), (covariance.__name__, sp, sm, got)
+
+
 # ------------------------------------------------------------- discretize
 
 
@@ -287,13 +305,36 @@ def test_discretize_state_rejects_clipping_beyond_tolerance():
 def test_exact_route_refuses_windows_too_wide_to_resolve(extent_x):
     # the outer rule tiles a window in at most 128 panels; past that the
     # state's party-A mass per window is missed, which is no clipped mass
-    # (the state lies inside every one of these areas), and an x**2 past the
-    # float range is density 0, not an overflow warning, and a window
+    # (the state lies inside every one of these areas), and an (x / sd_a) ** 2
+    # past the float range is density 0, not an overflow warning, and a window
     # width over the state's scale past the float range is the 128-panel cap
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TruncationError, match="too wide for the quadrature"):
             make_synthetic_state(extent_x=extent_x)
+
+
+@pytest.mark.parametrize(
+    "widths,extent_x,extent_k",
+    [
+        ((1.3e154, 1.3e154), 1e155, 1e-153),
+        ((1.3e154, 2e153), 1e155, 1e-152),
+        ((7.6e-155, 7.6e-155), 1e-153, 1e155),
+    ],
+    ids=["wide-separable", "wide-steering", "narrow-separable"],
+)
+def test_a_state_at_the_edge_of_the_float_range_windows(widths, extent_x, extent_k):
+    # var_a near the largest float (or its inverse near the smallest normal
+    # one): the density is taken in standardized form and the covariances
+    # are summed in quarters, so neither overflows
+    p = DoubleGaussianParams(*widths)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = make_synthetic_state(p, extent_x=extent_x, extent_k=extent_k)
+        margin = evaluate(state.position, state.momentum).margin
+    assert 0.0 <= state.clipped_position <= DEFAULT_CLIP_TOL
+    assert 0.0 <= state.clipped_momentum <= DEFAULT_CLIP_TOL
+    assert margin <= continuous_margin(p) + 1e-6
 
 
 def test_discretize_routes_share_one_mass_gate():
@@ -324,6 +365,33 @@ def test_ndtr_matches_scipy():
     t = np.append(np.linspace(-40.0, 40.0, 160_001), 0.0)
     assert np.abs(spdc._ndtr(t) - ndtr(t)).max() <= 4.5e-16
     assert spdc._ndtr(np.zeros(1))[0] == 0.5
+
+
+def test_ndtr_is_the_c_librarys_erfc_in_float64():
+    t = np.concatenate([np.linspace(-40.0, 40.0, 4021), [-np.inf, np.inf]]).reshape(9, 3, 149)
+    got = spdc._ndtr(t)
+    assert got.dtype == np.float64 and got.shape == t.shape
+    want = [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in t.ravel().tolist()]
+    assert got.ravel().tolist() == want
+
+
+def test_a_sharp_state_windows_without_an_object_array():
+    # 84 panels per window: each observable's CDF tensor holds ~0.8M values,
+    # 6.5 MB as float64; built as an object array of Python floats, the
+    # state traced a ~40 MB peak
+    def build():
+        return make_synthetic_state(
+            DoubleGaussianParams(1.0, 0.001), n_windows=24, extent_x=12, extent_k=12000, clip_tol=0.01
+        )
+
+    build()
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def test_synthetic_state_matches_scipy_cdf_build(monkeypatch):
