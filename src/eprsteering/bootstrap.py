@@ -48,7 +48,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DataError, DegenerateBootstrapError, UsageError
-from .grids import CountTensor, Histogram, _check_int, _shown
+from .grids import CountTensor, Histogram, _check_int
 from .witness import Direction, WitnessResult, _checked_blocks, _kernel, _MarginKernel
 
 __all__ = [
@@ -93,17 +93,9 @@ def _check_seed(seed) -> int:
     return _check_int(seed, "seed", 0)
 
 
-def _check_range(value, name: str, minimum: int, maximum: int) -> int:
-    """``value`` as an integer from ``minimum`` to ``maximum``; bools, floats and strings are refused."""
-    value = _check_int(value, name, minimum)
-    if value > maximum:
-        raise UsageError(f"{name} must be <= {maximum}, got {_shown(value)}")
-    return value
-
-
 def _check_n_boot(n_boot) -> int:
     """The replicate count rule: an integer from ``MIN_REPLICATES`` to ``MAX_REPLICATES``."""
-    return _check_range(n_boot, "n_boot", MIN_REPLICATES, MAX_REPLICATES)
+    return _check_int(n_boot, "n_boot", MIN_REPLICATES, MAX_REPLICATES)
 
 
 def _seed_key(seed: SeedLike) -> tuple[int, ...]:
@@ -137,7 +129,7 @@ def replicate_rng(seed: SeedLike, index: int, attempt: int = 0) -> np.random.Gen
     Each is one 32-bit ``SeedSequence`` word: ``SeedSequence`` splits a
     larger one into two, which would draw the stream of another key.
     """
-    words = (_check_range(index, "index", 0, _MASK32), _check_range(attempt, "attempt", 0, _MASK32))
+    words = (_check_int(index, "index", 0, _MASK32), _check_int(attempt, "attempt", 0, _MASK32))
     return _keyed_rng(_seed_key(seed) + words)
 
 

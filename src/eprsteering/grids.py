@@ -53,12 +53,14 @@ def _shown(value) -> str:
     return repr(value)
 
 
-def _check_int(value, name: str, minimum: int = 1) -> int:
-    """``value`` as an int >= ``minimum``; bools, floats and strings are refused."""
+def _check_int(value, name: str, minimum: int = 1, maximum: int | None = None) -> int:
+    """``value`` as an int from ``minimum`` to ``maximum`` (if given); bools, floats and strings are refused."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise UsageError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise UsageError(f"{name} must be >= {minimum}, got {_shown(int(value))}")
+    if maximum is not None and value > maximum:
+        raise UsageError(f"{name} must be <= {maximum}, got {_shown(int(value))}")
     return int(value)
 
 

@@ -15,10 +15,12 @@ witnesses can be checked against analytic continuous-variable values.
 
 The package windows the model state by one route, :func:`discretize_state`:
 the exact bivariate-normal cell decomposition (marginal times conditional CDF
-difference).  It reads :func:`conditional_variance`, which holds for every
-width :class:`DoubleGaussianParams` accepts.  The generic per-cell
-Gauss-Legendre route for arbitrary densities, and the paper's windowed bound
-on ``h(b|a)``, live in the test suite as oracles for it.
+difference), evaluated one party-A window at a time into a result allocated
+first, so its memory grows with the windows, not their square.  It reads
+:func:`conditional_variance`, which holds for every width
+:class:`DoubleGaussianParams` accepts.  The generic per-cell Gauss-Legendre
+route for arbitrary densities, and the paper's windowed bound on ``h(b|a)``,
+live in the test suite as oracles for it.
 
 The 16-point rule is stored as constants equal to numpy's ``leggauss(16)``.
 :func:`connection_check` holds it against the closed-form ``integral -p log p``
@@ -233,7 +235,10 @@ def _exact_gaussian_cells(
     far below the cell width.  Tiling stops at 128 panels per window, so the
     rule's party-A mass per window is checked against its closed form: a
     miss above ``_QUADRATURE_TOL`` raises :class:`TruncationError` rather
-    than reading as clipped mass.
+    than reading as clipped mass.  The result is allocated first, so cells
+    too many to hold raise :class:`MemoryError` before any window is
+    evaluated; the cells are then evaluated one party-A window at a time,
+    its panels against all of party B's edges.
     """
     sd_a = math.sqrt(var_a)
     slope = cov / var_a
@@ -246,23 +251,22 @@ def _exact_gaussian_cells(
     panels = max(1, math.ceil(min(128.0, width / feature)))  # the ratio may overflow to inf
 
     sub_edges = edges_a[0] + (width / panels) * np.arange(len(edges_a[:-1]) * panels + 1)
-    x, w = _cell_nodes(sub_edges)  # (cells*panels, nodes)
+    x, w = (a.reshape(len(edges_a) - 1, panels, -1) for a in _cell_nodes(sub_edges))  # (windows, panels, nodes)
     with np.errstate(over="ignore"):  # a (x / sd_a) ** 2 past the float range is density 0
         phi_w = np.exp(-0.5 * (x / sd_a) ** 2) / (math.sqrt(2 * math.pi) * sd_a) * w
         exact_a = np.diff(_ndtr(edges_a / sd_a))
-    na, nb = len(edges_a) - 1, len(edges_b) - 1
-    if np.abs(phi_w.sum(axis=1).reshape(na, panels).sum(axis=1) - exact_a).max() > _QUADRATURE_TOL:
+    if np.abs(phi_w.sum(axis=2).sum(axis=1) - exact_a).max() > _QUADRATURE_TOL:
         raise TruncationError(
             "the windows are too wide for the quadrature to resolve the state; "
             "narrow the extent or add windows"
         )
 
     # window m's upper edge is window m+1's lower one: one CDF per edge
-    t = (edges_b[:, None, None] - slope * x[None]) / sd_c
-    window = np.diff(_ndtr(t), axis=0)  # (nb, cells*panels, nodes)
-
-    contrib = (window * phi_w[None]).sum(axis=2)  # (nb, cells*panels)
-    return contrib.reshape(nb, na, panels).sum(axis=2).T.copy()
+    cells = np.empty((len(x), len(edges_b) - 1))
+    for i, (xa, pw) in enumerate(zip(x, phi_w)):
+        window = np.diff(_ndtr((edges_b[:, None, None] - slope * xa) / sd_c), axis=0)  # (B windows, panels, nodes)
+        cells[i] = (window * pw).sum(axis=2).sum(axis=1)
+    return cells
 
 
 def discretize_state(

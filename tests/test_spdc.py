@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -375,13 +376,15 @@ def test_ndtr_is_the_c_librarys_erfc_in_float64():
     assert got.ravel().tolist() == want
 
 
-def test_a_sharp_state_windows_without_an_object_array():
-    # 84 panels per window: each observable's CDF tensor holds ~0.8M values,
-    # 6.5 MB as float64; built as an object array of Python floats, the
-    # state traced a ~40 MB peak
+@pytest.mark.parametrize("n_windows", [24, 48])
+def test_a_sharp_state_windows_without_an_object_array(n_windows):
+    # 84 panels per window at 24 windows, 42 at 48: a CDF tensor over every
+    # (B edge, A node) pair holds ~0.8M and ~1.6M values and traces ~20 and
+    # ~37 MB, while one party-A window's panels against party B's edges hold
+    # ~33k values at either size; the bound keeps memory linear in the windows
     def build():
         return make_synthetic_state(
-            DoubleGaussianParams(1.0, 0.001), n_windows=24, extent_x=12, extent_k=12000, clip_tol=0.01
+            DoubleGaussianParams(1.0, 0.001), n_windows=n_windows, extent_x=12, extent_k=12000, clip_tol=0.01
         )
 
     build()
@@ -391,7 +394,42 @@ def test_a_sharp_state_windows_without_an_object_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 30e6
+    assert peak < 4e6
+
+
+# sha256 of each observable's probs.tobytes(), then repr of each clipped fraction
+SHARP_STATE_PINS = {
+    ((1.0, 0.001), 24, 12.0, 12000.0): (
+        "dec1eaddfee61e27a98ae4514660b9f04fab5e08108bf313547b710159366dc5",
+        "5d4e6498da6ad968b2d4224c082c331ddcf9b3d0b7fa9454699c1304c37f4493",
+        "1.1102230246251565e-16",
+        "0.0",
+    ),
+    ((1.0, 0.001), 48, 12.0, 12000.0): (
+        "998e4229692ffa3a4748b5c9c2c3fbb467b096a9162bd3e66784c3c0af558596",
+        "b3e081f02413a17e1e720976f8748eb7cc9dea74bd6802342730ec9b354720a4",
+        "0.0",
+        "2.220446049250313e-16",
+    ),
+    ((1.0, 0.05), 48, 12.0, 240.0): (
+        "86a15ae3c0e4c028b722e718d0758b653bebacc85fc23c8eb55bb386be57a374",
+        "89f955cd8c91ab17419c7274abf8d5b956c1bca7870e7d0a31573db0371d863e",
+        "0.0",
+        "0.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SHARP_STATE_PINS), ids=lambda c: f"{c[0][1]}-{c[1]}w")
+def test_sharp_states_window_to_pinned_bits(case):
+    # panelled states that no golden digest covers: the order of the
+    # per-window sums (nodes, then panels) is part of these bits
+    widths, n_windows, extent_x, extent_k = case
+    state = make_synthetic_state(
+        DoubleGaussianParams(*widths), n_windows=n_windows, extent_x=extent_x, extent_k=extent_k, clip_tol=0.01
+    )
+    got = tuple(hashlib.sha256(d.probs.tobytes()).hexdigest() for d in (state.position, state.momentum))
+    assert got + (repr(state.clipped_position), repr(state.clipped_momentum)) == SHARP_STATE_PINS[case]
 
 
 def test_synthetic_state_matches_scipy_cdf_build(monkeypatch):
